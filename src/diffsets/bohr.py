@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 import numpy as np
 
-from .density import bit_vector, longest_run
+from .density import longest_run
 from .errors import InputError, VerificationError
-from .intset import IntSet, Window, restrict
+from .intset import IntSet, Window, bit_vector, complement_in, from_bit_vector, restrict
 
 __all__ = [
     "BohrSpec",
@@ -78,8 +78,7 @@ def bohr_generate(spec: BohrSpec, window: Window) -> IntSet:
     for r in spec.freqs:
         table = _residue_table(r, spec.eps)
         keep &= table[xs % r.denominator]
-    bits = int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little")
-    return IntSet(window, bits)
+    return from_bit_vector(keep, window)
 
 
 @dataclass(frozen=True)
@@ -96,14 +95,9 @@ def bohr_contained(s: IntSet, a: IntSet, interval: Window) -> BohrContainment:
         if interval.lo < w.lo or interval.hi > w.hi:
             raise InputError(f"interval {interval} outside the {name} window {w}")
     s_bits = restrict(s, interval)
-    bad = s_bits.bits & ~restrict(a, interval).bits
-    count = bad.bit_count()
-    listed: list[int] = []
-    while bad and len(listed) < 10:
-        low = bad & -bad
-        listed.append(interval.lo + low.bit_length() - 1)
-        bad ^= low
-    return BohrContainment(count == 0, s_bits.count, count, listed)
+    bad = IntSet(interval, s_bits.bits & ~restrict(a, interval).bits)
+    listed = list(islice(bad.members(), 10))
+    return BohrContainment(bad.count == 0, s_bits.count, bad.count, listed)
 
 
 def suggest_freqs(d: IntSet, k_max: int, q_max: int = 32) -> list[Fraction]:
@@ -166,7 +160,6 @@ def piecewise_bohr_search(
         raise InputError("eps grid must be positive")
     freqs = suggest_freqs(d, k_max, q_max=q_max)
     window = d.window
-    full = (1 << window.length) - 1
     best: PiecewiseBohrWitness | None = None
     for size in range(1, len(freqs) + 1):
         for combo in combinations(freqs, size):
@@ -174,7 +167,7 @@ def piecewise_bohr_search(
                 for shift in shifts:
                     spec = BohrSpec(tuple(combo), eps, shift)
                     s = bohr_generate(spec, window)
-                    clean = IntSet(window, full & ~(s.bits & ~d.bits))
+                    clean = complement_in(IntSet(window, s.bits & ~d.bits), window)
                     run = longest_run(clean)
                     if run is None:
                         continue

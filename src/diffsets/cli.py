@@ -24,6 +24,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +33,7 @@ from .cover import (
     cover_density_check,
     cs_family_inequality,
     delta_cover,
-    dense_shift_member,
+    dense_shift_set,
     greedy_shift_cover,
     guaranteed_overlap,
     quotient_cover,
@@ -50,7 +51,7 @@ from .density import (
     upper_asymptotic_est,
     upper_banach_est,
 )
-from .embed import Pattern, dense_embed_est, window_embeddable
+from .embed import Pattern, dense_embed_est, distinct_traces, window_embeddable
 from .errors import InfeasibleError, InputError, VerificationError
 from .extract import (
     block_walk_bound,
@@ -68,8 +69,9 @@ from .intset import (
     Window,
     difference_set,
     intersect,
+    make_set,
     read_set_file,
-    restrict,
+    rebase,
     write_set_file,
 )
 from .prng import Stream, stream_block, stream_value
@@ -109,6 +111,11 @@ def _parse_candidates(text: str) -> list[int]:
         return [int(p) for p in t.split(",") if p.strip()]
     except ValueError:
         raise InputError(f"cannot parse candidate list {text!r}") from None
+
+
+def _check_positive(value: int | None, flag: str) -> None:
+    if value is not None and value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
 
 
 def _parse_fraction_list(text: str, name: str) -> list[Fraction]:
@@ -230,16 +237,11 @@ def _cmd_delta(args, report: Report) -> int:
 
 
 def _distinct_traces(x: IntSet, m: int, cap: int = 4096) -> list[Pattern]:
-    """Distinct nonempty length-m traces of X, rebased to [0, m)."""
-    mask = (1 << m) - 1
-    seen: dict[int, Pattern] = {}
-    for a in range(x.window.lo, x.window.hi - m + 2):
-        chunk = (x.bits >> (a - x.window.lo)) & mask
-        if chunk and chunk not in seen:
-            if len(seen) >= cap:
-                raise InputError(f"more than {cap} distinct traces at m = {m}")
-            seen[chunk] = Pattern(tuple(i for i in range(m) if (chunk >> i) & 1))
-    return list(seen.values())
+    """Distinct nonempty length-m traces of X, rebased to [0, m), by first offset."""
+    pats = [pat for _, pat in islice(distinct_traces(x, m), cap + 1)]
+    if len(pats) > cap:
+        raise InputError(f"more than {cap} distinct traces at m = {m}")
+    return pats
 
 
 def _cmd_embed(args, report: Report) -> int:
@@ -275,6 +277,7 @@ def _cmd_embed(args, report: Report) -> int:
 
 
 def _cmd_cover(args, report: Report) -> int:
+    _check_positive(args.density_n, "--density-n")
     a = _load(args.set)
     eps = parse_fraction(args.eps, "eps")
     candidates = _parse_candidates(args.x)
@@ -320,13 +323,8 @@ def _cmd_cover(args, report: Report) -> int:
     hull = Window(min(candidates), max(candidates))
     if res.cert.covered and len(set(candidates)) == hull.length:
         # full coverage of a contiguous range: attach the density consequence
-        c = restrict(a, Window(res.offset + 1, res.offset + args.n)).shift(-res.offset)
-        bits = 0
-        for i, t in enumerate(range(hull.lo, hull.hi + 1)):
-            if dense_shift_member(c, t, eps):
-                bits |= 1 << i
-        s = IntSet(hull, bits)
-        n_check = args.density_n if args.density_n else max(1, hull.length // 4)
+        s = dense_shift_set(rebase(a, res.offset, args.n), 1, hull, eps)
+        n_check = args.density_n if args.density_n is not None else max(1, hull.length // 4)
         report.certificates["density"] = cover_density_check(
             s, list(res.cert.shifts), "full_cover", n_check, cover_range=hull
         )
@@ -334,9 +332,10 @@ def _cmd_cover(args, report: Report) -> int:
 
 
 def _cmd_extract(args, report: Report) -> int:
+    _check_positive(args.window, "--window")
     a = _load(args.set)
     slack = parse_fraction(args.slack, "slack")
-    window_len = args.window if args.window else min(1024, a.window.length)
+    window_len = args.window if args.window is not None else min(1024, a.window.length)
     res = dense_pattern_extract(a, args.n, slack, window_len)
     report.inputs["set"] = _set_summary(args.set, a)
     report.parameters.update({"n": args.n, "slack": slack, "window_len": window_len})
@@ -345,7 +344,7 @@ def _cmd_extract(args, report: Report) -> int:
     report.results["prefix"] = res.cert.prefix
     report.certificates["extraction"] = res.cert
     report.certificates["prefix_checks"] = res.checks
-    c = restrict(a, Window(res.offset + 1, res.offset + window_len)).shift(-res.offset)
+    c = rebase(a, res.offset, window_len)
     report.certificates["walk"] = block_walk_bound(c, args.n, res.cert.gamma)
     return 0
 
@@ -413,9 +412,7 @@ def _cmd_pipeline(args, report: Report) -> int:
     report.results["prefix"] = res.cert.prefix
     report.certificates["pipeline"] = res
     # the prefix as a set on [1, n]; its counting function dominates gamma
-    prefix_set = IntSet(
-        Window(1, res.cert.n), sum(1 << (e - 1) for e in res.cert.prefix)
-    )
+    prefix_set = make_set(res.cert.prefix, Window(1, res.cert.n))
     report.results["prefix_schnirelmann"] = schnirelmann_est(prefix_set, res.cert.n)
     return 0
 

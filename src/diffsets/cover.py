@@ -16,16 +16,11 @@ from math import floor
 
 import numpy as np
 
-from .delta import _upper_est_rebased, shift_intersection
-from .density import (
-    DensityEstimate,
-    bit_vector,
-    lower_banach_est,
-    thick_witness,
-    upper_banach_est,
-)
+from .delta import shift_density
+from .density import DensityEstimate, lower_banach_est, thick_witness, upper_banach_est
 from .errors import InfeasibleError, InputError, VerificationError
-from .intset import IntSet, Window, restrict
+from .intset import (IntSet, Window, bit_vector, combine_shifts, from_bit_vector, intersect,
+                     rebase, restrict)
 
 __all__ = [
     "CsInequality",
@@ -38,6 +33,7 @@ __all__ = [
     "guaranteed_overlap",
     "dense_shift_count",
     "dense_shift_member",
+    "dense_shift_set",
     "greedy_shift_cover",
     "verify_cover_certificate",
     "delta_cover",
@@ -80,10 +76,7 @@ def cs_family_inequality(family: list[IntSet], n: int | None = None) -> CsInequa
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             if family[i].window.overlaps(family[j].window):
-                a, b = family[i], family[j]
-                w = a.window.intersect(b.window)
-                d_a, d_b = w.lo - a.window.lo, w.lo - b.window.lo
-                cross += ((a.bits >> d_a) & (b.bits >> d_b) & ((1 << w.length) - 1)).bit_count()
+                cross += intersect(family[i], family[j]).count
     lhs = total * total
     rhs = n * (total + 2 * cross)
     return CsInequality(n, len(family), lhs, rhs, lhs <= rhs)
@@ -124,6 +117,12 @@ def dense_shift_member(c: IntSet, t: int, eps: Fraction) -> bool:
     """Strict threshold membership: count > eps * N by cross-multiplication."""
     n = _check_base(c)
     return dense_shift_count(c, t) * eps.denominator > eps.numerator * n
+
+
+def dense_shift_set(c: IntSet, h: int, hull: Window, eps: Fraction) -> IntSet:
+    """{t in hull : h*t in D(C, eps)} as a set on hull."""
+    keep = [dense_shift_member(c, h * t, eps) for t in range(hull.lo, hull.hi + 1)]
+    return from_bit_vector(keep, hull)
 
 
 # -- greedy cover -------------------------------------------------------------
@@ -293,13 +292,10 @@ class DeltaCoverResult:
 
 
 def _rebase_best_window(a: IntSet, n: int, anchored: bool) -> tuple[IntSet, int, Fraction]:
-    if anchored:
-        if a.window.lo != 1:
-            raise InputError("anchored variant needs a window starting at 1")
-        offset = 0
-    else:
-        offset = upper_banach_est(a, n).at
-    c = restrict(a, Window(offset + 1, offset + n)).shift(-offset)
+    if anchored and a.window.lo != 1:
+        raise InputError("anchored variant needs a window starting at 1")
+    offset = 0 if anchored else upper_banach_est(a, n).at
+    c = rebase(a, offset, n)
     return c, offset, Fraction(c.count, n)
 
 
@@ -335,10 +331,7 @@ def delta_cover(
     used = sorted({x - xi for x, xi in cert.witnesses.items()})
     checks: list[ShiftCheck] = []
     for t in used:
-        if upper:
-            value = _upper_est_rebased(shift_intersection(a, t), n).value
-        else:
-            value = upper_banach_est(shift_intersection(a, t), n).value
+        value = shift_density(a, t, n, upper)
         ok = value > eps
         checks.append(ShiftCheck(t, value, ok))
         if not ok:
@@ -385,13 +378,6 @@ def _normalize_shifts(shifts: list[int]) -> tuple[list[int], int]:
     return [f - c for f in shifts], c
 
 
-def _or_shifts(s: IntSet, shifts: list[int], target: Window) -> IntSet:
-    acc = 0
-    for f in shifts:
-        acc |= restrict(s.shift(f), target).bits
-    return IntSet(target, acc)
-
-
 def cover_density_check(
     s: IntSet,
     shifts,
@@ -412,7 +398,7 @@ def cover_density_check(
     if mode == "full_cover":
         if cover_range is None:
             raise InputError("full_cover needs cover_range")
-        covered = _or_shifts(s_norm, norm, cover_range)
+        covered = combine_shifts(s_norm, norm, cover_range, union=True)
         premise_ok = covered.count == cover_range.length
         span = max(norm) - min(norm)
         threshold = nominal - Fraction(k * span, n)
@@ -428,7 +414,7 @@ def cover_density_check(
         hull = Window(
             s_norm.window.lo + min(norm), s_norm.window.hi + max(norm)
         )
-        covered = _or_shifts(s_norm, norm, hull)
+        covered = combine_shifts(s_norm, norm, hull, union=True)
         w = thick_witness(covered, thick_len)
         premise_ok = w is not None
         blocks = -(-thick_len // n)  # ceil(L / n)
@@ -485,14 +471,8 @@ def quotient_cover(
     base_shifts = [x // h for x in res.cert.shifts]
 
     hull = Window(min(base), max(base))
-    c = restrict(a, Window(res.offset + 1, res.offset + n)).shift(-res.offset)
-    member_bits = 0
-    for i, t in enumerate(range(hull.lo, hull.hi + 1)):
-        if dense_shift_member(c, h * t, eps):
-            member_bits |= 1 << i
-    q = IntSet(hull, member_bits)
-
-    covered = _or_shifts(q, base_shifts, hull)
+    q = dense_shift_set(rebase(a, res.offset, n), h, hull, eps)
+    covered = combine_shifts(q, base_shifts, hull, union=True)
     cover_ok = all(x in covered for x in base)
     dens_n = density_n if density_n is not None else max(1, hull.length // 4)
     density = cover_density_check(

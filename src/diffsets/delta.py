@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import par
-from .density import DensityEstimate, syndetic_gap, upper_asymptotic_est, upper_banach_est
+from .density import syndetic_gap, upper_asymptotic_est, upper_banach_est
 from .errors import InputError
-from .intset import IntSet, Window, intersect, make_set
+from .intset import IntSet, Window, intersect, make_set, restrict
 
 __all__ = [
     "EpsDeltaResult",
     "shift_intersection",
+    "shift_density",
     "eps_delta_banach",
     "eps_delta_upper",
     "delta_syndetic_check",
@@ -53,15 +54,26 @@ def _check_shift_safety(a: IntSet, n: int, trange: Window) -> None:
         )
 
 
-def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, est, kind: str) -> EpsDeltaResult:
-    def one(t: int) -> Fraction:
-        return est(shift_intersection(a, t), n).value
+def _estimate(s: IntSet, n: int, upper: bool) -> Fraction:
+    if upper:  # the overlap window may start above 1; re-anchor it
+        return upper_asymptotic_est(restrict(s, Window(1, s.window.hi)), n).value
+    return upper_banach_est(s, n).value
+
+
+def shift_density(a: IntSet, t: int, n: int, upper: bool = False) -> Fraction:
+    """Best length-n window density of A ∩ (A - t), or its anchored upper proxy."""
+    return _estimate(shift_intersection(a, t), n, upper)
+
+
+def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> EpsDeltaResult:
+    def one(t: int) -> Fraction:  # not via shift_density: bench/spans.py traces these two calls
+        return _estimate(shift_intersection(a, t), n, upper)
 
     ts = list(range(trange.lo, trange.hi + 1))
     values = par.ordered_map(one, ts)
     per_t = dict(zip(ts, values))
     members = make_set([t for t, v in per_t.items() if v > eps], trange)
-    return EpsDeltaResult(eps, n, trange, members, per_t, kind)
+    return EpsDeltaResult(eps, n, trange, members, per_t, "upper" if upper else "banach")
 
 
 def eps_delta_banach(a: IntSet, eps: Fraction, n: int, trange: Window) -> EpsDeltaResult:
@@ -69,14 +81,7 @@ def eps_delta_banach(a: IntSet, eps: Fraction, n: int, trange: Window) -> EpsDel
     if eps < 0:
         raise InputError("eps must be >= 0")
     _check_shift_safety(a, n, trange)
-    return _sweep(a, Fraction(eps), n, trange, upper_banach_est, "banach")
-
-
-def _upper_est_rebased(s: IntSet, m: int) -> DensityEstimate:
-    # the intersection window may start above 1; embed it back to lo=1
-    if s.window.lo != 1:
-        s = IntSet(Window(1, s.window.hi), s.bits << (s.window.lo - 1))
-    return upper_asymptotic_est(s, m)
+    return _sweep(a, Fraction(eps), n, trange, upper=False)
 
 
 def eps_delta_upper(a: IntSet, eps: Fraction, m: int, trange: Window) -> EpsDeltaResult:
@@ -86,7 +91,7 @@ def eps_delta_upper(a: IntSet, eps: Fraction, m: int, trange: Window) -> EpsDelt
     if eps < 0:
         raise InputError("eps must be >= 0")
     _check_shift_safety(a, m, trange)
-    return _sweep(a, Fraction(eps), m, trange, _upper_est_rebased, "upper")
+    return _sweep(a, Fraction(eps), m, trange, upper=True)
 
 
 def delta_syndetic_check(a: IntSet, n: int, g: int, trange: Window) -> dict:

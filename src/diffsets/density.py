@@ -15,11 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .intset import IntSet, Window
+from .intset import IntSet, Window, bit_vector, combine_shifts
 
 __all__ = [
     "DensityEstimate",
-    "bit_vector",
     "prefix_counts",
     "upper_banach_est",
     "lower_banach_est",
@@ -54,13 +53,6 @@ class DensityEstimate:
     n: int
     at: int
     kind: str
-
-
-def bit_vector(a: IntSet) -> np.ndarray:
-    """Membership bits of the window as a uint8 0/1 array."""
-    n = a.window.length
-    buf = a.bits.to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=n, bitorder="little")
 
 
 def prefix_counts(a: IntSet) -> np.ndarray:
@@ -190,13 +182,9 @@ def piecewise_syndetic_witness(a: IntSet, g: int, length: int) -> Window | None:
     """
     if g < 1:
         raise InputError("gap bound must be >= 1")
-    spread = 0
-    for j in range(g):
-        spread |= a.bits << j
-    spread &= (1 << a.window.length) - 1  # stay inside the original window
     if length > a.window.length:
         return None
-    runs = _runs_at_least(spread, length)
+    runs = _runs_at_least(combine_shifts(a, range(g), a.window, union=True).bits, length)
     if not runs:
         return None
     x = a.window.lo + (runs & -runs).bit_length() - 1

@@ -10,11 +10,13 @@ artifact of clipping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .density import DensityEstimate, upper_banach_est
+import numpy as np
+
+from .density import DensityEstimate, prefix_counts, upper_banach_est
 from .errors import InputError
-from .intset import IntSet, Window, empty_set, intersect, restrict
+from .intset import IntSet, Window, bit_vector, combine_shifts
 
 __all__ = [
     "Pattern",
@@ -23,6 +25,9 @@ __all__ = [
     "shift_set_of",
     "embed_witness",
     "dense_embed_est",
+    "trace_classes",
+    "trace_pattern",
+    "distinct_traces",
     "window_embeddable",
     "find_ap",
     "ap_shift_density",
@@ -77,12 +82,7 @@ def _check_srange(f: Pattern, y: IntSet, srange: Window) -> None:
 def shift_set_of(f: Pattern, y: IntSet, srange: Window) -> IntSet:
     """{t in srange : t + F ⊆ Y} as an IntSet on srange."""
     _check_srange(f, y, srange)
-    acc = None
-    for e in f.elems:
-        shifted = restrict(y.shift(-e), srange)  # t must satisfy t + e in Y
-        acc = shifted if acc is None else intersect(acc, shifted)
-    assert acc is not None
-    return acc
+    return combine_shifts(y, [-e for e in f.elems], srange)  # t + e in Y for every e
 
 
 def embed_witness(f: Pattern, y: IntSet, srange: Window) -> EmbedWitness | None:
@@ -107,32 +107,57 @@ class WindowEmbedReport:
     failing_pattern: Pattern | None = None
 
 
+def trace_classes(vec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, firsts): ids[i] labels vec[i : i + m], equal exactly for equal windows; firsts[k]
+    is the least i labelled k.  Labels of the length-p windows at i and i + s (s <= p) pair
+    into length-(p + s) labels, re-ranked, so they stay exact and small for any m.  They rank
+    the windows as 0/1 strings, so an all-zero window is labelled 0.
+    """
+    ids, k, p = vec.astype(np.int32), 2, 1  # int32 labels and order halve the arrays kept
+    while True:
+        s = min(p, m - p)
+        keys = ids[: len(ids) - s].astype(np.int64) * k + ids[s:]
+        order = np.argsort(keys, kind="stable").astype(np.int32)
+        keys = keys[order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        firsts = order[first]  # the sort is stable: each class's least offset
+        ids = np.empty(len(order), dtype=np.int32)
+        ids[order] = np.cumsum(first, dtype=np.int32) - 1
+        k, p = len(firsts), p + s
+        if p == m:
+            return ids, firsts
+
+
+def trace_pattern(vec: np.ndarray, offset: int, m: int) -> Pattern:
+    """The nonempty window vec[offset : offset + m] as a pattern on [0, m)."""
+    return Pattern(tuple(np.flatnonzero(vec[offset : offset + m]).tolist()))
+
+
+def distinct_traces(x: IntSet, m: int) -> Iterator[tuple[int, Pattern]]:
+    """(i, X ∩ [lo + i, lo + i + m) rebased to 0) for each distinct nonempty trace, by first i."""
+    vec = bit_vector(x)
+    _, firsts = trace_classes(vec, m)
+    skip = 0 if vec[firsts[0] : firsts[0] + m].any() else 1  # the all-zero window
+    for i in np.sort(firsts[skip:]).tolist():
+        yield i, trace_pattern(vec, i, m)
+
+
 def window_embeddable(x: IntSet, y: IntSet, m: int, srange: Window) -> WindowEmbedReport:
     """Does every nonempty length-m trace of X embed into Y over srange?
 
     Traces are X ∩ [a, a+m) for every a with the trace window inside X's
-    window, rebased to start at 0 (the shift absorbs the position).  Reports
-    the first failing trace when not embeddable.
+    window, rebased to start at 0 (the shift absorbs the position).  Distinct
+    traces are searched once each, by first offset; reports the first failure.
     """
     if not 1 <= m <= x.window.length:
         raise InputError(f"trace length {m} not in [1, {x.window.length}]")
-    mask = (1 << m) - 1
-    cache: dict[int, bool] = {}
-    checked = 0
-    for a in range(x.window.lo, x.window.hi - m + 2):
-        chunk = (x.bits >> (a - x.window.lo)) & mask
-        if chunk == 0:
-            continue
-        checked += 1
-        hit = cache.get(chunk)
-        if hit is None:
-            pat = Pattern(tuple(i for i in range(m) if (chunk >> i) & 1))
-            hit = embed_witness(pat, y, srange) is not None
-            cache[chunk] = hit
-        if not hit:
-            pat = Pattern(tuple(i for i in range(m) if (chunk >> i) & 1))
-            return WindowEmbedReport(False, m, checked, a, pat)
-    return WindowEmbedReport(True, m, checked)
+    p = prefix_counts(x)
+    nonempty = p[m:] > p[:-m]
+    for i, pat in distinct_traces(x, m):
+        if embed_witness(pat, y, srange) is None:
+            checked = int(np.count_nonzero(nonempty[: i + 1]))
+            return WindowEmbedReport(False, m, checked, x.window.lo + i, pat)
+    return WindowEmbedReport(True, m, int(np.count_nonzero(nonempty)))
 
 
 def find_ap(a: IntSet, k: int) -> tuple[int, int] | None:
@@ -169,9 +194,4 @@ def ap_shift_density(y: IntSet, d: int, k: int, n: int) -> DensityEstimate:
         w = Window(y.window.lo - span, y.window.hi)
     if w.length < 1:
         raise InputError("window too short for this progression")
-    acc = None
-    for j in range(k):
-        shifted = restrict(y.shift(-j * d), w)
-        acc = shifted if acc is None else intersect(acc, shifted)
-    assert acc is not None
-    return upper_banach_est(acc, n)
+    return upper_banach_est(combine_shifts(y, [-j * d for j in range(k)], w), n)

@@ -19,11 +19,12 @@ from math import floor
 import numpy as np
 
 from .cover import CoverCertificate, ShiftCheck, candidate_order, dense_shift_count, greedy_shift_cover
-from .delta import shift_intersection
-from .density import bit_vector, longest_run, prefix_counts, upper_banach_est
-from .embed import Pattern, shift_set_of
+from .delta import shift_density, shift_intersection
+from .density import longest_run, prefix_counts, upper_banach_est
+from .embed import Pattern, shift_set_of, trace_classes, trace_pattern
 from .errors import InfeasibleError, InputError, VerificationError
-from .intset import IntSet, Window, difference_set, make_set, restrict, shift_set
+from .intset import (IntSet, Window, bit_vector, combine_shifts, difference_set, from_bit_vector,
+                     full_set, intersect, make_set, rebase, restrict, shift_set)
 
 __all__ = [
     "PigeonholeWitness",
@@ -134,22 +135,15 @@ def prefix_dense_region(c: IntSet, n: int, gamma: Fraction) -> IntSet:
     width = big - n + 1
     w = Window(0, big - n)
     if num <= 0:
-        return IntSet(w, (1 << width) - 1)
+        return full_set(w)
     p = prefix_counts(c)
-    if num < 1 << 31 and den < 1 << 31 and big < 1 << 26:
-        good = np.ones(width, dtype=bool)
-        base = p[:width]
-        for i in range(1, n + 1):
-            good &= (p[i : i + width] - base) * den >= num * i
-        bits = int.from_bytes(np.packbits(good, bitorder="little").tobytes(), "little")
-        return IntSet(w, bits)
-    # huge thresholds fall back to plain integers
-    pl = p.tolist()
-    bits = 0
-    for theta in range(width):
-        if all((pl[theta + i] - pl[theta]) * den >= num * i for i in range(1, n + 1)):
-            bits |= 1 << theta
-    return IntSet(w, bits)
+    if num >= 1 << 31 or den >= 1 << 31 or big >= 1 << 26:
+        p = p.astype(object)  # huge thresholds would overflow int64; use plain integers
+    good = np.ones(width, dtype=bool)
+    base = p[:width]
+    for i in range(1, n + 1):
+        good = good & ((p[i : i + width] - base) * den >= num * i)
+    return from_bit_vector(good, w)
 
 
 @dataclass(frozen=True)
@@ -178,7 +172,7 @@ def block_walk_bound(c: IntSet, n: int, gamma: Fraction) -> WalkReport:
     region = prefix_dense_region(c, n, gamma)
     bound = (Fraction(c.count, big) - gn - Fraction(n, big)) / (1 - gn)
     reg = bit_vector(region).view(bool)
-    pl = prefix_counts(c).tolist()
+    pl = memoryview(prefix_counts(c))  # exact ints per lookup, without a list of them
     num, den = gamma.numerator, gamma.denominator
     theta, visits = 0, 0
     last = big - n
@@ -254,6 +248,20 @@ def verify_extraction(c: IntSet, cert: ExtractionCertificate) -> bool:
     return True
 
 
+def _modal_trace(c: IntSet, region: IntSet, n: int) -> tuple[Pattern, IntSet]:
+    """Modal trace over the region offsets (least pattern on ties), and the offsets holding it;
+    a frame of its own, so its window-length arrays are freed before the recount."""
+    # offset theta's trace is bits theta .. theta+n-1 of C: elements theta+1 .. theta+n
+    arr = bit_vector(c)
+    ids, firsts = trace_classes(arr, n)
+    reg = bit_vector(region).view(bool)
+    freq = np.bincount(ids[reg])
+    tied = np.flatnonzero(freq == freq.max()).tolist()
+    pattern_of = {k: trace_pattern(arr, int(firsts[k]), n).shift(1) for k in tied}
+    best = min(tied, key=lambda k: pattern_of[k].elems)
+    return pattern_of[best], from_bit_vector(reg & (ids == best), region.window)
+
+
 def trace_extract(
     c: IntSet, n: int, gamma: Fraction, n_max: int = TRACE_CAP
 ) -> ExtractionCertificate:
@@ -271,23 +279,7 @@ def trace_extract(
         raise InfeasibleError(
             f"no offset meets the prefix threshold {gamma}; lower gamma or grow the window"
         )
-    arr = bit_vector(c)
-    width = big - n + 1
-    codes = np.zeros(width, dtype=np.uint32)
-    for j in range(n):
-        codes |= arr[j : j + width].astype(np.uint32) << np.uint32(j)
-    reg = bit_vector(region).view(bool)
-    freq = np.bincount(codes[reg], minlength=1 << n)
-    top = int(freq.max())
-    tied = np.flatnonzero(freq == top)
-    members_of = lambda code: tuple(j + 1 for j in range(n) if (code >> j) & 1)
-    prefix = Pattern(min(members_of(int(code)) for code in tied))
-    best_code = sum(1 << (e - 1) for e in prefix.elems)
-    hit = reg & (codes == np.uint32(best_code))
-    matches = IntSet(
-        Window(0, big - n),
-        int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little"),
-    )
+    prefix, matches = _modal_trace(c, region, n)
     cert = ExtractionCertificate(
         n=n,
         gamma=gamma,
@@ -342,7 +334,7 @@ def dense_pattern_extract(
     alpha, offset = est.value, est.at
     if alpha <= slack:
         raise InfeasibleError(f"window density {alpha} does not exceed the slack {slack}")
-    c = restrict(a, Window(offset + 1, offset + window_len)).shift(-offset)
+    c = rebase(a, offset, window_len)
     cert = trace_extract(c, n, alpha - slack, n_max=n_max)
     srange = Window(offset, offset + window_len - n)
     shifted = shift_set(cert.matches, offset)
@@ -413,8 +405,8 @@ def joint_extract(
     eb = upper_banach_est(b, sub_len)
     alpha, off_a = ea.value, ea.at
     beta, off_b = eb.value, eb.at
-    c = restrict(a, Window(off_a + 1, off_a + window_len)).shift(-off_a)
-    d = restrict(b, Window(off_b + 1, off_b + sub_len)).shift(-off_b)
+    c = rebase(a, off_a, window_len)
+    d = rebase(b, off_b, sub_len)
     pig = pigeonhole_shift(c, d)
     zeta = pig.shift
     w = IntSet(Window(1, sub_len), (c.bits >> zeta) & d.bits)
@@ -431,11 +423,10 @@ def joint_extract(
     cert = trace_extract(w, n, gamma, n_max=n_max)
     align = off_a + zeta - off_b
     align_window = Window(off_b, off_b + sub_len)
-    acc = (1 << align_window.length) - 1
-    for e in cert.prefix:
-        acc &= restrict(a.shift(-(align + e)), align_window).bits
-        acc &= restrict(b.shift(-e), align_window).bits
-    inter = IntSet(align_window, acc)
+    inter = intersect(
+        combine_shifts(a, [-(align + e) for e in cert.prefix], align_window),
+        combine_shifts(b, [-e for e in cert.prefix], align_window),
+    )
     shifted = shift_set(cert.matches, off_b)
     if shifted.bits & ~inter.bits:
         raise VerificationError("a match offset fails the joint alignment recount")
@@ -579,18 +570,13 @@ def _baseline_interval_cover(
     diff: IntSet, pool: list[int], target: Window, cap: int
 ) -> BaselineCover:
     """Plain marginal-gain greedy: cover target with shifts of the difference set."""
-    arr = bit_vector(diff).view(bool)
     tlen = target.length
     covered = np.zeros(tlen, dtype=bool)
     shifts: list[int] = []
     while len(shifts) < cap and not covered.all():
         best_gain, best_f, best_sl = 0, None, None
         for f in pool:
-            lo = target.lo - f - diff.window.lo
-            sl = np.zeros(tlen, dtype=bool)
-            s0, s1 = max(0, lo), min(len(arr), lo + tlen)
-            if s0 < s1:
-                sl[s0 - lo : s1 - lo] = arr[s0:s1]
+            sl = bit_vector(restrict(diff.shift(f), target)).view(bool)
             gain = int(np.count_nonzero(sl & ~covered))
             if gain > best_gain:
                 best_gain, best_f, best_sl = gain, f, sl
@@ -635,10 +621,7 @@ def difference_cover(
             )
     diff = difference_set(a, b)
     hull = Window(diff.window.lo + min(cert.shifts), diff.window.hi + max(cert.shifts))
-    acc = 0
-    for f in cert.shifts:
-        acc |= restrict(diff.shift(f), hull).bits
-    covered_interval = longest_run(IntSet(hull, acc))
+    covered_interval = longest_run(combine_shifts(diff, cert.shifts, hull, union=True))
     target = Window(min(order), max(order))
     baseline = _baseline_interval_cover(diff, order, target, cap=max(2 * expected_k, 8))
     return DifferenceCoverResult(res, cert, expected_k, covered_interval, baseline)
@@ -694,8 +677,8 @@ def intersect_delta_cover(
     checks_a: list[ShiftCheck] = []
     checks_b: list[ShiftCheck] = []
     for t in used:
-        va = upper_banach_est(shift_intersection(a, t), sub_len).value
-        vb = upper_banach_est(shift_intersection(b, t), sub_len).value
+        va = shift_density(a, t, sub_len)
+        vb = shift_density(b, t, sub_len)
         if va <= eps or vb <= eps:
             raise VerificationError(f"used shift {t} failed re-verification on the full sets")
         checks_a.append(ShiftCheck(t, va, va > eps))

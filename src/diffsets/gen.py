@@ -25,6 +25,7 @@ from .intset import (
     Window,
     complement_in,
     difference_set,
+    from_bit_vector,
     full_set,
     make_set,
     restrict,
@@ -67,6 +68,8 @@ def spec_to_json(spec: GenSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> GenSpec:
+    if not isinstance(data, dict):
+        raise InputError("generator spec must be a JSON object")
     data = dict(data)
     try:
         kind = data.pop("kind")
@@ -75,8 +78,16 @@ def spec_from_json(data: dict) -> GenSpec:
         raise InputError(f"generator spec missing field {e.args[0]!r}") from None
     except (TypeError, ValueError):
         raise InputError("generator window must be a [lo, hi] pair") from None
-    seed = data.pop("seed", 0)
-    return GenSpec(kind, Window(int(lo), int(hi)), int(seed), data)
+    window = Window(_integer(lo, "window"), _integer(hi, "window"))
+    return GenSpec(kind, window, _integer(data.pop("seed", 0), "seed"), data)
+
+
+def _integer(value, name: str) -> int:
+    """An integer spec field, as int() reads it; anything int() refuses is an input error."""
+    try:
+        return int(value)
+    except (ValueError, TypeError):
+        raise InputError(f"cannot parse {name} = {value!r} as an integer") from None
 
 
 def _rational(value, name: str) -> Fraction:
@@ -118,27 +129,24 @@ def bernoulli_set(window: Window, p: Fraction, seed: int) -> IntSet:
         return full_set(window)
     threshold = (p.numerator * (1 << 64) - 1) // p.denominator
     draws = stream_block(seed, 0, window.length)
-    keep = draws <= np.uint64(threshold)
-    bits = int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little")
-    return IntSet(window, bits)
+    return from_bit_vector(draws <= np.uint64(threshold), window)
 
 
 def residue_set(window: Window, modulus: int, classes) -> IntSet:
     if modulus < 1:
         raise InputError("modulus must be >= 1")
-    cls = sorted(set(int(c) for c in classes))
+    cls = sorted({_integer(c, "classes") for c in classes})
     if any(not 0 <= c < modulus for c in cls):
         raise InputError(f"residue classes must lie in [0, {modulus})")
     xs = np.arange(window.lo, window.hi + 1, dtype=np.int64) % modulus
     table = np.zeros(modulus, dtype=bool)
     table[cls] = True
-    bits = int.from_bytes(np.packbits(table[xs], bitorder="little").tobytes(), "little")
-    return IntSet(window, bits)
+    return from_bit_vector(table[xs], window)
 
 
 def ap_union_set(window: Window, aps) -> IntSet:
     """Union of two-sided arithmetic progressions; each entry is [a, d]."""
-    bits = 0
+    keep = np.zeros(window.length, dtype=bool)
     seen_any = False
     for entry in aps:
         try:
@@ -148,12 +156,10 @@ def ap_union_set(window: Window, aps) -> IntSet:
         if d < 1:
             raise InputError("progression step must be >= 1")
         seen_any = True
-        first = window.lo + (a - window.lo) % d
-        for x in range(first, window.hi + 1, d):
-            bits |= 1 << (x - window.lo)
+        keep[(a - window.lo) % d :: d] = True
     if not seen_any:
         raise InputError("ap_union needs at least one progression")
-    return IntSet(window, bits)
+    return from_bit_vector(keep, window)
 
 
 def _block_intervals(window: Window, scale: int):
@@ -265,8 +271,7 @@ def chain_in_thick(t: IntSet, count: int, window: Window) -> IntSet:
     """
     if count < 1:
         raise InputError("count must be >= 1")
-    full_mask = (1 << window.length) - 1
-    avail = full_mask
+    avail = (1 << window.length) - 1
     chosen: list[int] = []
     while len(chosen) < count:
         if avail == 0:
@@ -277,9 +282,7 @@ def chain_in_thick(t: IntSet, count: int, window: Window) -> IntSet:
         idx = (avail & -avail).bit_length() - 1
         v = window.lo + idx
         chosen.append(v)
-        offset = v + t.window.lo - window.lo
-        mask = t.bits << offset if offset >= 0 else t.bits >> -offset
-        avail &= mask & full_mask
+        avail &= restrict(t.shift(v), window).bits
         avail &= ~((1 << (idx + 1)) - 1)
     members = set(t.members())
     for i in range(len(chosen)):
@@ -304,7 +307,7 @@ def gen(spec: GenSpec):
         p = _take(params, {"modulus": None, "classes": None}, kind)
         if p["modulus"] is None or p["classes"] is None:
             raise InputError("residues needs modulus and classes")
-        return residue_set(window, int(p["modulus"]), p["classes"])
+        return residue_set(window, _integer(p["modulus"], "modulus"), p["classes"])
     if kind == "ap_union":
         p = _take(params, {"aps": None}, kind)
         if p["aps"] is None:
@@ -312,10 +315,10 @@ def gen(spec: GenSpec):
         return ap_union_set(window, p["aps"])
     if kind == "blocks":
         p = _take(params, {"scale": 1}, kind)
-        return blocks_set(window, int(p["scale"]))
+        return blocks_set(window, _integer(p["scale"], "scale"))
     if kind == "thick_triple":
         p = _take(params, {"scale": 4, "blocks": 3}, kind)
-        return thick_triple(window, int(p["scale"]), int(p["blocks"]))
+        return thick_triple(window, _integer(p["scale"], "scale"), _integer(p["blocks"], "blocks"))
     if kind == "chain_in_thick":
         p = _take(params, {"count": None, "thick": None}, kind)
         if p["count"] is None:
@@ -328,5 +331,5 @@ def gen(spec: GenSpec):
             t = gen(nested)
             if not isinstance(t, IntSet):
                 raise InputError("nested thick spec must yield a single set")
-        return chain_in_thick(t, int(p["count"]), window)
+        return chain_in_thick(t, _integer(p["count"], "count"), window)
     raise InputError(f"unknown generator kind {kind!r}")

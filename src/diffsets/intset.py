@@ -5,7 +5,8 @@ Bit i of ``bits`` is element ``lo + i``, so shifts, intersections and unions
 are single big-int operations and difference/sum sets are word-parallel OR
 accumulations of shifted copies.  Operations never silently clip members:
 every result window is the exact window implied by the operation, and
-explicit restriction is spelled ``restrict``.
+explicit restriction is spelled ``restrict``.  Per-element work goes through
+a numpy 0/1 vector, crossing only by ``bit_vector`` and ``from_bit_vector``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import InputError
 
 __all__ = [
     "Window",
     "IntSet",
+    "bit_vector",
+    "from_bit_vector",
     "make_set",
     "full_set",
     "empty_set",
@@ -32,6 +37,8 @@ __all__ = [
     "union",
     "complement_in",
     "restrict",
+    "rebase",
+    "combine_shifts",
     "read_set_file",
     "write_set_file",
 ]
@@ -78,6 +85,9 @@ def _mask(n: int) -> int:
     return (1 << n) - 1
 
 
+_MEMBER_CHUNK = 1 << 12  # members() holds one list this long at a time, however long the window
+
+
 @dataclass(frozen=True)
 class IntSet:
     """Integers inside ``window``; bit i of ``bits`` is element window.lo + i.
@@ -108,11 +118,10 @@ class IntSet:
 
     def members(self) -> Iterator[int]:
         """Members in increasing order."""
-        bits, lo = self.bits, self.window.lo
-        while bits:
-            low = bits & -bits
-            yield lo + low.bit_length() - 1
-            bits ^= low
+        vec, lo = bit_vector(self), self.window.lo
+        for start in range(0, len(vec), _MEMBER_CHUNK):
+            for i in np.flatnonzero(vec[start : start + _MEMBER_CHUNK]).tolist():
+                yield lo + start + i  # Python ints: windows may sit beyond int64
 
     def __iter__(self) -> Iterator[int]:
         return self.members()
@@ -141,14 +150,30 @@ class IntSet:
         return f"IntSet({self.window!r}, count={self.count})"
 
 
+def bit_vector(a: IntSet) -> np.ndarray:
+    """Membership bits of the window as a uint8 0/1 array."""
+    n = a.window.length
+    buf = a.bits.to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=n, bitorder="little")
+
+
+def from_bit_vector(arr, window: Window) -> IntSet:
+    """The set whose members are the window positions where arr is nonzero."""
+    arr = np.asarray(arr)
+    if arr.shape != (window.length,):
+        raise InputError(f"bit vector of shape {arr.shape} does not fit window {window}")
+    return IntSet(window, int.from_bytes(np.packbits(arr != 0, bitorder="little").tobytes(), "little"))
+
+
 def make_set(members: Iterable[int], window: Window) -> IntSet:
     """Build a set from members; any member outside the window is an error."""
-    bits = 0
-    for x in members:
-        if x not in window:
-            raise InputError(f"member {x} outside window {window}")
-        bits |= 1 << (x - window.lo)
-    return IntSet(window, bits)
+    xs = list(members)
+    if xs and (min(xs) < window.lo or max(xs) > window.hi):
+        bad = next(x for x in xs if x not in window)
+        raise InputError(f"member {bad} outside window {window}")
+    arr = np.zeros(window.length, dtype=bool)
+    arr[np.fromiter((x - window.lo for x in xs), dtype=np.int64, count=len(xs))] = True
+    return from_bit_vector(arr, window)
 
 
 def full_set(window: Window) -> IntSet:
@@ -173,6 +198,20 @@ def _slice_onto(a: IntSet, w: Window) -> int:
 def restrict(a: IntSet, w: Window) -> IntSet:
     """A ∩ w materialized on window w (explicit, documented clipping)."""
     return IntSet(w, _slice_onto(a, w))
+
+
+def rebase(a: IntSet, offset: int, n: int) -> IntSet:
+    """A ∩ [offset + 1, offset + n], moved down onto [1, n]."""
+    return restrict(a, Window(offset + 1, offset + n)).shift(-offset)
+
+
+def combine_shifts(a: IntSet, shifts: Iterable[int], w: Window, union: bool = False) -> IntSet:
+    """(A + t) ∩ w intersected over every t in shifts (joined with union=True), on w."""
+    acc = 0 if union else _mask(w.length)
+    for t in shifts:
+        bits = _slice_onto(a, w.shift(-t))
+        acc = acc | bits if union else acc & bits
+    return IntSet(w, acc)
 
 
 def intersect(a: IntSet, b: IntSet) -> IntSet:
@@ -200,13 +239,8 @@ def difference_set(a: IntSet, b: IntSet) -> IntSet:
     """
     w = Window(a.window.lo - b.window.hi, a.window.hi - b.window.lo)
     acc = 0
-    blen = b.window.length
-    bits = b.bits
-    while bits:
-        low = bits & -bits
-        j = low.bit_length() - 1  # member b.lo + j; x - (b.lo+j) lands at offset i + (blen-1-j)
-        acc |= a.bits << (blen - 1 - j)
-        bits ^= low
+    for y in b.members():  # x - y lands at offset (x - a.lo) + (b.hi - y)
+        acc |= a.bits << (b.window.hi - y)
     return IntSet(w, acc)
 
 
@@ -214,11 +248,8 @@ def sumset(a: IntSet, b: IntSet) -> IntSet:
     """{x + y : x in A, y in B} on window [A.lo + B.lo, A.hi + B.hi]."""
     w = Window(a.window.lo + b.window.lo, a.window.hi + b.window.hi)
     acc = 0
-    bits = b.bits
-    while bits:
-        low = bits & -bits
-        acc |= a.bits << (low.bit_length() - 1)
-        bits ^= low
+    for y in b.members():
+        acc |= a.bits << (y - b.window.lo)
     return IntSet(w, acc)
 
 
@@ -235,10 +266,9 @@ def dilate(b: IntSet, h: int) -> IntSet:
         w = Window(b.window.lo * h, b.window.hi * h)
     else:
         w = Window(b.window.hi * h, b.window.lo * h)
-    bits = 0
-    for x in b.members():
-        bits |= 1 << (x * h - w.lo)
-    return IntSet(w, bits)
+    out = np.zeros(w.length, dtype=np.uint8)
+    out[:: abs(h)] = bit_vector(b)[:: 1 if h > 0 else -1]  # h < 0 reverses the order
+    return from_bit_vector(out, w)
 
 
 def quotient(b: IntSet, h: int) -> IntSet:
@@ -258,11 +288,9 @@ def quotient(b: IntSet, h: int) -> IntSet:
         qlo, qhi = -((-hi) // h), lo // h  # order flips under negative division
     if qlo > qhi:
         return empty_set(Window(qlo, qlo))
-    bits = 0
-    for x in range(qlo, qhi + 1):
-        if h * x in b:
-            bits |= 1 << (x - qlo)
-    return IntSet(Window(qlo, qhi), bits)
+    # x in [qlo, qhi] is a member iff bit h*x - lo of B is set
+    picks = (h * qlo - lo) + h * np.arange(qhi - qlo + 1, dtype=np.int64)
+    return from_bit_vector(bit_vector(b)[picks], Window(qlo, qhi))
 
 
 # -- file formats -----------------------------------------------------------
@@ -302,6 +330,7 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
         members = [int(ln) for ln in lines]
     except ValueError as e:
         raise InputError(f"{path}: not a set file") from e
+    del text, lines  # free the file's lines before make_set allocates its arrays
     if window is None:
         window = Window(min(members), max(members))
     return make_set(members, window)
@@ -309,7 +338,7 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
 
 def write_set_file(a: IntSet, path: str | Path, fmt: str = "bits") -> None:
     if fmt == "bits":
-        row = "".join("1" if (a.bits >> i) & 1 else "0" for i in range(a.window.length))
+        row = (bit_vector(a) + ord("0")).tobytes().decode("ascii")
         payload = f"lo={a.window.lo}\n{row}\n"
     elif fmt == "list":
         payload = "".join(f"{x}\n" for x in a.members())

@@ -109,6 +109,26 @@ def test_embed_subcommand(workdir, capsys):
     assert rep["results"]["window_embed"]["ok"] is True
 
 
+def test_embed_dense_lists_traces_by_first_offset(workdir, capsys):
+    code, out, _ = run(
+        ["embed", "--x", "a.set", "--y", "a.set", "--m", "3", "--dense", "--n", "50"], capsys
+    )
+    assert code == 0
+    dense = json.loads(out)["results"]["dense"]
+    assert [e["pattern"] for e in dense["patterns"]] == [[0], [2], [1, 2], [0, 1]]
+    assert dense["min_density"] == "1/5"
+    # past 4096 distinct traces the dense listing is refused, not truncated
+    spec = '{"kind":"bernoulli","window":[1,6000],"seed":3,"p":"1/2"}'
+    assert main(["gen", "--spec", spec, "--out", "r.set"]) == 0
+    capsys.readouterr()
+    code, out, err = run(
+        ["embed", "--x", "r.set", "--y", "r.set", "--m", "16", "--dense", "--n", "50"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "more than 4096 distinct traces" in err
+
+
 def test_extract_subcommand(workdir, capsys):
     code, out, _ = run(
         ["extract", "--set", "a.set", "--n", "4", "--slack", "1/50", "--window", "500"],
@@ -226,6 +246,27 @@ def test_exit_2_on_bad_input(workdir, capsys):
     )
     assert code == 2
     assert "lo..hi" in err
+    # zero is a value, not "unset": flags that must be positive are named
+    cover = ["cover", "--set", "a.set", "--eps", "0", "--x=-20..20", "--n", "500"]
+    for argv, flag in [
+        (cover + ["--h", "3", "--density-n", "0"], "--density-n"),
+        (cover + ["--density-n", "0"], "--density-n"),
+        (["extract", "--set", "a.set", "--n", "4", "--slack", "1/50", "--window", "0"], "--window"),
+    ]:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert flag in err
+    # malformed generator specs name the offending field
+    for spec, field in [
+        ('{"kind":"residues","window":[1,50],"modulus":"x","classes":[0]}', "modulus"),
+        ('{"kind":"bernoulli","window":[1,50],"seed":"abc"}', "seed"),
+        ('{"kind":"residues","window":[1,50],"modulus":5,"classes":["q"]}', "classes"),
+        ('{"kind":"blocks","window":[1,50],"scale":"z"}', "scale"),
+        ("[1,2]", "spec"),
+    ]:
+        code, out, err = run(["gen", "--spec", spec, "--out", "g.set"], capsys)
+        assert (code, out) == (2, ""), spec
+        assert field in err
 
 
 def test_exit_2_on_unreadable_files(workdir, capsys):

@@ -22,7 +22,8 @@ from diffsets import (
     upper_asymptotic_est,
     upper_banach_est,
 )
-from diffsets.density import bit_vector, prefix_counts
+from diffsets.density import prefix_counts
+from diffsets.intset import bit_vector
 
 
 def residues(classes, modulus, lo, hi):

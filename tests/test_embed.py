@@ -136,22 +136,27 @@ def test_subset_always_window_embeddable(data):
 
 @given(st.data())
 def test_window_embeddable_matches_per_trace_scan(data):
-    length = data.draw(st.integers(4, 28))
+    # lengths and trace lengths reach past 64, the width of a machine word
+    length = data.draw(st.integers(4, 160))
     x = IntSet(Window(0, length - 1), data.draw(st.integers(0, (1 << length) - 1)))
     y = IntSet(Window(0, length - 1), data.draw(st.integers(0, (1 << length) - 1)))
-    m = data.draw(st.integers(1, min(6, length)))
+    m = data.draw(st.one_of(st.integers(1, min(6, length)), st.integers(1, length)))
     srange = Window(0, length - m)
     rep = window_embeddable(x, y, m, srange)
-    ymem = set(y.members())
-    failures = []
+    xmem, ymem = sorted(x.members()), set(y.members())
+    checked, failure = 0, None
     for a in range(0, length - m + 1):
-        pat = tuple(e - a for e in x.members() if a <= e < a + m)
-        if pat and not brute.embed_shifts(pat, ymem, srange.lo, srange.hi):
-            failures.append((a, pat))
-    if rep.ok:
-        assert not failures
-    else:
-        assert failures and (rep.failing_offset, rep.failing_pattern.elems) == failures[0]
+        pat = tuple(e - a for e in xmem if a <= e < a + m)
+        if not pat:
+            continue
+        checked += 1
+        if not brute.embed_shifts(pat, ymem, srange.lo, srange.hi):
+            failure = (a, pat)
+            break
+    assert rep.checked == checked
+    assert rep.ok == (failure is None)
+    if failure is not None:
+        assert (rep.failing_offset, rep.failing_pattern.elems) == failure
 
 
 def test_window_embeddable_frozen():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from diffsets import (
     union,
     write_set_file,
 )
+from diffsets.intset import bit_vector, combine_shifts, from_bit_vector
 
 windows = st.builds(
     lambda lo, length: Window(lo, lo + length),
@@ -70,6 +72,34 @@ def test_make_set_membership():
 def test_make_set_outside_window_raises():
     with pytest.raises(InputError):
         make_set([11], Window(0, 10))
+    # the first offending member in input order, from any iterable
+    with pytest.raises(InputError, match="member 12 outside"):
+        make_set(iter([3, 12, -1, 99]), Window(0, 10))
+
+
+@given(st.sampled_from([0, -37, 5, 2**70]), st.integers(1, 200), st.data())
+def test_bit_vector_round_trip(lo, length, data):
+    w = Window(lo, lo + length - 1)
+    bits = data.draw(st.one_of(st.just(0), st.integers(0, (1 << length) - 1)))
+    a = IntSet(w, bits)
+    vec = bit_vector(a)
+    assert vec.tolist() == [(bits >> i) & 1 for i in range(length)]
+    assert from_bit_vector(vec, w) == a
+    assert list(a.members()) == [lo + i for i in range(length) if (bits >> i) & 1]
+
+
+def test_from_bit_vector_rejects_wrong_length():
+    with pytest.raises(InputError):
+        from_bit_vector(np.zeros(3, dtype=np.uint8), Window(0, 3))
+
+
+def test_members_iterate_across_chunks_beyond_int64():
+    lo = 2**70
+    offsets = [0, 4095, 4096, 4097, 65535, 65536, 131072, 200000]
+    a = make_set([lo + i for i in offsets], Window(lo, lo + 200000))
+    it = a.members()
+    assert next(it) == lo
+    assert list(it) == [lo + i for i in offsets[1:]]
 
 
 def test_full_and_complement():
@@ -114,6 +144,15 @@ def test_intersect_matches_sets(a, b):
             intersect(a, b)
         return
     assert set(intersect(a, b)) == set(a) & set(b)
+
+
+@given(intsets(), st.lists(st.integers(-8, 8), min_size=1, max_size=4), st.booleans())
+def test_combine_shifts_matches_sets(a, shifts, join):
+    w = Window(a.window.lo - 3, a.window.hi + 3)
+    copies = [{x + t for x in a} for t in shifts]
+    want = set.union(*copies) if join else set.intersection(*copies)
+    got = combine_shifts(a, shifts, w, union=join)
+    assert got.window == w and set(got) == {x for x in want if x in w}
 
 
 @given(intsets(), intsets())
