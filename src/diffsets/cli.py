@@ -30,14 +30,12 @@ from pathlib import Path
 from . import __version__
 from .bohr import BohrSpec, bohr_contained, bohr_generate, piecewise_bohr_search
 from .cover import (
-    cover_density_check,
+    certify_cover,
     cs_family_inequality,
     delta_cover,
-    dense_shift_set,
-    greedy_shift_cover,
+    full_cover_density,
     guaranteed_overlap,
     quotient_cover,
-    verify_cover_certificate,
 )
 from .delta import eps_delta_banach, eps_delta_upper
 from .density import (
@@ -323,10 +321,8 @@ def _cmd_cover(args, report: Report) -> int:
     hull = Window(min(candidates), max(candidates))
     if res.cert.covered and len(set(candidates)) == hull.length:
         # full coverage of a contiguous range: attach the density consequence
-        s = dense_shift_set(rebase(a, res.offset, args.n), 1, hull, eps)
-        n_check = args.density_n if args.density_n is not None else max(1, hull.length // 4)
-        report.certificates["density"] = cover_density_check(
-            s, list(res.cert.shifts), "full_cover", n_check, cover_range=hull
+        _, report.certificates["density"] = full_cover_density(
+            res.base, 1, hull, eps, list(res.cert.shifts), args.density_n
         )
     return 0
 
@@ -544,8 +540,7 @@ def _st_cover(rng: Stream) -> None:
     c = residue_set(Window(1, hi), m, cls)
     r = rng.randint(1, 20)
     cand = list(range(-r, r + 1))
-    cert = greedy_shift_cover(c, cand, Fraction(0), 0)
-    assert verify_cover_certificate(c, cand, cert)
+    certify_cover(cand, Fraction(0), 0, lambda: (c, None))
 
 
 def _st_trace(rng: Stream) -> None:
@@ -603,6 +598,7 @@ _CHECKS = [
 
 
 def _cmd_selftest(args, report: Report) -> int:
+    _check_positive(args.trials, "--trials")
     report.seed = args.seed
     report.parameters["trials"] = args.trials
     passed = {name: 0 for name, _ in _CHECKS}

@@ -36,9 +36,11 @@ __all__ = [
     "dense_shift_set",
     "greedy_shift_cover",
     "verify_cover_certificate",
+    "certify_cover",
     "delta_cover",
     "quotient_cover",
     "cover_density_check",
+    "full_cover_density",
 ]
 
 
@@ -189,16 +191,11 @@ def greedy_shift_cover(
             hit = memo[t] = dense_shift_member(c, t, eps)
         return hit
 
-    shifts = [mandated_x]
+    shifts: list[int] = []
     witnesses: dict[int, int] = {}
-    uncovered: list[int] = []
-    for x in order:
-        if member(x - mandated_x):
-            witnesses[x] = mandated_x
-        else:
-            uncovered.append(x)
+    uncovered = order
     while uncovered:
-        picked = uncovered[0]
+        picked = uncovered[0] if shifts else mandated_x
         shifts.append(picked)
         remaining: list[int] = []
         for x in uncovered:
@@ -280,6 +277,36 @@ class ShiftCheck:
     ok: bool
 
 
+def certify_cover(candidates, eps: Fraction, mandated_x: int, prepare, ambient=(), n=0, upper=False):
+    """The one certification path of every delta cover.
+
+    Checks the candidate span against each ambient window before prepare()
+    builds (base, context), covers greedily on the base, re-verifies each used
+    shift as eps-dense in every ambient set at length n, and recounts the
+    certificate on the base.  Returns ((base, context), cert, checks per ambient set).
+    """
+    eps = Fraction(eps)
+    order = candidate_order(candidates)
+    if not order:
+        raise InputError("no candidates")
+    span = max(order) - min(order)
+    for s in ambient:
+        if n + span > s.window.length:
+            raise InputError(f"n + candidate span = {n + span} exceeds the window length "
+                             f"{s.window.length} of an ambient set; used shifts could not be verified")
+    base, context = prepare()
+    cert = greedy_shift_cover(base, order, eps, mandated_x)
+    checks: list[list[ShiftCheck]] = [[] for _ in ambient]
+    for t in sorted({x - xi for x, xi in cert.witnesses.items()}):
+        for s, out in zip(ambient, checks):
+            value = shift_density(s, t, n, upper)
+            if not value > eps:
+                raise VerificationError(f"used shift {t} passed on the base but not on the full set")
+            out.append(ShiftCheck(t, value, True))
+    verify_cover_certificate(base, order, cert)
+    return (base, context), cert, checks
+
+
 @dataclass(frozen=True)
 class DeltaCoverResult:
     """Greedy cover computed on the best n-window of A, verified against A."""
@@ -289,14 +316,14 @@ class DeltaCoverResult:
     cert: CoverCertificate
     checks: list[ShiftCheck]
     heuristic: bool
+    base: IntSet = field(repr=False)
 
 
-def _rebase_best_window(a: IntSet, n: int, anchored: bool) -> tuple[IntSet, int, Fraction]:
+def _rebase_best_window(a: IntSet, n: int, anchored: bool) -> tuple[IntSet, int]:
     if anchored and a.window.lo != 1:
         raise InputError("anchored variant needs a window starting at 1")
     offset = 0 if anchored else upper_banach_est(a, n).at
-    c = rebase(a, offset, n)
-    return c, offset, Fraction(c.count, n)
+    return rebase(a, offset, n), offset
 
 
 def delta_cover(
@@ -315,31 +342,11 @@ def delta_cover(
     [1, n] replaces the best window and the asymptotic proxy estimator does
     the re-verification; that variant is reported as heuristic.
     """
-    eps = Fraction(eps)
-    order = candidate_order(candidates)
-    if not order:
-        raise InputError("no candidates")
-    span = order_span = max(x for x in order) - min(x for x in order)
-    if n + span > a.window.length:
-        raise InputError(
-            f"n + candidate span = {n + order_span} exceeds window length "
-            f"{a.window.length}; used shifts could not be verified"
-        )
-    c, offset, _ = _rebase_best_window(a, n, anchored=upper)
-    cert = greedy_shift_cover(c, order, eps, mandated_x)
-
-    used = sorted({x - xi for x, xi in cert.witnesses.items()})
-    checks: list[ShiftCheck] = []
-    for t in used:
-        value = shift_density(a, t, n, upper)
-        ok = value > eps
-        checks.append(ShiftCheck(t, value, ok))
-        if not ok:
-            raise VerificationError(
-                f"shift {t} passed on the window but not on the full set"
-            )
-    verify_cover_certificate(c, order, cert)
-    return DeltaCoverResult(offset, n, cert, checks, heuristic=upper)
+    (c, offset), cert, (checks,) = certify_cover(
+        candidates, eps, mandated_x, lambda: _rebase_best_window(a, n, upper),
+        ambient=(a,), n=n, upper=upper,
+    )
+    return DeltaCoverResult(offset, n, cert, checks, upper, c)
 
 
 # -- covered-range density checks ---------------------------------------------
@@ -427,6 +434,16 @@ def cover_density_check(
     raise InputError(f"unknown mode {mode!r}")
 
 
+def full_cover_density(
+    c: IntSet, h: int, hull: Window, eps: Fraction, shifts, n: int | None = None
+) -> tuple[IntSet, CoverDensityReport]:
+    """The quotient {t in hull : h*t in D(C, eps)} and the full_cover check of its cover
+    of hull by shifts, at length n (default a quarter of the hull)."""
+    q = dense_shift_set(c, h, hull, eps)
+    n = n if n is not None else max(1, hull.length // 4)
+    return q, cover_density_check(q, shifts, "full_cover", n, cover_range=hull)
+
+
 # -- quotient cover -----------------------------------------------------------
 
 
@@ -460,7 +477,8 @@ def quotient_cover(
     """
     eps = Fraction(eps)
     if h == 0:
-        c, offset, gamma = _rebase_best_window(a, n, anchored=False)
+        c, offset = _rebase_best_window(a, n, anchored=False)
+        gamma = Fraction(c.count, n)
         if eps >= gamma * gamma:
             raise InfeasibleError(f"eps = {eps} not below squared density {gamma * gamma}")
         return QuotientCoverResult(0, True, offset, None, None, None, True, None)
@@ -471,13 +489,9 @@ def quotient_cover(
     base_shifts = [x // h for x in res.cert.shifts]
 
     hull = Window(min(base), max(base))
-    q = dense_shift_set(rebase(a, res.offset, n), h, hull, eps)
+    q, density = full_cover_density(res.base, h, hull, eps, base_shifts, density_n)
     covered = combine_shifts(q, base_shifts, hull, union=True)
     cover_ok = all(x in covered for x in base)
-    dens_n = density_n if density_n is not None else max(1, hull.length // 4)
-    density = cover_density_check(
-        q, base_shifts, "full_cover", dens_n, cover_range=hull
-    )
     return QuotientCoverResult(
         h, False, res.offset, res.cert, base_shifts, q, cover_ok, density
     )

@@ -18,13 +18,13 @@ from math import floor
 
 import numpy as np
 
-from .cover import CoverCertificate, ShiftCheck, candidate_order, dense_shift_count, greedy_shift_cover
-from .delta import shift_density, shift_intersection
+from .cover import CoverCertificate, ShiftCheck, candidate_order, certify_cover, dense_shift_count
+from .delta import shift_intersection
 from .density import longest_run, prefix_counts, upper_banach_est
 from .embed import Pattern, shift_set_of, trace_classes, trace_pattern
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, combine_shifts, difference_set, from_bit_vector,
-                     full_set, intersect, make_set, rebase, restrict, shift_set)
+                     intersect, make_set, rebase, restrict, shift_set)
 
 __all__ = [
     "PigeonholeWitness",
@@ -109,6 +109,27 @@ def pigeonhole_shift(c: IntSet, d: IntSet) -> PigeonholeWitness:
 # -- prefix-dense offsets ------------------------------------------------------
 
 
+def _thresholds(gamma: Fraction, n: int) -> list[int]:
+    """ceil(gamma*i) for i = 1..n: an integer count meets gamma*i exactly when it reaches
+    that value.  Clamping to [0, i+1] keeps every value an int64 and changes no verdict."""
+    num, den = gamma.numerator, gamma.denominator
+    return [min(max(-(-num * i // den), 0), i + 1) for i in range(1, n + 1)]
+
+
+def _first_misses(c: IntSet, n: int, gamma: Fraction) -> np.ndarray:
+    """For each offset theta in [0, N-n], the least i <= n with
+    |C ∩ [theta+1, theta+i]| < gamma*i, or 0 when every prefix meets its threshold."""
+    big = _anchored(c, "base set")
+    if not 1 <= n < big:
+        raise InputError("need 1 <= n < N")
+    width = big - n + 1
+    p = prefix_counts(c)
+    miss = np.zeros(width, dtype=np.min_scalar_type(n))
+    for i, need in reversed(list(enumerate(_thresholds(gamma, n), start=1))):
+        np.putmask(miss, p[i : i + width] - p[:width] < need, i)
+    return miss
+
+
 def fraction_floor(gamma: Fraction, n: int) -> Fraction:
     """Largest j/i strictly below gamma with 1 <= i <= n, 0 <= j <= i."""
     gamma = Fraction(gamma)
@@ -116,34 +137,13 @@ def fraction_floor(gamma: Fraction, n: int) -> Fraction:
         raise InputError("gamma must be in (0, 1]")
     if n < 1:
         raise InputError("n must be >= 1")
-    num, den = gamma.numerator, gamma.denominator
-    best = Fraction(0)
-    for i in range(1, n + 1):
-        j = (num * i - 1) // den
-        if j > 0 and j * best.denominator > best.numerator * i:
-            best = Fraction(j, i)
-    return best
+    return max(Fraction(need - 1, i) for i, need in enumerate(_thresholds(gamma, n), start=1))
 
 
 def prefix_dense_region(c: IntSet, n: int, gamma: Fraction) -> IntSet:
     """Offsets theta in [0, N-n] with |C ∩ [theta+1, theta+i]| >= gamma*i for all i <= n."""
-    big = _anchored(c, "base set")
-    if not 1 <= n < big:
-        raise InputError("need 1 <= n < N")
-    gamma = Fraction(gamma)
-    num, den = gamma.numerator, gamma.denominator
-    width = big - n + 1
-    w = Window(0, big - n)
-    if num <= 0:
-        return full_set(w)
-    p = prefix_counts(c)
-    if num >= 1 << 31 or den >= 1 << 31 or big >= 1 << 26:
-        p = p.astype(object)  # huge thresholds would overflow int64; use plain integers
-    good = np.ones(width, dtype=bool)
-    base = p[:width]
-    for i in range(1, n + 1):
-        good = good & ((p[i : i + width] - base) * den >= num * i)
-    return from_bit_vector(good, w)
+    miss = _first_misses(c, n, Fraction(gamma))
+    return from_bit_vector(miss == 0, Window(0, c.window.hi - n))
 
 
 @dataclass(frozen=True)
@@ -169,24 +169,17 @@ def block_walk_bound(c: IntSet, n: int, gamma: Fraction) -> WalkReport:
     big = _anchored(c, "base set")
     gamma = Fraction(gamma)
     gn = fraction_floor(gamma, n)
-    region = prefix_dense_region(c, n, gamma)
+    miss = _first_misses(c, n, gamma)
+    region_size = int(np.count_nonzero(miss == 0))
     bound = (Fraction(c.count, big) - gn - Fraction(n, big)) / (1 - gn)
-    reg = bit_vector(region).view(bool)
-    pl = memoryview(prefix_counts(c))  # exact ints per lookup, without a list of them
-    num, den = gamma.numerator, gamma.denominator
+    steps = miss.tolist()
     theta, visits = 0, 0
-    last = big - n
-    while theta <= last:
-        if reg[theta]:
-            visits += 1
-            theta += 1
-            continue
-        theta += next(
-            i for i in range(1, n + 1) if (pl[theta + i] - pl[theta]) * den < num * i
-        )
-    if not (region.count >= visits and visits > bound * big):
+    while theta < len(steps):  # a region offset (step 0) is a visit and advances by one
+        visits += not steps[theta]
+        theta += steps[theta] or 1
+    if not (region_size >= visits and visits > bound * big):
         raise VerificationError("block walk failed to witness its own bound")
-    return WalkReport(gamma, gn, bound, visits, region.count, big)
+    return WalkReport(gamma, gn, bound, visits, region_size, big)
 
 
 # -- modal trace extraction ----------------------------------------------------
@@ -607,13 +600,14 @@ def difference_cover(
     of W), then verifies on the raw data how much of an interval
     (A - B) + F actually covers, against a marginal-gain baseline.
     """
-    res = joint_extract(a, b, window_len, sub_len, n, slack, min_ratio, n_max)
-    ab = res.alpha * res.beta
-    expected_k = floor(1 / ab)
+
+    def overlap():
+        res = joint_extract(a, b, window_len, sub_len, n, slack, min_ratio, n_max)
+        return res.overlap, res
+
+    (_, res), cert, _ = certify_cover(candidates, Fraction(0), 0, overlap)
+    expected_k = floor(1 / (res.alpha * res.beta))
     order = candidate_order(candidates)
-    if 0 not in set(order):
-        raise InputError("candidate list must contain 0")
-    cert = greedy_shift_cover(res.overlap, order, Fraction(0), 0)
     for t in sorted({x - y for x in res.cert.prefix for y in res.cert.prefix if x > y}):
         if dense_shift_count(res.overlap, t) == 0:
             raise VerificationError(
@@ -657,30 +651,17 @@ def intersect_delta_cover(
     per-shift re-verifications against the full sets are guaranteed to pass.
     """
     eps = Fraction(eps)
-    order = candidate_order(candidates)
-    if not order:
-        raise InputError("no candidates")
-    span = max(order) - min(order)
-    for s, name in ((a, "first"), (b, "second")):
-        if sub_len + span > s.window.length:
-            raise InputError(
-                f"sub_len + candidate span = {sub_len + span} exceeds the "
-                f"{name} set's window length {s.window.length}"
-            )
-    res = joint_extract(a, b, window_len, sub_len, n, slack, min_ratio, n_max)
+
+    def overlap():
+        res = joint_extract(a, b, window_len, sub_len, n, slack, min_ratio, n_max)
+        ab = res.alpha * res.beta
+        if eps >= ab * ab:
+            raise InfeasibleError(f"eps = {eps} not below the squared joint density {ab * ab}")
+        return res.overlap, res
+
+    (_, res), cert, (checks_a, checks_b) = certify_cover(
+        candidates, eps, mandated_x, overlap, ambient=(a, b), n=sub_len
+    )
     ab = res.alpha * res.beta
-    if eps >= ab * ab:
-        raise InfeasibleError(f"eps = {eps} not below the squared joint density {ab * ab}")
     expected_k = floor((ab - eps) / (ab * ab - eps))
-    cert = greedy_shift_cover(res.overlap, order, eps, mandated_x)
-    used = sorted({x - xi for x, xi in cert.witnesses.items()})
-    checks_a: list[ShiftCheck] = []
-    checks_b: list[ShiftCheck] = []
-    for t in used:
-        va = shift_density(a, t, sub_len)
-        vb = shift_density(b, t, sub_len)
-        if va <= eps or vb <= eps:
-            raise VerificationError(f"used shift {t} failed re-verification on the full sets")
-        checks_a.append(ShiftCheck(t, va, va > eps))
-        checks_b.append(ShiftCheck(t, vb, vb > eps))
     return IntersectCoverResult(res, cert, expected_k, checks_a, checks_b)

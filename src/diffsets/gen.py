@@ -90,6 +90,13 @@ def _integer(value, name: str) -> int:
         raise InputError(f"cannot parse {name} = {value!r} as an integer") from None
 
 
+def _array(value, name: str) -> list:
+    """A list spec field; a number or a string in its place is an input error."""
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
 def _rational(value, name: str) -> Fraction:
     """Exact rational from an int or a 'p/q' / decimal string; floats refused."""
     if isinstance(value, bool) or isinstance(value, float):
@@ -307,12 +314,12 @@ def gen(spec: GenSpec):
         p = _take(params, {"modulus": None, "classes": None}, kind)
         if p["modulus"] is None or p["classes"] is None:
             raise InputError("residues needs modulus and classes")
-        return residue_set(window, _integer(p["modulus"], "modulus"), p["classes"])
+        return residue_set(window, _integer(p["modulus"], "modulus"), _array(p["classes"], "classes"))
     if kind == "ap_union":
         p = _take(params, {"aps": None}, kind)
         if p["aps"] is None:
             raise InputError("ap_union needs aps")
-        return ap_union_set(window, p["aps"])
+        return ap_union_set(window, _array(p["aps"], "aps"))
     if kind == "blocks":
         p = _take(params, {"scale": 1}, kind)
         return blocks_set(window, _integer(p["scale"], "scale"))

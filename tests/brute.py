@@ -151,3 +151,24 @@ def fraction_floor(gamma: Fraction, n: int):
             if v < gamma and (best is None or v > best):
                 best = v
     return best
+
+
+def block_walk(members, big: int, n: int, gamma: Fraction):
+    """(visits, region size, gamma floor) of the block walk over [0, big - n].
+
+    On a prefix-dense offset the walk steps by 1 and counts a visit; elsewhere
+    it jumps by the least prefix length whose count misses gamma * i.
+    """
+    region = prefix_dense(members, big, n, gamma)
+    theta, visits = 0, 0
+    while theta <= big - n:
+        if theta in region:
+            visits += 1
+            theta += 1
+            continue
+        theta += next(
+            i
+            for i in range(1, n + 1)
+            if len([v for v in members if theta < v <= theta + i]) < gamma * i
+        )
+    return visits, len(region), fraction_floor(gamma, n)

@@ -8,9 +8,12 @@ and compares the canonical reports field by field (timing never enters a
 report here, so the comparison is total).
 """
 
+import hashlib
+import json
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -840,3 +843,23 @@ def test_criterion_12(monkeypatch):
         + ("" if not mismatches else f"; {mismatches}"),
         time.perf_counter() - t0,
     )
+
+
+# -- cross-change behaviour gate -------------------------------------------------
+
+_DIGESTS = Path(__file__).parent / "golden" / "acceptance_digests.json"
+
+
+def _digest(rep) -> str:
+    text = json.dumps(rep, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_acceptance_digests_frozen():
+    """The canonical criterion 1-11 reports hash to the digests frozen in tests/golden."""
+    for k in _CRITERIA:
+        if k not in _REPORTS:  # running this test alone: build the reports first
+            _REPORTS[k] = _canonical(_CRITERIA[k](_STORE))
+    got = {str(k): _digest(_REPORTS[k]) for k in _CRITERIA}
+    want = json.loads(_DIGESTS.read_text())
+    assert got == want

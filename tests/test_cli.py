@@ -168,6 +168,29 @@ def test_pipeline_joint_subcommand(workdir, capsys):
     assert "prefix_schnirelmann" in rep["results"]
 
 
+def test_pipeline_covers_exit_3_without_recount(workdir, capsys, monkeypatch):
+    """Both pipeline covers go through the cover recount; a failing recount is exit 3."""
+    spec = '{"kind":"residues","window":[1,2100],"modulus":3,"classes":[0]}'
+    assert main(["gen", "--spec", spec, "--out", "b3.set"]) == 0
+    capsys.readouterr()
+    pipeline = [
+        "pipeline", "--a", "a.set", "--b", "b3.set", "--N", "1000", "--nu", "100",
+        "--n", "4", "--slack", "1/50", "--x=-20..20",
+    ]
+    modes = [["--intersect", "--eps", "0"], ["--jin"]]
+    for mode in modes:
+        assert run(pipeline + mode, capsys)[0] == 0, mode
+
+    def refuse(*args):
+        raise VerificationError("recount refused")
+
+    monkeypatch.setattr("diffsets.cover.verify_cover_certificate", refuse)
+    for mode in modes:
+        code, out, _ = run(pipeline + mode, capsys)
+        assert code == 3, mode
+        assert json.loads(out)["violations"] == ["recount refused"]
+
+
 def test_bohr_direct_subcommand(workdir, capsys):
     assert (
         main(
@@ -263,10 +286,19 @@ def test_exit_2_on_bad_input(workdir, capsys):
         ('{"kind":"residues","window":[1,50],"modulus":5,"classes":["q"]}', "classes"),
         ('{"kind":"blocks","window":[1,50],"scale":"z"}', "scale"),
         ("[1,2]", "spec"),
+        # list fields must be JSON arrays, not numbers or strings
+        ('{"kind":"residues","window":[1,50],"modulus":5,"classes":5}', "classes"),
+        ('{"kind":"residues","window":[1,50],"modulus":5,"classes":"01"}', "classes"),
+        ('{"kind":"ap_union","window":[1,50],"aps":3}', "aps"),
     ]:
         code, out, err = run(["gen", "--spec", spec, "--out", "g.set"], capsys)
         assert (code, out) == (2, ""), spec
         assert field in err
+    # a selftest that would run nothing is refused
+    for trials in ("0", "-5"):
+        code, out, err = run(["selftest", "--trials", trials], capsys)
+        assert (code, out) == (2, ""), trials
+        assert "--trials" in err
 
 
 def test_exit_2_on_unreadable_files(workdir, capsys):

@@ -19,8 +19,10 @@ from diffsets import (
     delta_cover,
     dense_shift_count,
     dense_shift_member,
+    difference_cover,
     greedy_shift_cover,
     guaranteed_overlap,
+    intersect_delta_cover,
     make_set,
     quotient_cover,
     upper_banach_est,
@@ -398,6 +400,25 @@ def test_quotient_cover_h1_matches_delta_cover():
     assert q.cert.shifts == d.cert.shifts
     assert q.base_shifts == d.cert.shifts
     assert q.cover_ok
+
+
+def test_every_delta_cover_is_recounted(monkeypatch):
+    a = residues({0, 1}, 5, 0, 2099)
+    b = residues({0}, 3, 0, 2099)
+
+    def refuse(*args):
+        raise VerificationError("recount refused")
+
+    monkeypatch.setattr("diffsets.cover.verify_cover_certificate", refuse)
+    covers = [
+        lambda: delta_cover(a, range(-50, 51), Fraction(0), 1000),
+        lambda: quotient_cover(a, 2, range(-20, 21), Fraction(0), 1000),
+        lambda: intersect_delta_cover(a, b, Fraction(0), range(-20, 21), 1000, 100, 4, Fraction(1, 50)),
+        lambda: difference_cover(a, b, range(-20, 21), 1000, 100, 4, Fraction(1, 50)),
+    ]
+    for cover in covers:
+        with pytest.raises(VerificationError, match="recount refused"):
+            cover()
 
 
 def test_quotient_cover_frozen_mod4_h2():

@@ -153,6 +153,26 @@ def test_block_walk_bound_invariants(c, data):
     assert rep.gamma_floor < gamma
 
 
+# gammas on small grids, gamma = 1, and denominators past 2^31
+walk_gammas = st.one_of(
+    st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(1, 8), st.just(8)),
+    st.sampled_from([2**31 + 11, 2**40, 3**27]).flatmap(
+        lambda den: st.builds(Fraction, st.integers(1, den), st.just(den))
+    ),
+)
+
+
+@given(anchored(min_len=2, max_len=40), st.data())
+def test_block_walk_bound_matches_brute_walk(c, data):
+    big = c.window.hi
+    n = data.draw(st.integers(1, big - 1))
+    gamma = data.draw(walk_gammas)
+    rep = block_walk_bound(c, n, gamma)
+    visits, region_size, gamma_floor = brute.block_walk(set(c.members()), big, n, gamma)
+    assert (rep.visits, rep.region_size, rep.gamma_floor) == (visits, region_size, gamma_floor)
+
+
 # ---------------------------------------------------------------------------
 # trace extraction
 
