@@ -65,6 +65,7 @@ from .gen import bernoulli_set, gen, residue_set, spec_from_json, spec_to_json
 from .intset import (
     IntSet,
     Window,
+    check_window_length,
     difference_set,
     intersect,
     make_set,
@@ -89,7 +90,7 @@ def _parse_range(text: str, name: str) -> Window:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
         raise InputError(f"{name} ends must be integers, got {text!r}") from None
-    return Window(lo, hi)
+    return check_window_length(Window(lo, hi), name)
 
 
 def _parse_candidates(text: str) -> list[int]:

@@ -55,8 +55,8 @@ def _check_shift_safety(a: IntSet, n: int, trange: Window) -> None:
 
 
 def _estimate(s: IntSet, n: int, upper: bool) -> Fraction:
-    if upper:  # the overlap window may start above 1; re-anchor it
-        return upper_asymptotic_est(restrict(s, Window(1, s.window.hi)), n).value
+    if upper:  # re-anchor at 1 (the overlap may start above it); [1, n] is all it reads
+        return upper_asymptotic_est(restrict(s, Window(1, min(n, s.window.hi))), n).value
     return upper_banach_est(s, n).value
 
 

@@ -4,7 +4,11 @@ All five estimators return exact rationals.  The Banach pair scans every
 length-n sub-window of the set's window (numpy prefix sums over the bit
 vector; integer arithmetic only); the asymptotic pair is the documented proxy
 max/min of |A ∩ [1, i]| / i over i in [ceil(m/2), m]; the Schnirelmann
-estimate is the prefix minimum.  Ties always resolve to the least offset.
+estimate is the prefix minimum.  The anchored estimators read only [1, m] of
+the window, in one vectorised pass: a float ratio may nominate the extremum,
+but the verdict is an int64 cross-multiplication, which is exact for every
+window length the parsers admit.  Ties always resolve to the least offset or
+the least i.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .intset import IntSet, Window, bit_vector, combine_shifts
+from .intset import IntSet, Window, bit_vector, combine_shifts, restrict
 
 __all__ = [
     "DensityEstimate",
@@ -56,9 +60,14 @@ class DensityEstimate:
 
 
 def prefix_counts(a: IntSet) -> np.ndarray:
-    """P[i] = number of members among the first i window positions (int64, length+1)."""
+    """P[i] = number of members among the first i window positions (int64, length+1).
+
+    The bits are copied into the int64 buffer and summed there in place, so
+    the cumulative sum never casts from uint8 on the fly.
+    """
     out = np.zeros(a.window.length + 1, dtype=np.int64)
-    np.cumsum(bit_vector(a), out=out[1:])
+    out[1:] = bit_vector(a)
+    np.cumsum(out[1:], out=out[1:])
     return out
 
 
@@ -70,10 +79,11 @@ def _check_n(a: IntSet, n: int) -> None:
 def _banach(a: IntSet, n: int, maximize: bool) -> DensityEstimate:
     _check_n(a, n)
     p = prefix_counts(a)
-    counts = p[n:] - p[:-n]
-    i = int(np.argmax(counts) if maximize else np.argmin(counts))
+    neg = p[:-n]
+    np.subtract(neg, p[n:], out=neg)  # -(window counts), in place: no second array
+    i = int(np.argmin(neg) if maximize else np.argmax(neg))  # first hit: least offset
     kind = UPPER_BANACH if maximize else LOWER_BANACH
-    return DensityEstimate(Fraction(int(counts[i]), n), n, a.window.lo - 1 + i, kind)
+    return DensityEstimate(Fraction(-int(neg[i]), n), n, a.window.lo - 1 + i, kind)
 
 
 def upper_banach_est(a: IntSet, n: int) -> DensityEstimate:
@@ -87,16 +97,28 @@ def lower_banach_est(a: IntSet, n: int) -> DensityEstimate:
 
 
 def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, maximize: bool):
-    # exact max/min of P[i]/i by integer cross-multiplication, least i on ties
-    p = prefix_counts(a)
-    best_num, best_den = int(p[lo_i]), lo_i
-    best_i = lo_i
-    for i in range(lo_i + 1, hi_i + 1):
-        c = int(p[i])
-        d = c * best_den - best_num * i
-        if (d > 0) if maximize else (d < 0):
-            best_num, best_den, best_i = c, i, i
-    return Fraction(best_num, best_den), best_i
+    """Exact max/min of P[i]/i over i in [lo_i, hi_i], least i on ties (window at 1).
+
+    Only [1, hi_i] is counted.  The float ratio nominates a candidate c/d;
+    p*d - c*i then decides, in int64, which i beat it or tie with it.  Every
+    factor is at most hi_i, at most the window length, which the parsers cap
+    at intset.MAX_WINDOW_LENGTH = 10^7: every product is at most 10^14 < 2^63,
+    so exact (int64 would stay exact up to lengths of 3*10^9).
+    """
+    p = prefix_counts(restrict(a, Window(1, hi_i)))[lo_i:]
+    i = np.arange(lo_i, hi_i + 1, dtype=np.int64)
+    ratio = p / i
+    pick = np.argmax if maximize else np.argmin
+    k = int(pick(ratio))
+    while True:
+        diff = p * i[k] - p[k] * i
+        better = diff > 0 if maximize else diff < 0
+        if not better.any():
+            break
+        cands = np.flatnonzero(better)  # the float nominee lost: retry among the winners
+        k = int(cands[pick(ratio[cands])])
+    k = int(np.flatnonzero(diff == 0)[0])
+    return Fraction(int(p[k]), int(i[k])), lo_i + k
 
 
 def _check_anchor(a: IntSet) -> None:

@@ -23,6 +23,7 @@ from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (
     IntSet,
     Window,
+    check_window_length,
     complement_in,
     difference_set,
     from_bit_vector,
@@ -79,6 +80,7 @@ def spec_from_json(data: dict) -> GenSpec:
     except (TypeError, ValueError):
         raise InputError("generator window must be a [lo, hi] pair") from None
     window = Window(_integer(lo, "window"), _integer(hi, "window"))
+    check_window_length(window, "gen spec field 'window'")
     return GenSpec(kind, window, _integer(data.pop("seed", 0), "seed"), data)
 
 

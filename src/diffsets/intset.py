@@ -20,6 +20,8 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
+    "MAX_WINDOW_LENGTH",
+    "check_window_length",
     "Window",
     "IntSet",
     "bit_vector",
@@ -79,6 +81,22 @@ class Window:
 
     def __repr__(self) -> str:
         return f"Window({self.lo}, {self.hi})"
+
+
+# Longest window a parser admits (set files, gen specs, range flags); checked
+# before anything of that length is allocated.  A window at the cap costs
+# 1.25 MB as a big int and 80 MB as int64 prefix counts, and keeps every
+# product of two lengths below 2^63.
+MAX_WINDOW_LENGTH = 10**7
+
+
+def check_window_length(w: Window, what: str) -> Window:
+    """w itself, or an input error naming ``what`` when w is longer than the cap."""
+    if w.length > MAX_WINDOW_LENGTH:
+        raise InputError(
+            f"{what}: window {w} has length {w.length}, over the cap of {MAX_WINDOW_LENGTH}"
+        )
+    return w
 
 
 def _mask(n: int) -> int:
@@ -318,10 +336,11 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
         if len(lines) != 2 or set(lines[1]) - {"0", "1"}:
             raise InputError(f"{path}: bits format needs one '0'/'1' line")
         row = lines[1]
-        w = Window(lo, lo + len(row) - 1)
+        w = check_window_length(Window(lo, lo + len(row) - 1), str(path))
         bits = int(row[::-1], 2) if row else 0
         s = IntSet(w, bits)
         if window is not None:
+            check_window_length(window, str(path))
             if window.lo > w.lo or window.hi < w.hi:
                 raise InputError(f"{path}: override window {window} smaller than stored {w}")
             return restrict(s, window) if window != w else s
@@ -333,7 +352,7 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
     del text, lines  # free the file's lines before make_set allocates its arrays
     if window is None:
         window = Window(min(members), max(members))
-    return make_set(members, window)
+    return make_set(members, check_window_length(window, str(path)))
 
 
 def write_set_file(a: IntSet, path: str | Path, fmt: str = "bits") -> None:

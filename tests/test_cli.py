@@ -1,9 +1,9 @@
 """End-to-end CLI runs.
 
-The three reference reports under golden/ pin the full output of analyze,
-delta and cover on a {0,1} mod 5 residue set; comparison drops the timing
-block and nothing else.  The rest of the module walks every subcommand once
-and exercises each exit code path.
+The five reference reports under golden/ pin the full output of analyze,
+delta and cover (the last two also with --upper) on a {0,1} mod 5 residue
+set; comparison drops the timing block and nothing else.  The rest of the
+module walks every subcommand once and exercises each exit code path.
 """
 
 import json
@@ -13,6 +13,7 @@ import pytest
 
 from diffsets import VerificationError, Window, read_set_file, residue_set
 from diffsets.cli import main
+from diffsets.intset import MAX_WINDOW_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +74,27 @@ def test_cover_matches_golden(workdir, capsys):
     )
     assert code == 0
     assert canon(out) == canon((GOLDEN / "cover.json").read_text())
+
+
+def test_delta_upper_matches_golden(workdir, capsys):
+    code, out, _ = run(
+        [
+            "delta", "--set", "a.set", "--eps", "1/4", "--n", "500", "--trange=-10..10",
+            "--upper",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert canon(out) == canon((GOLDEN / "delta_upper.json").read_text())
+
+
+def test_cover_upper_matches_golden(workdir, capsys):
+    code, out, _ = run(
+        ["cover", "--set", "a.set", "--eps", "0", "--x=-20..20", "--n", "500", "--upper"],
+        capsys,
+    )
+    assert code == 0
+    assert canon(out) == canon((GOLDEN / "cover_upper.json").read_text())
 
 
 def test_report_out_flag_writes_file(workdir, capsys):
@@ -299,6 +321,32 @@ def test_exit_2_on_bad_input(workdir, capsys):
         code, out, err = run(["selftest", "--trials", trials], capsys)
         assert (code, out) == (2, ""), trials
         assert "--trials" in err
+
+
+def test_exit_2_on_oversize_window(workdir, capsys, monkeypatch):
+    """Windows past the cap are refused before anything that long is allocated."""
+    cap = MAX_WINDOW_LENGTH
+    (workdir / "far.set").write_text(f"0\n{cap}\n")  # two members, cap + 1 positions
+    far_gen = f'{{"kind":"bernoulli","window":[1,{cap + 1}],"p":"1/2"}}'
+    for argv, name in [
+        (["analyze", "--set", "far.set"], "far.set"),
+        (["gen", "--spec", far_gen, "--out", "g.set"], "window"),
+        (["delta", "--set", "a.set", "--eps", "0", "--n", "5", f"--trange=0..{cap}"], "trange"),
+        (["cover", "--set", "a.set", "--eps", "0", "--n", "5", f"--x=0..{cap}"], "candidate range"),
+        (["embed", "--x", "a.set", "--y", "a.set", "--m", "3", f"--srange=0..{cap}"], "srange"),
+        (["bohr", "--d", "a.set", "--freqs", "1/5", f"--interval=0..{cap}"], "interval"),
+    ]:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert name in err and "over the cap" in err, argv
+    assert not (workdir / "g.set").exists()
+    # a bits row is measured the same way; a small cap keeps the file small
+    monkeypatch.setattr("diffsets.intset.MAX_WINDOW_LENGTH", 2000)
+    (workdir / "row.set").write_text("lo=1\n" + "01" * 1000 + "1\n")
+    code, out, err = run(["analyze", "--set", "row.set"], capsys)
+    assert (code, out) == (2, "") and "row.set" in err and "over the cap" in err
+    (workdir / "row.set").write_text("lo=1\n" + "01" * 1000 + "\n")  # exactly at the cap
+    assert run(["analyze", "--set", "row.set", "--n", "10"], capsys)[0] == 0
 
 
 def test_exit_2_on_unreadable_files(workdir, capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import brute
 from diffsets import (
@@ -70,6 +70,32 @@ def test_per_t_is_exact_banach_value(data):
     whi = min(a.window.hi, a.window.hi - t)
     value, _ = brute.upper_banach(inter, wlo, whi, n)
     assert res.per_t[t] == value
+
+
+@st.composite
+def anchored_with_trange(draw, max_len=300):
+    length = draw(st.integers(4, max_len))
+    a = IntSet(Window(1, length), draw(st.integers(0, (1 << length) - 1)))
+    m = draw(st.integers(1, max(1, length // 2)))
+    tmax = length - m
+    thi = draw(st.integers(0, tmax))
+    tlo = draw(st.integers(-tmax, thi))
+    return a, m, Window(tlo, thi)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_upper_per_t_matches_brute(data):
+    a, m, trange = data.draw(anchored_with_trange())
+    eps = Fraction(data.draw(st.integers(0, 3)), 4)
+    res = eps_delta_upper(a, eps, m, trange)
+    mem = set(a.members())
+    for t in range(trange.lo, trange.hi + 1):
+        # the intersection's members all sit in [1, length], so re-anchoring
+        # at 1 keeps every one of them
+        value, _ = brute.anchored_max(brute.shift_intersection(mem, t), (m + 1) // 2, m)
+        assert res.per_t[t] == value
+        assert (t in res.members) == (value > eps)
 
 
 @given(st.data())

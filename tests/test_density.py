@@ -1,9 +1,11 @@
 """Density estimators and structure classifiers against brute-force scans."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import brute
 from diffsets import (
@@ -44,6 +46,10 @@ def anchored_sets(draw, max_len=60):
     length = draw(st.integers(1, max_len))
     bits = draw(st.integers(0, (1 << length) - 1))
     return IntSet(Window(1, length), bits)
+
+
+def _est(e):
+    return e.value, e.at
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +104,29 @@ def test_banach_ties_take_least_offset():
     assert est.at == a.window.lo - 1  # [0,3] already contains 3
 
 
+@st.composite
+def periodic_sets(draw, max_len=600):
+    """Sets of 51..max_len bits that repeat a short pattern, a few bits flipped."""
+    lo = draw(st.integers(-30, 30))
+    length = draw(st.integers(51, max_len))
+    k = draw(st.integers(1, 12))
+    pattern = draw(st.integers(0, (1 << k) - 1))
+    bits = int("".join(str(pattern >> (i % k) & 1) for i in range(length))[::-1], 2)
+    for i in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+        bits ^= 1 << i
+    return IntSet(Window(lo, lo + length - 1), bits)
+
+
+@settings(max_examples=60)
+@given(periodic_sets(), st.data())
+def test_banach_pair_ties_on_long_windows(a, data):
+    # a repeated pattern ties the window count at every period: least offset wins
+    n = data.draw(st.integers(1, a.window.length))
+    mem = set(a.members())
+    assert _est(upper_banach_est(a, n)) == brute.upper_banach(mem, a.window.lo, a.window.hi, n)
+    assert _est(lower_banach_est(a, n)) == brute.lower_banach(mem, a.window.lo, a.window.hi, n)
+
+
 def test_banach_n_out_of_range():
     a = make_set([1], Window(0, 9))
     with pytest.raises(InputError):
@@ -126,6 +155,86 @@ def test_schnirelmann_matches_scan(a, data):
     n = data.draw(st.integers(1, a.window.length))
     est = schnirelmann_est(a, n)
     assert (est.value, est.at) == brute.schnirelmann(set(a.members()), n)
+
+
+@st.composite
+def long_anchored_sets(draw, max_len=2000):
+    """Anchored sets up to max_len bits: random bits, or a random period repeated."""
+    length = draw(st.integers(2, max_len))
+    if draw(st.booleans()):
+        bits = draw(st.integers(0, (1 << length) - 1))
+    else:
+        k = draw(st.integers(1, 12))
+        pattern = draw(st.integers(0, (1 << k) - 1))
+        bits = int("".join(str(pattern >> (i % k) & 1) for i in range(length))[::-1], 2)
+    return IntSet(Window(1, length), bits)
+
+
+def _anchored_want(a, lo_i, m):
+    # brute counts members of [1, i] only, so members past m cannot matter
+    mem = {x for x in a.members() if x <= m}
+    return brute.anchored_max(mem, lo_i, m), brute.anchored_min(mem, lo_i, m)
+
+
+@settings(max_examples=60)
+@given(long_anchored_sets(), st.data())
+def test_anchored_estimators_match_scan_on_long_windows(a, data):
+    # m well below the window length: the scan reads [1, m] of a longer window
+    m = data.draw(st.integers(1, max(1, a.window.length // 3)))
+    want_up, want_lo = _anchored_want(a, (m + 1) // 2, m)
+    up, lo = upper_asymptotic_est(a, m), lower_asymptotic_est(a, m)
+    assert (up.value, up.at) == want_up
+    assert (lo.value, lo.at) == want_lo
+    sch = schnirelmann_est(a, m)
+    assert (sch.value, sch.at) == _anchored_want(a, 1, m)[1]
+
+
+def test_anchored_ties_take_least_i():
+    # P[i]/i = 1/2 at every even i of the evens, 1/2 at every even i of the odds
+    evens = residues({0}, 2, 1, 2000)
+    assert upper_asymptotic_est(evens, 1000).at == 500
+    assert lower_asymptotic_est(evens, 1001).at == 501  # 250/501 beats 1/2
+    odds = residues({1}, 2, 1, 2000)
+    assert upper_asymptotic_est(odds, 1000).at == 501  # 251/501
+    assert lower_asymptotic_est(odds, 1000).at == 500
+    assert schnirelmann_est(odds, 1000).at == 2
+    # {0, 1} mod 5: 2/5 at every multiple of 5, (2k+1)/(5k+4) just below it
+    r = residues({0, 1}, 5, 1, 2000)
+    assert upper_asymptotic_est(r, 1000).at == 501
+    assert lower_asymptotic_est(r, 1000).value == Fraction(201, 504)
+    for a, m in ((evens, 1000), (evens, 1001), (odds, 1000), (r, 1000), (r, 999)):
+        want_up, want_lo = _anchored_want(a, (m + 1) // 2, m)
+        assert _est(upper_asymptotic_est(a, m)) == want_up
+        assert _est(lower_asymptotic_est(a, m)) == want_lo
+        assert _est(schnirelmann_est(a, m)) == _anchored_want(a, 1, m)[1]
+
+
+def test_anchored_verdict_ignores_a_wrong_nominee(monkeypatch):
+    """The float ratio only nominates: a nominee that is always the first i still
+    yields the exact extremum at the least i."""
+    rng = random.Random(5)
+    cases = [(residues({0, 1}, 5, 1, 2000), 999), (residues({1}, 2, 1, 2000), 1000)]
+    for length in (7, 60, 500, 2000):
+        cases.append((IntSet(Window(1, length), rng.getrandbits(length)), length // 2))
+    monkeypatch.setattr(np, "argmax", lambda x: 0)
+    monkeypatch.setattr(np, "argmin", lambda x: 0)
+    for a, m in cases:
+        want_up, want_lo = _anchored_want(a, (m + 1) // 2, m)
+        assert _est(upper_asymptotic_est(a, m)) == want_up
+        assert _est(lower_asymptotic_est(a, m)) == want_lo
+        assert _est(schnirelmann_est(a, m)) == _anchored_want(a, 1, m)[1]
+
+
+def test_anchored_empty_prefix_and_full_set():
+    # members only past m: every ratio is 0, so the least i wins
+    late = make_set(range(1500, 2001), Window(1, 2000))
+    full = IntSet(Window(1, 2000), (1 << 2000) - 1)
+    for a, ms, value in ((late, (1, 2, 999, 1000), 0), (full, (1, 2, 999, 1000, 2000), 1)):
+        for m in ms:
+            lo_i = (m + 1) // 2
+            assert _est(upper_asymptotic_est(a, m)) == (value, lo_i)
+            assert _est(lower_asymptotic_est(a, m)) == (value, lo_i)
+            assert _est(schnirelmann_est(a, m)) == (value, 1)
 
 
 @given(anchored_sets())
