@@ -90,6 +90,8 @@ def _parse_range(text: str, name: str) -> Window:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
         raise InputError(f"{name} ends must be integers, got {text!r}") from None
+    if lo > hi:
+        raise InputError(f"{name} must have lo <= hi, got {text!r}")
     return check_window_length(Window(lo, hi), name)
 
 
@@ -104,7 +106,7 @@ def _parse_candidates(text: str) -> list[int]:
             raise InputError("candidate JSON must be an array of integers")
         return vals
     if ".." in t:
-        w = _parse_range(t, "candidate range")
+        w = _parse_range(t, "--x candidate range")
         return list(range(w.lo, w.hi + 1))
     try:
         return [int(p) for p in t.split(",") if p.strip()]
@@ -220,7 +222,7 @@ def _cmd_analyze(args, report: Report) -> int:
 def _cmd_delta(args, report: Report) -> int:
     a = _load(args.set)
     eps = parse_fraction(args.eps, "eps")
-    trange = _parse_range(args.trange, "trange")
+    trange = _parse_range(args.trange, "--trange")
     res = (eps_delta_upper if args.upper else eps_delta_banach)(a, eps, args.n, trange)
     report.inputs["set"] = _set_summary(args.set, a)
     report.parameters.update(
@@ -248,7 +250,7 @@ def _cmd_embed(args, report: Report) -> int:
     y = _load(args.y)
     m = args.m
     if args.srange:
-        srange = _parse_range(args.srange, "srange")
+        srange = _parse_range(args.srange, "--srange")
     else:
         if y.window.length < m:
             raise InputError(f"target window shorter than the trace length {m}")
@@ -453,7 +455,7 @@ def _cmd_bohr(args, report: Report) -> int:
         raise InputError("direct mode needs --freqs (or use --search)")
     eps = parse_fraction(args.eps, "eps") if args.eps else Fraction(1, 4)
     spec = BohrSpec.of(_parse_fraction_list(args.freqs, "freqs"), eps, args.shift)
-    interval = _parse_range(args.interval, "interval") if args.interval else d.window
+    interval = _parse_range(args.interval, "--interval") if args.interval else d.window
     report.parameters.update(
         {"freqs": list(spec.freqs), "eps": eps, "shift": args.shift, "interval": interval}
     )
@@ -515,7 +517,11 @@ def _st_estimators(rng: Stream) -> None:
     w = _st_window(rng)
     a = _st_set(rng, w)
     n = rng.randint(1, w.hi)
-    assert lower_banach_est(a, n).value <= upper_banach_est(a, n).value
+    inside = [x in a for x in range(w.lo, w.hi + 1)]  # plain member recount of every window
+    counts = [sum(inside[i : i + n]) for i in range(w.length - n + 1)]
+    for est, pick in ((upper_banach_est(a, n), max), (lower_banach_est(a, n), min)):
+        best = pick(counts)
+        assert (est.value, est.at) == (Fraction(best, n), w.lo - 1 + counts.index(best))
     assert schnirelmann_est(a, n).value <= lower_asymptotic_est(a, n).value
     run = longest_run(a)
     assert run is not None

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import par
-from .density import syndetic_gap, upper_asymptotic_est, upper_banach_est
+from .density import check_sub_window, syndetic_gap, upper_asymptotic_est, upper_banach_est
 from .errors import InputError
-from .intset import IntSet, Window, intersect, make_set, restrict
+from .intset import IntSet, Window, make_set, restrict
 
 __all__ = [
     "EpsDeltaResult",
@@ -40,18 +40,28 @@ class EpsDeltaResult:
 
 
 def shift_intersection(a: IntSet, t: int) -> IntSet:
-    """A ∩ (A - t) on the exact overlap window."""
-    return intersect(a, a.shift(-t))
+    """A ∩ (A - t) on the exact overlap window.
+
+    For either sign of t, bit i of the overlap is bit i AND bit i + |t| of A,
+    so one shift and one AND build it.
+    """
+    w = a.window.intersect(a.window.shift(-t))
+    return IntSet(w, a.bits & (a.bits >> abs(t)))
+
+
+def _max_shift(trange: Window) -> int:
+    return max(abs(trange.lo), abs(trange.hi))
 
 
 def _check_shift_safety(a: IntSet, n: int, trange: Window) -> None:
-    worst = max(abs(trange.lo), abs(trange.hi))
+    worst = _max_shift(trange)
     if n + worst > a.window.length:
         t = trange.lo if abs(trange.lo) == worst else trange.hi
         raise InputError(
             f"shift t={t} unsafe: n + |t| = {n + worst} exceeds window length "
             f"{a.window.length}; shrink the shift range or n"
         )
+    check_sub_window(a, n)
 
 
 def _estimate(s: IntSet, n: int, upper: bool) -> Fraction:
@@ -69,6 +79,8 @@ def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> Eps
     def one(t: int) -> Fraction:  # not via shift_density: bench/spans.py traces these two calls
         return _estimate(shift_intersection(a, t), n, upper)
 
+    if upper:  # every overlap still reaches n, and [1, n] of it only reads A on [1, n + |t|]
+        a = restrict(a, Window(1, n + _max_shift(trange)))
     ts = list(range(trange.lo, trange.hi + 1))
     values = par.ordered_map(one, ts)
     per_t = dict(zip(ts, values))

@@ -1,14 +1,25 @@
 """Finite-window density estimators and structure classifiers.
 
 All five estimators return exact rationals.  The Banach pair scans every
-length-n sub-window of the set's window (numpy prefix sums over the bit
-vector; integer arithmetic only); the asymptotic pair is the documented proxy
-max/min of |A ∩ [1, i]| / i over i in [ceil(m/2), m]; the Schnirelmann
-estimate is the prefix minimum.  The anchored estimators read only [1, m] of
-the window, in one vectorised pass: a float ratio may nominate the extremum,
-but the verdict is an int64 cross-multiplication, which is exact for every
-window length the parsers admit.  Ties always resolve to the least offset or
-the least i.
+length-n sub-window of the set's window; the asymptotic pair is the
+documented proxy max/min of |A ∩ [1, i]| / i over i in [ceil(m/2), m]; the
+Schnirelmann estimate is the prefix minimum.  Ties always resolve to the
+least offset or the least i.
+
+The Banach scan is byte-parallel and integer-only.  Moving the window from
+offset i to i + 1 adds bit i + n and drops bit i, so the count at offset i is
+the count at 0 plus the running sum of (entering - leaving) bits before i.
+Both bit streams are read as packed bytes, 8 offsets per byte: the running
+sum at the start of each byte is a cumulative sum of byte popcount
+differences, and the best offset inside a byte comes from one 64 KiB table
+indexed by the (leaving, entering) byte pair and holding the maximum prefix sum
+over the byte's 8 offsets and the least offset attaining it.  The minimum is
+the maximum with the two streams swapped.  No bit enters or leaves past the
+last offset L - n, so in the last byte the sum stays flat beyond it, and the
+table's least offset on a tie is never one of those.  The anchored estimators
+read only [1, m] of the window, in one vectorised pass: a float ratio may
+nominate the extremum, but the verdict is an int64 cross-multiplication,
+which is exact for every window length the parsers admit.
 """
 
 from __future__ import annotations
@@ -19,10 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .intset import IntSet, Window, bit_vector, combine_shifts, restrict
+from .intset import IntSet, Window, bit_bytes, bit_vector, combine_shifts, restrict
 
 __all__ = [
     "DensityEstimate",
+    "check_sub_window",
     "prefix_counts",
     "upper_banach_est",
     "lower_banach_est",
@@ -71,19 +83,55 @@ def prefix_counts(a: IntSet) -> np.ndarray:
     return out
 
 
-def _check_n(a: IntSet, n: int) -> None:
+def check_sub_window(a: IntSet, n: int) -> None:
+    """Input error unless 1 <= n <= the window length of a."""
     if not 1 <= n <= a.window.length:
         raise InputError(f"sub-window length {n} not in [1, {a.window.length}]")
 
 
+def _prefix_max_table() -> np.ndarray:
+    """Entry 256*down + up: 8*max + least argmax of the prefix sums over t in 0..7.
+
+    The prefix sum at t is the sum over bits j < t of (up_j - down_j); it is 0
+    at t = 0, so the maximum is in 0..7 and packs with its offset in a byte.
+    """
+    byte = np.arange(256, dtype=np.uint8)
+    run = np.zeros((256, 256), dtype=np.int8)
+    best = np.zeros((256, 256), dtype=np.int8)
+    at = np.zeros((256, 256), dtype=np.uint8)
+    for t in range(1, 8):
+        bit = (byte >> (t - 1) & 1).astype(np.int8)
+        run += bit[None, :] - bit[:, None]  # rows: down byte, columns: up byte
+        gain = run > best  # strict: the least t keeps a tie
+        best[gain] = run[gain]
+        at[gain] = t
+    return (best.view(np.uint8) << 3 | at).ravel()
+
+
+_PREFIX_MAX = _prefix_max_table()
+
+
 def _banach(a: IntSet, n: int, maximize: bool) -> DensityEstimate:
-    _check_n(a, n)
-    p = prefix_counts(a)
-    neg = p[:-n]
-    np.subtract(neg, p[n:], out=neg)  # -(window counts), in place: no second array
-    i = int(np.argmin(neg) if maximize else np.argmax(neg))  # first hit: least offset
-    kind = UPPER_BANACH if maximize else LOWER_BANACH
-    return DensityEstimate(Fraction(-int(neg[i]), n), n, a.window.lo - 1 + i, kind)
+    check_sub_window(a, n)
+    last = a.window.length - n  # offsets 0 .. last
+    size = last // 8 + 1
+    # bit j leaves and bit j + n enters on the step from offset j to j + 1 (j < last)
+    leaving, entering = a.bits & ((1 << last) - 1), a.bits >> n
+    up, down = (entering, leaving) if maximize else (leaving, entering)
+    ub, db = bit_bytes(up, size), bit_bytes(down, size)
+    key = db.astype(np.uint16) << 8
+    key |= ub
+    packed = np.take(_PREFIX_MAX, key)
+    step = np.bitwise_count(ub).astype(np.int64)
+    step -= np.bitwise_count(db)
+    best = np.zeros(size, dtype=np.int64)  # the sum before each byte ...
+    np.cumsum(step[:-1], out=best[1:])
+    best += packed >> 3  # ... plus the best prefix inside it
+    g = int(np.argmax(best))  # first hit: least byte, and the table's least offset in it
+    base = (a.bits & ((1 << n) - 1)).bit_count()
+    count = base + int(best[g]) if maximize else base - int(best[g])
+    at = a.window.lo - 1 + 8 * g + int(packed[g] & 7)
+    return DensityEstimate(Fraction(count, n), n, at, UPPER_BANACH if maximize else LOWER_BANACH)
 
 
 def upper_banach_est(a: IntSet, n: int) -> DensityEstimate:
@@ -129,7 +177,7 @@ def _check_anchor(a: IntSet) -> None:
 def upper_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
     """max of |A ∩ [1, i]| / i over i in [ceil(m/2), m] (window anchored at 1)."""
     _check_anchor(a)
-    _check_n(a, m)
+    check_sub_window(a, m)
     lo_i = (m + 1) // 2
     value, i = _anchored_scan(a, lo_i, m, maximize=True)
     return DensityEstimate(value, m, i, UPPER_ASYMPTOTIC)
@@ -138,7 +186,7 @@ def upper_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
 def lower_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over i in [ceil(m/2), m] (window anchored at 1)."""
     _check_anchor(a)
-    _check_n(a, m)
+    check_sub_window(a, m)
     lo_i = (m + 1) // 2
     value, i = _anchored_scan(a, lo_i, m, maximize=False)
     return DensityEstimate(value, m, i, LOWER_ASYMPTOTIC)
@@ -147,7 +195,7 @@ def lower_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
 def schnirelmann_est(a: IntSet, n: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over 1 <= i <= n (window anchored at 1)."""
     _check_anchor(a)
-    _check_n(a, n)
+    check_sub_window(a, n)
     value, i = _anchored_scan(a, 1, n, maximize=False)
     return DensityEstimate(value, n, i, SCHNIRELMANN)
 
@@ -206,7 +254,8 @@ def piecewise_syndetic_witness(a: IntSet, g: int, length: int) -> Window | None:
         raise InputError("gap bound must be >= 1")
     if length > a.window.length:
         return None
-    runs = _runs_at_least(combine_shifts(a, range(g), a.window, union=True).bits, length)
+    spread = range(min(g, a.window.length))  # a shift past the window length adds nothing
+    runs = _runs_at_least(combine_shifts(a, spread, a.window, union=True).bits, length)
     if not runs:
         return None
     x = a.window.lo + (runs & -runs).bit_length() - 1

@@ -6,7 +6,8 @@ are single big-int operations and difference/sum sets are word-parallel OR
 accumulations of shifted copies.  Operations never silently clip members:
 every result window is the exact window implied by the operation, and
 explicit restriction is spelled ``restrict``.  Per-element work goes through
-a numpy 0/1 vector, crossing only by ``bit_vector`` and ``from_bit_vector``.
+a numpy 0/1 vector, crossing only by ``bit_vector`` and ``from_bit_vector``
+(the byte-parallel Banach scan reads the packed bytes through ``bit_bytes``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "check_window_length",
     "Window",
     "IntSet",
+    "bit_bytes",
     "bit_vector",
     "from_bit_vector",
     "make_set",
@@ -168,11 +170,15 @@ class IntSet:
         return f"IntSet({self.window!r}, count={self.count})"
 
 
+def bit_bytes(bits: int, size: int) -> np.ndarray:
+    """The nonnegative int ``bits`` (below 2**(8*size)) as ``size`` little-endian uint8 bytes."""
+    return np.frombuffer(bits.to_bytes(size, "little"), dtype=np.uint8)
+
+
 def bit_vector(a: IntSet) -> np.ndarray:
     """Membership bits of the window as a uint8 0/1 array."""
     n = a.window.length
-    buf = a.bits.to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=n, bitorder="little")
+    return np.unpackbits(bit_bytes(a.bits, (n + 7) // 8), count=n, bitorder="little")
 
 
 def from_bit_vector(arr, window: Window) -> IntSet:

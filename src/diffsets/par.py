@@ -1,37 +1,18 @@
-"""Thread-count plumbing.
+"""The order-preserving map every shift sweep goes through.
 
-DIFFSETS_THREADS picks the worker count (default: available parallelism).
-Work is only ever split as an index-aligned map, so results are identical for
-every thread count.
+Items run one after another in the calling thread.  A thread pool was
+measured to lose on both shift sweeps: each item is a few short numpy calls
+that hold the GIL, so two workers ran the sweep slower than one.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-ENV_VAR = "DIFFSETS_THREADS"
-
-
-def thread_count() -> int:
-    raw = os.environ.get(ENV_VAR, "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
-
 
 def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map preserving order; threaded only when it could help."""
-    n = thread_count()
-    if n <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in order, in the calling thread."""
+    return [fn(x) for x in items]

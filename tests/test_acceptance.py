@@ -3,9 +3,9 @@
 Every criterion recomputes its claim from raw set membership in exact
 arithmetic; nothing is taken from a certificate without a recount.  Run with
 ``pytest -s tests/test_acceptance.py`` to see the verdict lines as they
-print.  Criterion 12 reruns the other eleven under thread counts 1 and max
-and compares the canonical reports field by field (timing never enters a
-report here, so the comparison is total).
+print.  Criterion 12 reruns the other eleven under DIFFSETS_THREADS=1 and 8
+(or the core count, if higher) and compares the canonical reports field by
+field (timing never enters a report here, so the comparison is total).
 """
 
 import hashlib
@@ -52,7 +52,6 @@ from diffsets import (
     verify_extraction,
     window_embeddable,
 )
-from diffsets.par import ENV_VAR
 from diffsets.prng import Stream, stream_value
 
 SEED = 20260819
@@ -825,17 +824,18 @@ def test_criterion_12(monkeypatch):
         if k not in _REPORTS:  # running this test alone: build baselines first
             store = _STORE
             _REPORTS[k] = _canonical(_CRITERIA[k](store))
-    # force the pooled code path even on a single-core machine
+    # sweeps run serially and no longer read the variable; a result that
+    # depended on it would still show here
     hi = max(8, os.cpu_count() or 1)
     mismatches = []
     for threads in ("1", str(hi)):
-        monkeypatch.setenv(ENV_VAR, threads)
+        monkeypatch.setenv("DIFFSETS_THREADS", threads)
         store = {}
         for k, fn in _CRITERIA.items():
             got = _canonical(fn(store))
             if got != _REPORTS[k]:
                 mismatches.append(f"criterion {k} differs at {threads} threads")
-    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.delenv("DIFFSETS_THREADS", raising=False)
     _verdict(
         12,
         not mismatches,

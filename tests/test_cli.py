@@ -316,6 +316,23 @@ def test_exit_2_on_bad_input(workdir, capsys):
         code, out, err = run(["gen", "--spec", spec, "--out", "g.set"], capsys)
         assert (code, out) == (2, ""), spec
         assert field in err
+    # a reversed range names its flag
+    for argv, flag in [
+        (["delta", "--set", "a.set", "--eps", "1/4", "--n", "500", "--trange=5..1"], "--trange"),
+        (["embed", "--x", "a.set", "--y", "a.set", "--m", "3", "--srange", "5..1"], "--srange"),
+        (["cover", "--set", "a.set", "--eps", "0", "--x=3..1", "--n", "500"], "--x"),
+        (["bohr", "--d", "a.set", "--freqs", "1/5", "--interval=9..1"], "--interval"),
+    ]:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert flag in err and "lo <= hi" in err and "empty window" not in err, argv
+    # a sub-window length below 1 is named on both delta estimators, before any restrict
+    for n in ("0", "-5"):
+        for upper in ([], ["--upper"]):
+            argv = ["delta", "--set", "a.set", "--eps", "1/4", "--n", n, "--trange=-10..10"]
+            code, out, err = run(argv + upper, capsys)
+            assert (code, out) == (2, ""), argv + upper
+            assert f"sub-window length {n} not in [1, 2100]" in err, argv + upper
     # a selftest that would run nothing is refused
     for trials in ("0", "-5"):
         code, out, err = run(["selftest", "--trials", trials], capsys)

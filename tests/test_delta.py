@@ -43,6 +43,7 @@ def test_shift_intersection_matches_brute(data):
     t = data.draw(st.integers(trange.lo, trange.hi))
     got = shift_intersection(a, t)
     assert set(got.members()) == brute.shift_intersection(set(a.members()), t)
+    assert got.window == Window(max(a.window.lo, a.window.lo - t), min(a.window.hi, a.window.hi - t))
 
 
 @given(st.data())

@@ -127,6 +127,36 @@ def test_banach_pair_ties_on_long_windows(a, data):
     assert _est(lower_banach_est(a, n)) == brute.lower_banach(mem, a.window.lo, a.window.hi, n)
 
 
+@st.composite
+def banach_cases(draw, max_len=600):
+    """(set, n): windows of 1..max_len bits, random or periodic, lo far from 0 too.
+
+    n is drawn near the byte and word sizes (8, 64) and near the window length,
+    so the count of offsets L - n + 1 falls on and off multiples of 8 and 64.
+    """
+    lo = draw(st.sampled_from([-37, 0, 2**70]))
+    length = draw(st.integers(1, max_len))
+    if draw(st.booleans()):  # a repeated pattern ties the count at every period
+        k = draw(st.integers(1, 16))
+        pattern = draw(st.integers(0, (1 << k) - 1))
+        bits = int("".join(str(pattern >> (i % k) & 1) for i in range(length))[::-1], 2)
+    else:
+        bits = draw(st.integers(0, (1 << length) - 1))
+    near = st.sampled_from([1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+    n = draw(st.one_of(near, st.integers(1, 130), near.map(lambda d: length + 1 - d)))
+    n = min(max(n, 1), length)
+    return IntSet(Window(lo, lo + length - 1), bits), n
+
+
+@settings(max_examples=120)
+@given(banach_cases())
+def test_banach_pair_matches_brute_on_byte_and_word_edges(case):
+    a, n = case
+    mem = set(a.members())
+    assert _est(upper_banach_est(a, n)) == brute.upper_banach(mem, a.window.lo, a.window.hi, n)
+    assert _est(lower_banach_est(a, n)) == brute.lower_banach(mem, a.window.lo, a.window.hi, n)
+
+
 def test_banach_n_out_of_range():
     a = make_set([1], Window(0, 9))
     with pytest.raises(InputError):
@@ -374,6 +404,14 @@ def test_piecewise_syndetic_witness_complete(a, g, length):
     )
     got = piecewise_syndetic_witness(a, g, length)
     assert (got is not None) == has
+
+
+@given(small_sets(), st.integers(1, 10))
+def test_piecewise_syndetic_witness_huge_gap(a, length):
+    # gaps past the window length spread no further, and cost no more
+    assert piecewise_syndetic_witness(a, 10**13, length) == piecewise_syndetic_witness(
+        a, a.window.length, length
+    )
 
 
 def test_piecewise_syndetic_frozen():

@@ -1,9 +1,10 @@
-"""Report serialization rules and the thread plumbing."""
+"""Report serialization rules and the order-preserving sweep map."""
 
 import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from diffsets import (
     render,
     to_jsonable,
 )
-from diffsets.par import ENV_VAR, ordered_map, thread_count
+from diffsets.par import ordered_map
 from diffsets.report import MEMBER_LIST_CUTOFF, frac_str, set_to_json, write_csv
 
 
@@ -95,7 +96,7 @@ def test_write_csv_formats_fractions(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# thread plumbing
+# the sweep map
 
 
 def test_ordered_map_preserves_order():
@@ -103,15 +104,22 @@ def test_ordered_map_preserves_order():
     assert ordered_map(lambda x: x * x, items) == [x * x for x in items]
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "3")
-    assert thread_count() == 3
-    monkeypatch.setenv(ENV_VAR, "0")
-    assert thread_count() == 1
-    monkeypatch.setenv(ENV_VAR, "not a number")
-    assert thread_count() == 1
-    monkeypatch.delenv(ENV_VAR)
-    assert thread_count() >= 1
+def test_ordered_map_runs_in_order_on_the_calling_thread(monkeypatch):
+    # DIFFSETS_THREADS is not read: every sweep runs serially
+    items = list(range(50))
+    for threads in (None, "1", "2", "8", "not a number"):
+        if threads is None:
+            monkeypatch.delenv("DIFFSETS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DIFFSETS_THREADS", threads)
+        seen = []
+
+        def fn(x):
+            seen.append((x, threading.get_ident()))
+            return -x
+
+        assert ordered_map(fn, items) == [-x for x in items]
+        assert seen == [(x, threading.get_ident()) for x in items]
 
 
 def test_ordered_map_identical_across_thread_counts():
@@ -125,7 +133,7 @@ def test_ordered_map_identical_across_thread_counts():
     )
     outs = []
     for threads in ("1", "8"):
-        env = dict(os.environ, **{ENV_VAR: threads})
+        env = dict(os.environ, DIFFSETS_THREADS=threads)
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
