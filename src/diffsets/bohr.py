@@ -158,6 +158,8 @@ def piecewise_bohr_search(
     eps_values = sorted({Fraction(e) for e in eps_grid}, reverse=True)
     if not eps_values or eps_values[-1] <= 0:
         raise InputError("eps grid must be positive")
+    if l_min > d.window.length and k_max >= 1 and q_max >= 2:
+        return None  # no interval is that long; bad k_max or q_max still fail below
     freqs = suggest_freqs(d, k_max, q_max=q_max)
     window = d.window
     best: PiecewiseBohrWitness | None = None

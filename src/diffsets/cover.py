@@ -19,8 +19,8 @@ import numpy as np
 from .delta import shift_density
 from .density import DensityEstimate, lower_banach_est, thick_witness, upper_banach_est
 from .errors import InfeasibleError, InputError, VerificationError
-from .intset import (IntSet, Window, bit_vector, combine_shifts, from_bit_vector, intersect,
-                     rebase, restrict)
+from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, from_bit_vector,
+                     intersect, make_set, rebase, restrict, sumset)
 
 __all__ = [
     "CsInequality",
@@ -103,22 +103,15 @@ def guaranteed_overlap(family: list[IntSet], n: int | None = None) -> Fraction:
 # -- dense-shift membership ---------------------------------------------------
 
 
-def _check_base(c: IntSet) -> int:
-    if c.window.lo != 1:
-        raise InputError(f"base set must live on [1, N] (got window {c.window})")
-    return c.window.hi
-
-
 def dense_shift_count(c: IntSet, t: int) -> int:
     """|C ∩ (C - t) ∩ [1, N]| for C ⊆ [1, N]; symmetric in the sign of t."""
-    _check_base(c)
+    check_anchored(c, "base set")
     return (c.bits & (c.bits >> abs(t))).bit_count()
 
 
 def dense_shift_member(c: IntSet, t: int, eps: Fraction) -> bool:
     """Strict threshold membership: count > eps * N by cross-multiplication."""
-    n = _check_base(c)
-    return dense_shift_count(c, t) * eps.denominator > eps.numerator * n
+    return dense_shift_count(c, t) * eps.denominator > eps.numerator * c.window.hi
 
 
 def dense_shift_set(c: IntSet, h: int, hull: Window, eps: Fraction) -> IntSet:
@@ -161,7 +154,7 @@ def greedy_shift_cover(
     c: IntSet, candidates, eps: Fraction, mandated_x: int
 ) -> CoverCertificate:
     """Cover candidates by D(C, eps) + F, growing F greedily from mandated_x."""
-    n = _check_base(c)
+    n = check_anchored(c, "base set")
     eps = Fraction(eps)
     if eps < 0:
         raise InputError("eps must be >= 0")
@@ -227,7 +220,7 @@ def verify_cover_certificate(c: IntSet, candidates, cert: CoverCertificate) -> b
     of every candidate is re-derived from scratch.  Raises VerificationError
     on any mismatch.
     """
-    n = _check_base(c)
+    n = check_anchored(c, "base set")
     arr = bit_vector(c).astype(bool)
     eps = cert.eps
 
@@ -320,8 +313,8 @@ class DeltaCoverResult:
 
 
 def _rebase_best_window(a: IntSet, n: int, anchored: bool) -> tuple[IntSet, int]:
-    if anchored and a.window.lo != 1:
-        raise InputError("anchored variant needs a window starting at 1")
+    if anchored:
+        check_anchored(a, "set of the anchored variant")
     offset = 0 if anchored else upper_banach_est(a, n).at
     return rebase(a, offset, n), offset
 
@@ -418,10 +411,7 @@ def cover_density_check(
             raise InputError("thick_cover needs thick_len")
         if n > thick_len:
             raise InputError("n must not exceed the thick interval length")
-        hull = Window(
-            s_norm.window.lo + min(norm), s_norm.window.hi + max(norm)
-        )
-        covered = combine_shifts(s_norm, norm, hull, union=True)
+        covered = sumset(s_norm, make_set(norm, Window(min(norm), max(norm))))
         w = thick_witness(covered, thick_len)
         premise_ok = w is not None
         blocks = -(-thick_len // n)  # ceil(L / n)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import par
 from .density import check_sub_window, syndetic_gap, upper_asymptotic_est, upper_banach_est
 from .errors import InputError
-from .intset import IntSet, Window, make_set, restrict
+from .intset import IntSet, Window, check_anchored, make_set, restrict
 
 __all__ = [
     "EpsDeltaResult",
@@ -98,8 +98,7 @@ def eps_delta_banach(a: IntSet, eps: Fraction, n: int, trange: Window) -> EpsDel
 
 def eps_delta_upper(a: IntSet, eps: Fraction, m: int, trange: Window) -> EpsDeltaResult:
     """Same sweep with the upper asymptotic proxy (window anchored at 1)."""
-    if a.window.lo != 1:
-        raise InputError("eps_delta_upper needs a window anchored at 1; rebase first")
+    check_anchored(a, "eps_delta_upper's set")
     if eps < 0:
         raise InputError("eps must be >= 0")
     _check_shift_safety(a, m, trange)

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .intset import IntSet, Window, bit_bytes, bit_vector, combine_shifts, restrict
+from .intset import IntSet, Window, bit_bytes, bit_vector, check_anchored, combine_shifts, restrict
 
 __all__ = [
     "DensityEstimate",
@@ -144,7 +144,7 @@ def lower_banach_est(a: IntSet, n: int) -> DensityEstimate:
     return _banach(a, n, maximize=False)
 
 
-def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, maximize: bool):
+def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, kind: str, maximize: bool) -> DensityEstimate:
     """Exact max/min of P[i]/i over i in [lo_i, hi_i], least i on ties (window at 1).
 
     Only [1, hi_i] is counted.  The float ratio nominates a candidate c/d;
@@ -153,6 +153,8 @@ def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, maximize: bool):
     at intset.MAX_WINDOW_LENGTH = 10^7: every product is at most 10^14 < 2^63,
     so exact (int64 would stay exact up to lengths of 3*10^9).
     """
+    check_anchored(a, "set")
+    check_sub_window(a, hi_i)
     p = prefix_counts(restrict(a, Window(1, hi_i)))[lo_i:]
     i = np.arange(lo_i, hi_i + 1, dtype=np.int64)
     ratio = p / i
@@ -166,38 +168,22 @@ def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, maximize: bool):
         cands = np.flatnonzero(better)  # the float nominee lost: retry among the winners
         k = int(cands[pick(ratio[cands])])
     k = int(np.flatnonzero(diff == 0)[0])
-    return Fraction(int(p[k]), int(i[k])), lo_i + k
-
-
-def _check_anchor(a: IntSet) -> None:
-    if a.window.lo != 1:
-        raise InputError(f"window must start at 1 (got lo={a.window.lo}); rebase first")
+    return DensityEstimate(Fraction(int(p[k]), int(i[k])), hi_i, lo_i + k, kind)
 
 
 def upper_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
     """max of |A ∩ [1, i]| / i over i in [ceil(m/2), m] (window anchored at 1)."""
-    _check_anchor(a)
-    check_sub_window(a, m)
-    lo_i = (m + 1) // 2
-    value, i = _anchored_scan(a, lo_i, m, maximize=True)
-    return DensityEstimate(value, m, i, UPPER_ASYMPTOTIC)
+    return _anchored_scan(a, (m + 1) // 2, m, UPPER_ASYMPTOTIC, maximize=True)
 
 
 def lower_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over i in [ceil(m/2), m] (window anchored at 1)."""
-    _check_anchor(a)
-    check_sub_window(a, m)
-    lo_i = (m + 1) // 2
-    value, i = _anchored_scan(a, lo_i, m, maximize=False)
-    return DensityEstimate(value, m, i, LOWER_ASYMPTOTIC)
+    return _anchored_scan(a, (m + 1) // 2, m, LOWER_ASYMPTOTIC, maximize=False)
 
 
 def schnirelmann_est(a: IntSet, n: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over 1 <= i <= n (window anchored at 1)."""
-    _check_anchor(a)
-    check_sub_window(a, n)
-    value, i = _anchored_scan(a, 1, n, maximize=False)
-    return DensityEstimate(value, n, i, SCHNIRELMANN)
+    return _anchored_scan(a, 1, n, SCHNIRELMANN, maximize=False)
 
 
 def _runs_at_least(bits: int, length: int) -> int:

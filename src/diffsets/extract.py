@@ -23,8 +23,9 @@ from .delta import shift_intersection
 from .density import longest_run, prefix_counts, upper_banach_est
 from .embed import Pattern, shift_set_of, trace_classes, trace_pattern
 from .errors import InfeasibleError, InputError, VerificationError
-from .intset import (IntSet, Window, bit_vector, combine_shifts, difference_set, from_bit_vector,
-                     intersect, make_set, rebase, restrict, shift_set)
+from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, convolve,
+                     difference_set, from_bit_vector, intersect, make_set, rebase, restrict,
+                     shift_set)
 
 __all__ = [
     "PigeonholeWitness",
@@ -51,13 +52,8 @@ __all__ = [
     "intersect_delta_cover",
 ]
 
-TRACE_CAP = 16
-
-
-def _anchored(s: IntSet, what: str) -> int:
-    if s.window.lo != 1:
-        raise InputError(f"{what} must live on a window starting at 1 (got {s.window})")
-    return s.window.hi
+TRACE_CAP = 16  # longest trace extracted; the 2^-n match share degrades beyond it
+MIN_RATIO = 10  # least window_len / sub_len: the sub_len/window_len correction stays small
 
 
 # -- pigeonhole alignment ------------------------------------------------------
@@ -78,26 +74,18 @@ class PigeonholeWitness:
     sub_len: int
 
 
-def _spread16(arr: np.ndarray) -> int:
-    # one bit per 16-bit lane, so products collect counts without carries
-    return int.from_bytes(arr.astype("<u2").tobytes(), "little")
-
-
 def pigeonhole_shift(c: IntSet, d: IntSet) -> PigeonholeWitness:
     """Exhaustive max of |(C - x) ∩ D| over x in [1, N], via one convolution.
 
-    The count profile is the coefficient list of the product of the two
-    indicator polynomials (D reversed), computed as a single big-int multiply
-    with 16-bit lanes.  Coefficients never exceed |D|, so nu must stay below
-    2^16 for the lanes not to carry.
+    Coefficient x + nu - 1 of C convolved with D reversed is |(C - x) ∩ D|,
+    exact for any nu: ``convolve``'s lanes, as wide as the digits of
+    min(|C|, |D|), never carry; the product stays under
+    2 * MAX_WINDOW_LENGTH * 8 digits < MAX_PREC; Inexact and Overflow trap.
     """
-    n = _anchored(c, "first set")
-    nu = _anchored(d, "second set")
-    if nu >= 1 << 16:
-        raise InputError("second window too long for 16-bit convolution lanes")
-    prod = _spread16(bit_vector(c)) * _spread16(bit_vector(d)[::-1])
-    coeffs = np.frombuffer(prod.to_bytes(2 * (n + nu), "little"), dtype="<u2")
-    counts = coeffs[nu : nu + n]
+    n = check_anchored(c, "first set")
+    nu = check_anchored(d, "second set")
+    # D read on [0, nu]: the extra zero lane carries the profile through x = N
+    counts = convolve(bit_vector(c), bit_vector(restrict(d, Window(0, nu)))[::-1])[nu:]
     x = int(np.argmax(counts)) + 1
     ratio = Fraction(int(counts[x - 1]), nu)
     bound = Fraction(c.count * d.count, n * nu) - Fraction(d.count, n)
@@ -119,7 +107,7 @@ def _thresholds(gamma: Fraction, n: int) -> list[int]:
 def _first_misses(c: IntSet, n: int, gamma: Fraction) -> np.ndarray:
     """For each offset theta in [0, N-n], the least i <= n with
     |C ∩ [theta+1, theta+i]| < gamma*i, or 0 when every prefix meets its threshold."""
-    big = _anchored(c, "base set")
+    big = check_anchored(c, "base set")
     if not 1 <= n < big:
         raise InputError("need 1 <= n < N")
     width = big - n + 1
@@ -166,7 +154,7 @@ class WalkReport:
 
 
 def block_walk_bound(c: IntSet, n: int, gamma: Fraction) -> WalkReport:
-    big = _anchored(c, "base set")
+    big = check_anchored(c, "base set")
     gamma = Fraction(gamma)
     gn = fraction_floor(gamma, n)
     miss = _first_misses(c, n, gamma)
@@ -207,7 +195,7 @@ class ExtractionCertificate:
 
 def verify_extraction(c: IntSet, cert: ExtractionCertificate) -> bool:
     """Recheck every certificate invariant through plain Python sets."""
-    big = _anchored(c, "base set")
+    big = check_anchored(c, "base set")
     n = cert.n
     elems = cert.prefix.elems
     if elems[0] < 1 or elems[-1] > n:
@@ -255,16 +243,14 @@ def _modal_trace(c: IntSet, region: IntSet, n: int) -> tuple[Pattern, IntSet]:
     return pattern_of[best], from_bit_vector(reg & (ids == best), region.window)
 
 
-def trace_extract(
-    c: IntSet, n: int, gamma: Fraction, n_max: int = TRACE_CAP
-) -> ExtractionCertificate:
+def trace_extract(c: IntSet, n: int, gamma: Fraction) -> ExtractionCertificate:
     """Group the prefix-dense offsets by trace and certify the modal class."""
-    big = _anchored(c, "base set")
+    big = check_anchored(c, "base set")
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise InputError("gamma must be positive")
-    if n > n_max:
-        raise InputError(f"trace length {n} above the cap {n_max}; the 2^-n bound degrades")
+    if n > TRACE_CAP:
+        raise InputError(f"trace length {n} above the cap {TRACE_CAP}; the 2^-n bound degrades")
     if not 1 <= n <= big - 1:
         raise InputError("need 1 <= n <= N-1")
     region = prefix_dense_region(c, n, gamma)
@@ -310,7 +296,7 @@ class DensePatternResult:
 
 
 def dense_pattern_extract(
-    a: IntSet, n: int, slack: Fraction, window_len: int, n_max: int = TRACE_CAP
+    a: IntSet, n: int, slack: Fraction, window_len: int
 ) -> DensePatternResult:
     """Extract the modal trace of the best window of A and tie it back to A.
 
@@ -328,7 +314,7 @@ def dense_pattern_extract(
     if alpha <= slack:
         raise InfeasibleError(f"window density {alpha} does not exceed the slack {slack}")
     c = rebase(a, offset, window_len)
-    cert = trace_extract(c, n, alpha - slack, n_max=n_max)
+    cert = trace_extract(c, n, alpha - slack)
     srange = Window(offset, offset + window_len - n)
     shifted = shift_set(cert.matches, offset)
     floor_value = Fraction(cert.matches.count, window_len)
@@ -377,21 +363,14 @@ class JointExtractResult:
 
 
 def joint_extract(
-    a: IntSet,
-    b: IntSet,
-    window_len: int,
-    sub_len: int,
-    n: int,
-    slack: Fraction,
-    min_ratio: int = 10,
-    n_max: int = TRACE_CAP,
+    a: IntSet, b: IntSet, window_len: int, sub_len: int, n: int, slack: Fraction
 ) -> JointExtractResult:
     slack = Fraction(slack)
     if slack < 0:
         raise InputError("slack must be >= 0")
-    if sub_len * min_ratio > window_len:
+    if sub_len * MIN_RATIO > window_len:
         raise InputError(
-            f"sub window {sub_len} too long for window {window_len} at ratio {min_ratio}; "
+            f"sub window {sub_len} too long for window {window_len} at ratio {MIN_RATIO}; "
             "the sub_len/window_len correction would dominate"
         )
     ea = upper_banach_est(a, window_len)
@@ -413,7 +392,7 @@ def joint_extract(
             f"corrected density target {gamma} is not positive; "
             "shrink sub_len, the slack, or use denser sets"
         )
-    cert = trace_extract(w, n, gamma, n_max=n_max)
+    cert = trace_extract(w, n, gamma)
     align = off_a + zeta - off_b
     align_window = Window(off_b, off_b + sub_len)
     inter = intersect(
@@ -481,22 +460,20 @@ def chain_extract(
     n: int,
     slack: Fraction,
     window_len: int | None = None,
-    min_ratio: int = 10,
-    n_max: int = TRACE_CAP,
 ) -> ChainExtractResult:
     if not sets:
         raise InputError("need at least one set")
     slack = Fraction(slack)
     k = len(sets)
     first_n = n + k - 1
-    if first_n > n_max:
+    if first_n > TRACE_CAP:
         raise InputError(
-            f"first-stage trace length {n + k - 1} above the cap {n_max}; "
+            f"first-stage trace length {n + k - 1} above the cap {TRACE_CAP}; "
             "fewer sets or a shorter target trace"
         )
     if window_len is None:
         window_len = min(s.window.length for s in sets)
-    base = dense_pattern_extract(sets[0], first_n, slack, window_len, n_max=n_max)
+    base = dense_pattern_extract(sets[0], first_n, slack, window_len)
     stages = [
         ChainStage(1, "base", base.alpha, base.cert.gamma, base.cert.prefix,
                    base.cert.matches.count, slack)
@@ -507,10 +484,7 @@ def chain_extract(
     floor_value = base.alpha - slack
     for i in range(1, k):
         carried = make_set(prefix.elems, Window(1, cur_n))
-        res = joint_extract(
-            sets[i], carried, window_len, cur_n, cur_n - 1, slack,
-            min_ratio=min_ratio, n_max=n_max,
-        )
+        res = joint_extract(sets[i], carried, window_len, cur_n, cur_n - 1, slack)
         corr = slack + Fraction(cur_n, window_len)
         stages.append(
             ChainStage(i + 1, "joint", res.alpha, res.gamma, res.cert.prefix,
@@ -589,8 +563,6 @@ def difference_cover(
     sub_len: int,
     n: int,
     slack: Fraction,
-    min_ratio: int = 10,
-    n_max: int = TRACE_CAP,
 ) -> DifferenceCoverResult:
     """Cover candidates by zero-threshold dense shifts of the aligned overlap.
 
@@ -602,7 +574,7 @@ def difference_cover(
     """
 
     def overlap():
-        res = joint_extract(a, b, window_len, sub_len, n, slack, min_ratio, n_max)
+        res = joint_extract(a, b, window_len, sub_len, n, slack)
         return res.overlap, res
 
     (_, res), cert, _ = certify_cover(candidates, Fraction(0), 0, overlap)
@@ -640,8 +612,6 @@ def intersect_delta_cover(
     n: int,
     slack: Fraction,
     mandated_x: int = 0,
-    min_ratio: int = 10,
-    n_max: int = TRACE_CAP,
 ) -> IntersectCoverResult:
     """Cover candidates by shifts that are eps-dense for both sets at once.
 
@@ -653,7 +623,7 @@ def intersect_delta_cover(
     eps = Fraction(eps)
 
     def overlap():
-        res = joint_extract(a, b, window_len, sub_len, n, slack, min_ratio, n_max)
+        res = joint_extract(a, b, window_len, sub_len, n, slack)
         ab = res.alpha * res.beta
         if eps >= ab * ab:
             raise InfeasibleError(f"eps = {eps} not below the squared joint density {ab * ab}")

@@ -2,8 +2,8 @@
 
 An IntSet is an immutable set of integers inside a closed window [lo, hi].
 Bit i of ``bits`` is element ``lo + i``, so shifts, intersections and unions
-are single big-int operations and difference/sum sets are word-parallel OR
-accumulations of shifted copies.  Operations never silently clip members:
+are single big-int operations; difference and sum sets are the supports of
+one exact convolution (``convolve``).  Operations never silently clip members:
 every result window is the exact window implied by the operation, and
 explicit restriction is spelled ``restrict``.  Per-element work goes through
 a numpy 0/1 vector, crossing only by ``bit_vector`` and ``from_bit_vector``
@@ -13,6 +13,7 @@ a numpy 0/1 vector, crossing only by ``bit_vector`` and ``from_bit_vector``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -23,11 +24,13 @@ from .errors import InputError
 __all__ = [
     "MAX_WINDOW_LENGTH",
     "check_window_length",
+    "check_anchored",
     "Window",
     "IntSet",
     "bit_bytes",
     "bit_vector",
     "from_bit_vector",
+    "convolve",
     "make_set",
     "full_set",
     "empty_set",
@@ -99,6 +102,13 @@ def check_window_length(w: Window, what: str) -> Window:
             f"{what}: window {w} has length {w.length}, over the cap of {MAX_WINDOW_LENGTH}"
         )
     return w
+
+
+def check_anchored(a: IntSet, what: str) -> int:
+    """hi of a's window, or an input error naming ``what`` unless the window starts at 1."""
+    if a.window.lo != 1:
+        raise InputError(f"{what} must live on a window starting at 1 (got {a.window}); rebase it")
+    return a.window.hi
 
 
 def _mask(n: int) -> int:
@@ -189,6 +199,52 @@ def from_bit_vector(arr, window: Window) -> IntSet:
     return IntSet(window, int.from_bytes(np.packbits(arr != 0, bitorder="little").tobytes(), "little"))
 
 
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Overflow])
+_BLOCK = 1 << 16  # least block of the longer vector per product: bounds the digit strings held
+
+
+def _lanes(vec: np.ndarray, w: int) -> Decimal:
+    """The sum of vec[i] * 10^(w*i) as one decimal: a w-digit lane per position."""
+    digits = np.full(len(vec) * w, ord("0"), dtype=np.uint8)
+    digits[w - 1 :: w] += vec[::-1]  # most significant lane first
+    text = str(digits, "ascii")
+    del digits  # Decimal() copies the text once more
+    return Decimal(text)
+
+
+def _lane_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The convolution of u and v read off one decimal product (see ``convolve``)."""
+    w = len(str(min(np.count_nonzero(u), np.count_nonzero(v))))
+    n = len(u) + len(v) - 1
+    prod = _EXACT.multiply(_lanes(u, w), _lanes(v, w))
+    digits = np.frombuffer(str(prod).rjust(n * w, "0").encode("ascii"), np.uint8) - ord("0")
+    del prod
+    out = np.zeros(n, dtype=np.int64)
+    for j in range(w):  # digit column j of every lane, most significant first
+        out *= 10
+        out += digits[j::w]
+    return out[::-1]
+
+
+def convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c[k] = sum_i u[i] * v[k - i] of two nonempty uint8 0/1 arrays, exact, as int64.
+
+    Blocks of max(2^16, shorter length) positions of the longer vector, and the
+    shorter vector, become decimals with a w-digit lane per position, w the
+    digits of the pair's smaller count of ones, which bounds every coefficient:
+    lanes never carry.  libmpdec multiplies exactly (number-theoretic
+    transform), 2 * MAX_WINDOW_LENGTH lanes of 8 digits stay below MAX_PREC,
+    and Inexact and Overflow are trapped: a count is never rounded.
+    """
+    u, v = sorted((u, v), key=len, reverse=True)  # blocks of the longer one
+    out = np.zeros(len(u) + len(v) - 1, dtype=np.int64)
+    step = max(_BLOCK, len(v))
+    for start in range(0, len(u), step):
+        block = u[start : start + step]
+        out[start : start + len(block) + len(v) - 1] += _lane_product(block, v)
+    return out
+
+
 def make_set(members: Iterable[int], window: Window) -> IntSet:
     """Build a set from members; any member outside the window is an error."""
     xs = list(members)
@@ -258,23 +314,19 @@ def complement_in(a: IntSet, w: Window) -> IntSet:
 def difference_set(a: IntSet, b: IntSet) -> IntSet:
     """{x - y : x in A, y in B} on window [A.lo - B.hi, A.hi - B.lo].
 
-    Accumulates shifted copies of A, one OR per member of B.  Empty inputs give
-    the empty set on the computed window.
+    The support of A convolved with B reversed, exact: ``convolve``'s lanes
+    are as wide as the digits of min(|A|, |B|), so they never carry; the
+    product stays under 2 * MAX_WINDOW_LENGTH * 8 digits < MAX_PREC; and
+    Inexact and Overflow are trapped.  Empty inputs give the empty set.
     """
     w = Window(a.window.lo - b.window.hi, a.window.hi - b.window.lo)
-    acc = 0
-    for y in b.members():  # x - y lands at offset (x - a.lo) + (b.hi - y)
-        acc |= a.bits << (b.window.hi - y)
-    return IntSet(w, acc)
+    return from_bit_vector(convolve(bit_vector(a), bit_vector(b)[::-1]), w)
 
 
 def sumset(a: IntSet, b: IntSet) -> IntSet:
-    """{x + y : x in A, y in B} on window [A.lo + B.lo, A.hi + B.hi]."""
+    """{x + y : x in A, y in B} on window [A.lo + B.lo, A.hi + B.hi]: the support of A * B."""
     w = Window(a.window.lo + b.window.lo, a.window.hi + b.window.hi)
-    acc = 0
-    for y in b.members():
-        acc |= a.bits << (y - b.window.lo)
-    return IntSet(w, acc)
+    return from_bit_vector(convolve(bit_vector(a), bit_vector(b)), w)
 
 
 def delta_set(a: IntSet) -> IntSet:

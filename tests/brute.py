@@ -80,6 +80,15 @@ def sumset(a, b):
     return {x + y for x in a for y in b}
 
 
+def convolve(u, v):
+    """c[k] = sum of u[i] * v[k - i] over every i, as a list of ints."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
 def shift_intersection(a, t: int):
     """A ∩ (A - t) as a plain set: members x with x and x + t both in A."""
     return {x for x in a if x + t in a}

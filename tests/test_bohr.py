@@ -181,6 +181,23 @@ def test_piecewise_search_no_witness():
     assert piecewise_bohr_search(d, 2, [Fraction(1, 4)], 1000) is None
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("nothing may be generated when Lmin exceeds the window")
+
+
+def test_piecewise_search_unreachable_lmin_tries_nothing(monkeypatch):
+    from diffsets import bohr
+
+    d = residues({0, 1, 6}, 7, 0, 349)
+    with pytest.raises(InputError, match="k_max"):
+        piecewise_bohr_search(d, 0, [Fraction(1, 3)], 351)
+    with pytest.raises(InputError, match="q_max"):
+        piecewise_bohr_search(d, 1, [Fraction(1, 3)], 351, q_max=1)
+    monkeypatch.setattr(bohr, "suggest_freqs", _refuse)
+    monkeypatch.setattr(bohr, "bohr_generate", _refuse)
+    assert piecewise_bohr_search(d, 17, [Fraction(1, 3)], 351, q_max=17, shifts=(-3,)) is None
+
+
 def test_piecewise_search_guards():
     d = residues({0}, 7, 0, 99)
     with pytest.raises(InputError):

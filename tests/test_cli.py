@@ -265,6 +265,25 @@ def test_bohr_search_subcommand(workdir, capsys):
     assert rep["certificates"]["containment"]["ok"] is True
 
 
+def test_bohr_search_unreachable_lmin(workdir, capsys, monkeypatch):
+    from diffsets import bohr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be generated when --Lmin exceeds the window")
+
+    monkeypatch.setattr(bohr, "suggest_freqs", refuse)
+    monkeypatch.setattr(bohr, "bohr_generate", refuse)
+    code, out, _ = run(
+        [
+            "bohr", "--d", "a.set", "--search", "--kmax", "17", "--qmax", "17",
+            "--Lmin", "2101", "--eps-grid", "1/3", "--shifts=-3",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["witness"] is None
+
+
 def test_selftest_subcommand(capsys):
     code, out, _ = run(["selftest", "--trials", "20", "--seed", "1"], capsys)
     assert code == 0

@@ -70,8 +70,24 @@ def test_pigeonhole_window_policing():
         pigeonhole_shift(make_set([0, 1], Window(0, 9)), make_set([1], Window(1, 3)))
     with pytest.raises(InputError):
         pigeonhole_shift(make_set([1], Window(1, 9)), make_set([2], Window(2, 3)))
-    with pytest.raises(InputError):
-        pigeonhole_shift(IntSet(Window(1, 9), 1), IntSet(Window(1, 1 << 16), 1))
+
+
+def test_pigeonhole_second_window_past_16_bits():
+    # nu = 2^16 + 1, past the old 16-bit lanes; the overlap is recounted by AND.  C has
+    # period 7 far beyond D, so the shifts before the chosen one and a period after it
+    # show that it is the least maximizer
+    nu = (1 << 16) + 1
+    c = residues({0, 1, 3}, 7, 1, 10 * nu)
+    d = residues({1, 2}, 5, 1, nu)
+    got = pigeonhole_shift(c, d)
+    assert got.sub_len == nu and got.ratio >= got.bound
+
+    def overlap(x):  # |(C - x) ∩ D|, bit i standing for element i + 1 of both
+        return ((c.bits >> x) & d.bits).bit_count()
+
+    assert got.ratio == Fraction(overlap(got.shift), nu)
+    assert all(overlap(x) < overlap(got.shift) for x in range(1, got.shift))
+    assert max(overlap(x) for x in range(got.shift, got.shift + 7)) == overlap(got.shift)
 
 
 def test_pigeonhole_frozen():
@@ -226,7 +242,7 @@ def test_trace_extract_guards():
     with pytest.raises(InputError):
         trace_extract(c, 3, Fraction(0))
     with pytest.raises(InputError):
-        trace_extract(c, 17, Fraction(1, 2), n_max=16)
+        trace_extract(c, 17, Fraction(1, 2))
     with pytest.raises(InputError):
         trace_extract(c, 20, Fraction(1, 2))
     with pytest.raises(InfeasibleError):

@@ -23,7 +23,7 @@ from diffsets import (
     union,
     write_set_file,
 )
-from diffsets.intset import bit_vector, combine_shifts, from_bit_vector
+from diffsets.intset import bit_vector, combine_shifts, convolve, from_bit_vector
 
 windows = st.builds(
     lambda lo, length: Window(lo, lo + length),
@@ -155,16 +155,69 @@ def test_combine_shifts_matches_sets(a, shifts, join):
     assert got.window == w and set(got) == {x for x in want if x in w}
 
 
-@given(intsets(), intsets())
+def zero_one(length, ones):
+    """0/1 lists of the given length with exactly ``ones`` ones."""
+    return st.sets(st.integers(0, length - 1), min_size=ones, max_size=ones).map(
+        lambda idx: [int(i in idx) for i in range(length)]
+    )
+
+
+@given(st.sampled_from([0, 1, 9, 10, 99, 100]), st.booleans(), st.data())
+def test_convolve_matches_brute(k, swap, data):
+    # k is the smaller count of ones: lanes 1, 2 and 3 digits wide, on both sides of 9 and 99
+    lu = data.draw(st.integers(max(k, 1), 260))
+    lv = data.draw(st.integers(max(k, 1), 260))
+    u = data.draw(zero_one(lu, k))
+    v = data.draw(zero_one(lv, data.draw(st.integers(k, lv))))
+    if swap:
+        u, v = v, u
+    got = convolve(np.array(u, dtype=np.uint8), np.array(v, dtype=np.uint8))
+    assert got.dtype == np.int64
+    assert got.tolist() == brute.convolve(u, v)
+
+
+@pytest.mark.parametrize("lu, lv", [(1, 1), (1, 7), (9, 9), (10, 3), (99, 100), (100, 250)])
+def test_convolve_all_ones_and_all_zeros(lu, lv):
+    ones_u, ones_v = np.ones(lu, dtype=np.uint8), np.ones(lv, dtype=np.uint8)
+    assert convolve(ones_u, ones_v).tolist() == brute.convolve([1] * lu, [1] * lv)
+    assert convolve(np.zeros(lu, dtype=np.uint8), ones_v).tolist() == [0] * (lu + lv - 1)
+
+
+@pytest.mark.parametrize("lu, lv", [(3 * 2**16 + 5, 300), (2**17 + 3, 2**16 + 1)])
+def test_convolve_across_blocks(lu, lv):
+    # longer than one product block; sparse, so a loop over the pairs of ones is the reference
+    rng = np.random.default_rng(lu)
+    u = (rng.random(lu) < 0.01).astype(np.uint8)
+    v = (rng.random(lv) < (0.5 if lv < 1000 else 0.005)).astype(np.uint8)
+    want = [0] * (lu + lv - 1)
+    for i in np.flatnonzero(u).tolist():
+        for j in np.flatnonzero(v).tolist():
+            want[i + j] += 1
+    assert convolve(u, v).tolist() == want
+    assert convolve(v, u).tolist() == want
+
+
+@st.composite
+def populous(draw):
+    """Sets of at least ten members."""
+    lo = draw(st.integers(-50, 50))
+    length = draw(st.integers(10, 120))
+    idx = draw(st.sets(st.integers(0, length - 1), min_size=10))
+    return make_set([lo + i for i in idx], Window(lo, lo + length - 1))
+
+
+@given(intsets() | populous(), intsets() | populous())
 def test_difference_set_matches_brute(a, b):
     d = difference_set(a, b)
     assert set(d) == brute.difference(set(a), set(b))
     assert d.window == Window(a.window.lo - b.window.hi, a.window.hi - b.window.lo)
 
 
-@given(intsets(), intsets())
+@given(intsets() | populous(), intsets() | populous())
 def test_sumset_matches_brute(a, b):
-    assert set(sumset(a, b)) == brute.sumset(set(a), set(b))
+    s = sumset(a, b)
+    assert set(s) == brute.sumset(set(a), set(b))
+    assert s.window == Window(a.window.lo + b.window.lo, a.window.hi + b.window.hi)
 
 
 @given(intsets())
