@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import longest_run
 from .errors import InputError, VerificationError
-from .intset import IntSet, Window, bit_vector, complement_in, from_bit_vector, restrict
+from .intset import MAX_WINDOW_LENGTH, IntSet, Window, bit_vector, complement_in, from_bit_vector, restrict
 
 __all__ = [
     "BohrSpec",
@@ -50,6 +50,11 @@ class BohrSpec:
         for r in self.freqs:
             if not 0 <= r < 1:
                 raise InputError(f"frequency {r} outside [0, 1)")
+            if r.denominator > MAX_WINDOW_LENGTH:  # its residue table has one entry per residue
+                raise InputError(
+                    f"frequency {r}: denominator {r.denominator} is over the cap of "
+                    f"{MAX_WINDOW_LENGTH}"
+                )
         if self.eps <= 0:
             raise InputError("eps must be positive")
         # anything above 1/2 makes every x a member; accepted, but trivial
@@ -60,15 +65,17 @@ class BohrSpec:
 
 
 def _residue_table(r: Fraction, eps: Fraction) -> np.ndarray:
-    """allowed[m] iff ||r * m|| < eps, for m in [0, q)."""
-    q = r.denominator
-    p = r.numerator
-    allowed = np.zeros(q, dtype=bool)
-    for m in range(q):
-        v = (p * m) % q
-        # distance to nearest integer is min(v, q-v)/q; compare to eps exactly
-        allowed[m] = min(v, q - v) * eps.denominator < eps.numerator * q
-    return allowed
+    """allowed[m] iff ||r * m|| < eps, for m in [0, q).
+
+    With r = p/q and v = p*m mod q the distance to the nearest integer is
+    min(v, q - v)/q, and it is below eps = a/b iff min(v, q - v) < ceil(a*q/b).
+    The bound is a Python integer, clipped to q (every distance is below q);
+    p*m < q^2 <= MAX_WINDOW_LENGTH^2 = 10^14 < 2^63, so the int64 pass is exact.
+    """
+    q, p = r.denominator, r.numerator
+    v = p * np.arange(q, dtype=np.int64) % q
+    bound = min(-(-eps.numerator * q // eps.denominator), q)
+    return np.minimum(v, q - v) < bound
 
 
 def bohr_generate(spec: BohrSpec, window: Window) -> IntSet:
@@ -147,11 +154,15 @@ def piecewise_bohr_search(
 ) -> PiecewiseBohrWitness | None:
     """Search for a Bohr set whose restriction to a long interval sits in D.
 
-    Candidate frequencies come from the heuristic suggester; subsets are tried
-    in lexicographic order of ascending size, eps values in descending order,
-    then the given shifts.  For each spec the longest violation-free interval
-    is found exactly; the first witness attaining the maximum interval length
-    of at least l_min wins.  The winner is re-verified via bohr_contained.
+    Candidate frequencies come from the heuristic suggester.  Specs are tried
+    in this order: subsets by ascending size, each size in lexicographic order
+    of combinations, then eps values in descending order, then the shifts in
+    the order given.  For each spec the longest violation-free interval is
+    found exactly; the first spec attaining the maximum length, if that is at
+    least l_min, wins (least start within a spec).  The search stops once a
+    run spans the whole window: no later spec can beat that length, and a tie
+    goes to the earlier spec, so the winner is the one the full order would
+    pick.  The winner is re-verified via bohr_contained.
     """
     if l_min < 1:
         raise InputError("l_min must be >= 1")
@@ -163,25 +174,22 @@ def piecewise_bohr_search(
     freqs = suggest_freqs(d, k_max, q_max=q_max)
     window = d.window
     best: PiecewiseBohrWitness | None = None
-    for size in range(1, len(freqs) + 1):
-        for combo in combinations(freqs, size):
-            for eps in eps_values:
-                for shift in shifts:
-                    spec = BohrSpec(tuple(combo), eps, shift)
-                    s = bohr_generate(spec, window)
-                    clean = complement_in(IntSet(window, s.bits & ~d.bits), window)
-                    run = longest_run(clean)
-                    if run is None:
-                        continue
-                    start, length = run
-                    if length < l_min:
-                        continue
-                    if best is None or length > best.interval.length:
-                        interval = Window(start, start + length - 1)
-                        inside = restrict(s, interval).count
-                        best = PiecewiseBohrWitness(
-                            spec, interval, inside, Fraction(inside, length)
-                        )
+    for combo, eps, shift in _trials(freqs, eps_values, shifts):
+        spec = BohrSpec(combo, eps, shift)
+        s = bohr_generate(spec, window)
+        clean = complement_in(IntSet(window, s.bits & ~d.bits), window)
+        run = longest_run(clean)
+        if run is None:
+            continue
+        start, length = run
+        if length < l_min:
+            continue
+        if best is None or length > best.interval.length:
+            interval = Window(start, start + length - 1)
+            inside = restrict(s, interval).count
+            best = PiecewiseBohrWitness(spec, interval, inside, Fraction(inside, length))
+            if length == window.length:
+                break
     if best is not None:
         check = bohr_contained(
             bohr_generate(best.spec, window), d, best.interval
@@ -189,3 +197,12 @@ def piecewise_bohr_search(
         if not check.ok:
             raise VerificationError("piecewise witness failed its own recount")
     return best
+
+
+def _trials(freqs, eps_values, shifts):
+    """(combination, eps, shift) in the search's trial order."""
+    for size in range(1, len(freqs) + 1):
+        for combo in combinations(freqs, size):
+            for eps in eps_values:
+                for shift in shifts:
+                    yield combo, eps, shift

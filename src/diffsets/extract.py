@@ -54,6 +54,7 @@ __all__ = [
 
 TRACE_CAP = 16  # longest trace extracted; the 2^-n match share degrades beyond it
 MIN_RATIO = 10  # least window_len / sub_len: the sub_len/window_len correction stays small
+RECOUNT_SPAN = 1 << 12  # positions of C held as a Python set while recounting match traces
 
 
 # -- pigeonhole alignment ------------------------------------------------------
@@ -210,14 +211,17 @@ def verify_extraction(c: IntSet, cert: ExtractionCertificate) -> bool:
             nxt = next(it, None)
         if have * den < num * i:
             raise VerificationError(f"prefix counting function fails at i = {i}")
-    members = set(c.members())
     pset = set(elems)
     if cert.matches.window != Window(0, big - n):
         raise VerificationError("match offsets live on the wrong window")
     if cert.matches.count == 0:
         raise VerificationError("empty match class")
+    held, held_hi = set(), 0  # members of C on [theta + 1, held_hi], refilled as theta grows
     for theta in cert.matches.members():
-        trace = {x - theta for x in range(theta + 1, theta + n + 1) if x in members}
+        if theta + n > held_hi:
+            held_hi = min(theta + n + RECOUNT_SPAN, big)
+            held = set(restrict(c, Window(theta + 1, held_hi)).members())
+        trace = {x - theta for x in range(theta + 1, theta + n + 1) if x in held}
         if trace != pset:
             raise VerificationError(f"offset {theta} does not reproduce the prefix")
     if cert.region_size > big - n + 1:

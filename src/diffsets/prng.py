@@ -37,11 +37,16 @@ def stream_block(seed: int, start: int, count: int) -> np.ndarray:
     Bit-identical to calling stream_value at each position.
     """
     with np.errstate(over="ignore"):
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        z = (np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(seed & MASK64)
+        t = np.empty_like(z)  # the one scratch buffer: every step runs in place
+        z ^= np.right_shift(z, np.uint64(30), out=t)
+        z *= np.uint64(_M1)
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= np.uint64(_M2)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+        return z
 
 
 class Stream:

@@ -7,6 +7,7 @@ functions and checked by hand where a hand check was feasible.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def window_counts(members, lo: int, hi: int, n: int):
@@ -149,6 +150,34 @@ def bohr_members(freqs, eps: Fraction, shift: int, lo: int, hi: int):
         if ok:
             out.add(x)
     return out
+
+
+def bohr_search(members, lo: int, hi: int, freqs, eps_grid, l_min: int, shifts):
+    """First spec, in trial order, whose longest interval free of S minus D is longest.
+
+    Trial order: subsets of freqs by ascending size, each size in
+    lexicographic order, then eps descending, then shifts as given; runs
+    shorter than l_min do not count.  Returns (freqs, eps, shift, (start,
+    end), members of S in the interval, coverage) or None; no early stop.
+    """
+    eps_values = sorted(set(eps_grid), reverse=True)
+    best = None
+    for size in range(1, len(freqs) + 1):
+        for combo in combinations(freqs, size):
+            for eps in eps_values:
+                for shift in shifts:
+                    s = bohr_members(combo, eps, shift, lo, hi)
+                    clean = {x for x in range(lo, hi + 1) if x not in s or x in members}
+                    run = longest_run(clean)
+                    if run is None or run[1] < l_min:
+                        continue
+                    start, length = run
+                    if best is None or length > best[3][1] - best[3][0] + 1:
+                        end = start + length - 1
+                        inside = len([x for x in s if start <= x <= end])
+                        best = (tuple(combo), eps, shift, (start, end), inside,
+                                Fraction(inside, length))
+    return best
 
 
 def fraction_floor(gamma: Fraction, n: int):

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import brute
 from diffsets import (
     BohrSpec,
     InputError,
     IntSet,
+    VerificationError,
     Window,
     bohr_contained,
     bohr_generate,
@@ -17,6 +18,7 @@ from diffsets import (
     piecewise_bohr_search,
     suggest_freqs,
 )
+from diffsets.intset import MAX_WINDOW_LENGTH
 
 
 def residues(classes, modulus, lo, hi):
@@ -41,6 +43,22 @@ def test_spec_validation():
     spec = BohrSpec.of(["1/7", "2/5"], "1/4", shift=3)
     assert spec.freqs == (Fraction(1, 7), Fraction(2, 5))
     assert spec.eps == Fraction(1, 4)
+    # a residue table has one entry per residue: huge denominators are refused up front
+    with pytest.raises(InputError, match="1/100000000000000"):
+        BohrSpec.of([Fraction(1, 7), Fraction(1, 10**14)], Fraction(1, 3))
+    at_cap = Fraction(1, MAX_WINDOW_LENGTH)
+    assert BohrSpec.of([at_cap], Fraction(1, 3)).freqs == (at_cap,)
+
+
+@pytest.mark.parametrize("freq", [Fraction(3, 1000003), Fraction(4999, 9973), Fraction(0)])
+@pytest.mark.parametrize(
+    "eps",
+    [Fraction(1, 10**30), Fraction(1, 3), Fraction(10**30 + 1, 2 * 10**30), Fraction(5, 2)],
+)
+def test_generate_exact_for_big_denominators_and_fine_eps(freq, eps):
+    w = Window(-30, 29)
+    got = bohr_generate(BohrSpec.of([freq], eps, shift=7), w)
+    assert set(got.members()) == brute.bohr_members([freq], eps, 7, w.lo, w.hi)
 
 
 @given(st.data())
@@ -204,3 +222,95 @@ def test_piecewise_search_guards():
         piecewise_bohr_search(d, 2, [Fraction(1, 4)], 0)
     with pytest.raises(InputError):
         piecewise_bohr_search(d, 2, [Fraction(0)], 10)
+
+
+def _assert_search_matches_brute(d, k_max, eps_grid, l_min, q_max, shifts):
+    members = set(d.members())
+    wit = piecewise_bohr_search(d, k_max, eps_grid, l_min, q_max=q_max, shifts=shifts)
+    freqs = suggest_freqs(d, k_max, q_max=q_max)
+    want = brute.bohr_search(members, d.window.lo, d.window.hi, freqs, eps_grid, l_min, shifts)
+    got = None if wit is None else (
+        wit.spec.freqs, wit.spec.eps, wit.spec.shift, (wit.interval.lo, wit.interval.hi),
+        wit.members, wit.coverage,
+    )
+    assert got == want
+
+
+EPS_POOL = [Fraction(1, 2), Fraction(2, 5), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_piecewise_search_matches_brute(data):
+    lo = data.draw(st.integers(-40, 20))
+    length = data.draw(st.integers(1, 70))
+    if data.draw(st.booleans()):
+        modulus = data.draw(st.integers(2, 9))
+        classes = data.draw(st.sets(st.integers(0, modulus - 1), min_size=1))
+        flips = data.draw(st.sets(st.integers(0, length - 1), max_size=3))
+        keep = [((lo + i) % modulus in classes) != (i in flips) for i in range(length)]
+    else:
+        keep = data.draw(st.lists(st.booleans(), min_size=length, max_size=length))
+    d = make_set([lo + i for i in range(length) if keep[i]], Window(lo, lo + length - 1))
+    eps_grid = data.draw(st.lists(st.sampled_from(EPS_POOL), min_size=1, max_size=4))
+    # repeated or period-apart shifts give tying specs; the earlier one must win
+    shifts = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
+    l_min = data.draw(st.one_of(st.integers(1, 6), st.integers(max(1, length - 3), length + 1)))
+    k_max = data.draw(st.integers(1, 3))
+    q_max = data.draw(st.integers(2, 8))
+    _assert_search_matches_brute(d, k_max, eps_grid, l_min, q_max, shifts)
+
+
+@pytest.mark.parametrize(
+    "members, window, k_max, eps_grid, l_min, shifts",
+    [
+        # negative lo, several eps values, shifts a period apart (tie)
+        ([x for x in range(-35, 40) if x % 6 in (0, 1, 5)], Window(-35, 39), 3,
+         [Fraction(1, 3), Fraction(1, 5), Fraction(1, 4)], 10, (6, 0, 12, 0)),
+        # Lmin equal to the window length, met by a full-window witness
+        ([x for x in range(-20, 29) if x % 7 in (0, 1, 6)], Window(-20, 28), 3,
+         [Fraction(1, 4)], 49, (3, 0)),
+        # Lmin one short of the window, a hole in the middle: no witness at all
+        ([x for x in range(-20, 29) if x % 7 in (0, 1, 6) and x != 0], Window(-20, 28), 1,
+         [Fraction(1, 4), Fraction(1, 6)], 48, (0, 7)),
+        # an empty D: an S with a long empty stretch wins, or none when Lmin beats q_max
+        ([], Window(-10, 29), 3, [Fraction(1, 6), Fraction(1, 10)], 3, (0, 1)),
+        ([], Window(-10, 29), 1, [Fraction(1, 6), Fraction(1, 10)], 9, (0, 1)),
+    ],
+)
+def test_piecewise_search_matches_brute_on_edge_cases(
+    members, window, k_max, eps_grid, l_min, shifts
+):
+    _assert_search_matches_brute(make_set(members, window), k_max, eps_grid, l_min, 8, shifts)
+
+
+def test_piecewise_search_stops_at_a_full_window_witness(monkeypatch):
+    from diffsets import bohr
+
+    calls = []
+    real = bohr._residue_table
+
+    def counted(r, eps):
+        calls.append((r, eps))
+        return real(r, eps)
+
+    monkeypatch.setattr(bohr, "_residue_table", counted)
+    d = residues({0, 1, 6}, 7, 0, 349)
+    wit = piecewise_bohr_search(d, 2, [Fraction(1, 5), Fraction(1, 4)], 100, shifts=(0, 1, 2))
+    assert wit.spec == BohrSpec.of([Fraction(1, 7)], Fraction(1, 4), 0)
+    assert wit.interval == d.window
+    # one table for the first spec and one for its re-verification; every later
+    # spec (shift 1, eps 1/5, frequency 2/7) would need a table of its own
+    assert calls == [(Fraction(1, 7), Fraction(1, 4))] * 2
+
+
+def test_piecewise_search_raises_when_the_recount_fails(monkeypatch):
+    from diffsets import bohr
+
+    def violated(s, a, interval):
+        return bohr.BohrContainment(False, 1, 1, [interval.lo])
+
+    monkeypatch.setattr(bohr, "bohr_contained", violated)
+    d = residues({0, 1, 6}, 7, 0, 349)
+    with pytest.raises(VerificationError, match="recount"):
+        piecewise_bohr_search(d, 2, [Fraction(1, 4)], 100)

@@ -371,6 +371,9 @@ def test_exit_2_on_oversize_window(workdir, capsys, monkeypatch):
         (["cover", "--set", "a.set", "--eps", "0", "--n", "5", f"--x=0..{cap}"], "candidate range"),
         (["embed", "--x", "a.set", "--y", "a.set", "--m", "3", f"--srange=0..{cap}"], "srange"),
         (["bohr", "--d", "a.set", "--freqs", "1/5", f"--interval=0..{cap}"], "interval"),
+        # a Bohr frequency's residue table has one entry per residue mod its denominator
+        (["bohr", "--d", "a.set", "--freqs", "1/100000000000000", "--eps", "1/3"],
+         "1/100000000000000"),
     ]:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, ""), argv

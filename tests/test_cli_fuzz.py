@@ -4,11 +4,12 @@ Exit codes 0, 2, 3 and 4 are the documented ones; exit 1, a Python traceback,
 never is.  Each flag draws from a small pool of good, bad and edge values
 (zero, negatives, reversed ranges, malformed fractions, missing or malformed
 set files) on set files of at most 60 positions, so an example runs in
-milliseconds.  Values that only make a run long (selftest trial counts and
-Bohr search sizes past 2: ``--kmax 17 --qmax 17`` searches for about 20 s)
-are left out of the pools; huge values that must be refused up front are in
-them.  The examples are derandomized, so the suite
-runs the same argvs every time.
+milliseconds.  Values that only make a run long (selftest trial counts past
+2, Bohr search sizes past 4: ``--kmax 17 --qmax 17 --shifts=3`` on a.set,
+where every spec holds the non-member 3 so the search never stops early,
+tries 2^19 specs in about 110 s) are left out of the pools; huge values that
+must be refused up front are in them.  The examples are derandomized, so the
+suite runs the same argvs every time.
 """
 
 import contextlib
@@ -42,11 +43,12 @@ def _ints(*extra):
     return st.sampled_from(["0", "-5", "1", "2", "3", "8", "17", "x", ""] + list(extra))
 
 
-SMALL = st.sampled_from(["0", "-5", "1", "2", "x", ""])  # search sizes and trial counts
+SMALL = st.sampled_from(["0", "-5", "1", "2", "x", ""])  # selftest trial counts
+SEARCH = st.sampled_from(["0", "-5", "1", "2", "3", "4", "x", ""])  # Bohr search sizes
 FRACS = st.sampled_from(["0", "1/4", "1/20", "-1/4", "1/0", "3", "x", "2/3", ""])
 RANGES = st.sampled_from(["-5..5", "5..1", "0..0", "1..30", "-200..200", "a..b", "5", f"0..{HUGE}"])
 CANDIDATES = st.one_of(RANGES, st.sampled_from(["[0,1,2]", "[]", "[1.5]", "0,2,4", "1,x", "{}"]))
-FRACLISTS = st.sampled_from(["1/5,2/7", "1/3", "", ",", "x", "1/0", "-1/4"])
+FRACLISTS = st.sampled_from(["1/5,2/7", "1/3", "", ",", "x", "1/0", "-1/4", "1/100000000000000"])
 FILES = st.sampled_from(SETS)
 
 # every subcommand: its flags, each with a value pool (None for a switch)
@@ -67,8 +69,8 @@ FLAGS = {
                  "--n": _ints(HUGE), "--slack": FRACS, "--chain": FILES, "--jin": None,
                  "--intersect": None, "--eps": FRACS, "--x": CANDIDATES, "--mandate": _ints()},
     "bohr": {"--d": FILES, "--freqs": FRACLISTS, "--eps": FRACS, "--shift": _ints(HUGE),
-             "--interval": RANGES, "--search": None, "--kmax": SMALL, "--Lmin": _ints(HUGE),
-             "--eps-grid": FRACLISTS, "--qmax": SMALL, "--shifts": st.sampled_from(
+             "--interval": RANGES, "--search": None, "--kmax": SEARCH, "--Lmin": _ints(HUGE),
+             "--eps-grid": FRACLISTS, "--qmax": SEARCH, "--shifts": st.sampled_from(
                  ["0,1", "", "x", "-3"])},
     "selftest": {"--trials": SMALL, "--seed": _ints(HUGE)},
 }

@@ -269,6 +269,24 @@ def test_verify_extraction_catches_tampering():
         verify_extraction(c, drifted)
 
 
+@pytest.mark.parametrize("span", [0, 1, 3, 7, 4096])
+def test_verify_extraction_refills_its_recount_window(monkeypatch, span):
+    import dataclasses
+
+    from diffsets import VerificationError, extract
+
+    monkeypatch.setattr(extract, "RECOUNT_SPAN", span)
+    c = residues({0, 1}, 5, 1, 1000)
+    cert = trace_extract(c, 5, Fraction(2, 5))
+    assert verify_extraction(c, cert)
+    # offsets 902 and 993 hold other traces; each must be read from its own window
+    for theta in (902, 993):
+        m = cert.matches
+        forged = IntSet(m.window, m.bits | 1 << (theta - m.window.lo))
+        with pytest.raises(VerificationError, match=f"offset {theta} "):
+            verify_extraction(c, dataclasses.replace(cert, matches=forged))
+
+
 # ---------------------------------------------------------------------------
 # extraction from the best window of an ambient set
 
