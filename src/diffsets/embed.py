@@ -107,25 +107,46 @@ class WindowEmbedReport:
     failing_pattern: Pattern | None = None
 
 
+DIRECT_BITS = 16  # widest window labelled by its own code: a 2^16-entry presence table
+
+
 def trace_classes(vec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(ids, firsts): ids[i] labels vec[i : i + m], equal exactly for equal windows; firsts[k]
-    is the least i labelled k.  Labels of the length-p windows at i and i + s (s <= p) pair
-    into length-(p + s) labels, re-ranked, so they stay exact and small for any m.  They rank
-    the windows as 0/1 strings, so an all-zero window is labelled 0.
+    is the least i labelled k.  The labels rank the windows as 0/1 strings, so an all-zero
+    window is labelled 0.
+
+    A window of q = min(m, 16) bits is read as its code, first bit most significant, so code
+    order is string order: the ranks are a 2^q presence table's cumulative sum read at each
+    code, and np.minimum.at takes each class's least offset, with no sort.  For m > 16 the
+    length-p labels at i and i + s (s <= p) pair into length-(p + s) labels, re-ranked by a
+    stable sort, from p = 16 until p = m; the labels stay exact and small for any m.
     """
-    ids, k, p = vec.astype(np.int32), 2, 1  # int32 labels and order halve the arrays kept
-    while True:
+    if not 1 <= m <= len(vec):
+        raise InputError(f"trace length m = {m} not in [1, {len(vec)}]")
+    p = min(m, DIRECT_BITS)
+    n = len(vec) - p + 1
+    codes = np.zeros(n, dtype=np.int32)
+    for j in range(p):
+        codes <<= 1
+        codes |= vec[j : j + n]
+    present = np.zeros(1 << p, dtype=bool)
+    present[codes] = True
+    rank = np.cumsum(present, dtype=np.int32) - 1
+    ids = rank[codes]
+    del codes  # freed before the offsets are allocated
+    firsts = np.full(int(rank[-1]) + 1, n, dtype=np.int32)
+    np.minimum.at(firsts, ids, np.arange(n, dtype=np.int32))
+    while p < m:
         s = min(p, m - p)
-        keys = ids[: len(ids) - s].astype(np.int64) * k + ids[s:]
+        keys = ids[: len(ids) - s].astype(np.int64) * len(firsts) + ids[s:]
         order = np.argsort(keys, kind="stable").astype(np.int32)
         keys = keys[order]
         first = np.concatenate(([True], keys[1:] != keys[:-1]))
         firsts = order[first]  # the sort is stable: each class's least offset
         ids = np.empty(len(order), dtype=np.int32)
         ids[order] = np.cumsum(first, dtype=np.int32) - 1
-        k, p = len(firsts), p + s
-        if p == m:
-            return ids, firsts
+        p += s
+    return ids, firsts
 
 
 def trace_pattern(vec: np.ndarray, offset: int, m: int) -> Pattern:

@@ -111,6 +111,15 @@ def embed_shifts(pattern, y, s_lo: int, s_hi: int):
     return {t for t in range(s_lo, s_hi + 1) if all(t + e in y for e in pattern)}
 
 
+def trace_classes(bits, m: int):
+    """(ids, firsts): ids[i] is the rank of the 0/1 string bits[i : i + m] among the distinct
+    length-m windows, firsts[k] the least offset of the window ranked k."""
+    windows = [tuple(bits[i : i + m]) for i in range(len(bits) - m + 1)]
+    ranked = sorted(set(windows))
+    rank = {w: k for k, w in enumerate(ranked)}
+    return [rank[w] for w in windows], [windows.index(w) for w in ranked]
+
+
 def trace(members, theta: int, n: int):
     """(C - theta) ∩ [1, n] as a sorted tuple."""
     return tuple(i for i in range(1, n + 1) if theta + i in members)

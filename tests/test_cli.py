@@ -2,8 +2,11 @@
 
 The five reference reports under golden/ pin the full output of analyze,
 delta and cover (the last two also with --upper) on a {0,1} mod 5 residue
-set; comparison drops the timing block and nothing else.  The rest of the
-module walks every subcommand once and exercises each exit code path.
+set.  embed_dense.json pins two `embed --dense` reports (a trace length up to
+16 and one above it), so the order of the distinct traces is pinned, and
+extract.json pins one `extract` report, on small generated sets.  Comparison
+drops the timing block and nothing else.  The rest of the module walks every
+subcommand once and exercises each exit code path.
 """
 
 import json
@@ -95,6 +98,41 @@ def test_cover_upper_matches_golden(workdir, capsys):
     )
     assert code == 0
     assert canon(out) == canon((GOLDEN / "cover_upper.json").read_text())
+
+
+def _gen(spec, out, capsys):
+    assert main(["gen", "--spec", spec, "--out", out]) == 0
+    capsys.readouterr()
+
+
+# one trace length on the direct-code path (m <= 16), one on the doubling path
+EMBED_DENSE_RUNS = (
+    ["embed", "--x", "x.set", "--y", "y.set", "--m", "12", "--dense", "--n", "50"],
+    ["embed", "--x", "k.set", "--y", "y.set", "--m", "20", "--dense", "--n", "50"],
+)
+
+
+def test_embed_dense_matches_golden(workdir, capsys):
+    _gen('{"kind":"bernoulli","window":[1,120],"seed":5,"p":"1/2"}', "x.set", capsys)
+    _gen('{"kind":"blocks","window":[1,400]}', "k.set", capsys)
+    _gen('{"kind":"bernoulli","window":[1,300],"seed":11,"p":"1/2"}', "y.set", capsys)
+    golden = json.loads((GOLDEN / "embed_dense.json").read_text())
+    assert len(golden) == len(EMBED_DENSE_RUNS)
+    for argv, want in zip(EMBED_DENSE_RUNS, golden):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        want.pop("timing", None)
+        assert canon(out) == want
+
+
+def test_extract_matches_golden(workdir, capsys):
+    _gen('{"kind":"bernoulli","window":[1,4000],"seed":7,"p":"1/2"}', "c.set", capsys)
+    code, out, _ = run(
+        ["extract", "--set", "c.set", "--n", "10", "--slack", "1/20", "--window", "4000"],
+        capsys,
+    )
+    assert code == 0
+    assert canon(out) == canon((GOLDEN / "extract.json").read_text())
 
 
 def test_report_out_flag_writes_file(workdir, capsys):

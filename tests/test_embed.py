@@ -1,7 +1,9 @@
 """Pattern embedding, shift sets, and AP search against exhaustive scans."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from diffsets import (
     Pattern,
     Window,
     ap_shift_density,
+    bernoulli_set,
     delta_set,
     dense_embed_est,
     embed_witness,
@@ -19,8 +22,11 @@ from diffsets import (
     make_set,
     restrict,
     shift_set_of,
+    trace_extract,
+    verify_extraction,
     window_embeddable,
 )
+from diffsets.embed import trace_classes
 
 
 def residues(classes, modulus, lo, hi):
@@ -116,6 +122,54 @@ def test_dense_embed_matches_direct_estimate(inst, n):
     got = dense_embed_est(f, y, srange, n)
     want = brute.upper_banach(set(s.members()), srange.lo, srange.hi, n)
     assert (got.value, got.at) == want
+
+
+# ---------------------------------------------------------------------------
+# trace classes
+
+
+@st.composite
+def trace_vectors(draw, m):
+    """0/1 vectors of m (a single window) to 300 positions: random, sparse, dense,
+    periodic, all-zero or all-one."""
+    length = draw(st.integers(m, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "sparse", "dense", "periodic", "zero", "one"]))
+    if kind == "periodic":
+        period = [rng.randrange(2) for _ in range(rng.randint(1, 9))]
+        bits = [period[i % len(period)] for i in range(length)]
+    else:
+        p = {"random": 0.5, "sparse": 0.05, "dense": 0.95, "zero": 0.0, "one": 1.0}[kind]
+        bits = [int(rng.random() < p) for _ in range(length)]
+    return bits
+
+
+# 16 is the widest directly coded window; past it the labels double from 16 bits
+@pytest.mark.parametrize("m", [1, 2, 7, 15, 16, 17, 31, 32, 33, 40])
+@given(data=st.data())
+def test_trace_classes_match_brute(m, data):
+    bits = data.draw(trace_vectors(m))
+    ids, firsts = trace_classes(np.array(bits, dtype=np.uint8), m)
+    assert (ids.tolist(), firsts.tolist()) == brute.trace_classes(bits, m)
+
+
+def test_trace_classes_refuses_m_outside_the_vector():
+    vec = np.ones(5, dtype=np.uint8)
+    for m in (0, -1, 6):
+        with pytest.raises(InputError, match=f"m = {m}"):
+            trace_classes(vec, m)
+
+
+def test_trace_classes_do_not_sort_up_to_16_bits(monkeypatch):
+    c = bernoulli_set(Window(1, 3000), Fraction(1, 2), 3)
+    y = bernoulli_set(Window(1, 2000), Fraction(1, 2), 4)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("numpy.argsort called")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    assert verify_extraction(c, trace_extract(c, 12, Fraction(1, 4)))
+    assert window_embeddable(c, y, 8, Window(1, 1993)).checked > 0
 
 
 # ---------------------------------------------------------------------------
