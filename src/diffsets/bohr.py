@@ -35,6 +35,9 @@ __all__ = [
     "piecewise_bohr_search",
 ]
 
+MAX_QMAX = 256  # the suggester's cost grows with q_max^2: 0.28 s at 256 on a 10^5 window
+MAX_SPECS = 1 << 12  # search trials; each regenerates a window-length Bohr set
+
 
 @dataclass(frozen=True)
 class BohrSpec:
@@ -162,7 +165,8 @@ def piecewise_bohr_search(
     least l_min, wins (least start within a spec).  The search stops once a
     run spans the whole window: no later spec can beat that length, and a tie
     goes to the earlier spec, so the winner is the one the full order would
-    pick.  The winner is re-verified via bohr_contained.
+    pick.  The winner is re-verified via bohr_contained.  A q_max over
+    MAX_QMAX, or more than MAX_SPECS trials, is refused before the search runs.
     """
     if l_min < 1:
         raise InputError("l_min must be >= 1")
@@ -171,7 +175,15 @@ def piecewise_bohr_search(
         raise InputError("eps grid must be positive")
     if l_min > d.window.length and k_max >= 1 and q_max >= 2:
         return None  # no interval is that long; bad k_max or q_max still fail below
+    if q_max > MAX_QMAX:
+        raise InputError(f"q_max (--qmax) = {q_max} is over the cap of {MAX_QMAX}")
     freqs = suggest_freqs(d, k_max, q_max=q_max)
+    trials = ((1 << len(freqs)) - 1) * len(eps_values) * len(shifts)
+    if trials > MAX_SPECS:
+        raise InputError(
+            f"k_max (--kmax) = {k_max} gives {len(freqs)} frequencies and {trials} trials "
+            f"with the eps grid and shifts, over the cap of {MAX_SPECS}"
+        )
     window = d.window
     best: PiecewiseBohrWitness | None = None
     for combo, eps, shift in _trials(freqs, eps_values, shifts):

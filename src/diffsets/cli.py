@@ -52,7 +52,6 @@ from .density import (
 from .embed import Pattern, dense_embed_est, distinct_traces, window_embeddable
 from .errors import InfeasibleError, InputError, VerificationError
 from .extract import (
-    block_walk_bound,
     chain_extract,
     dense_pattern_extract,
     difference_cover,
@@ -70,7 +69,6 @@ from .intset import (
     intersect,
     make_set,
     read_set_file,
-    rebase,
     write_set_file,
 )
 from .prng import Stream, stream_block, stream_value
@@ -126,10 +124,6 @@ def _parse_fraction_list(text: str, name: str) -> list[Fraction]:
     return vals
 
 
-def _load(path: str) -> IntSet:
-    return read_set_file(path)
-
-
 def _set_summary(path: str, a: IntSet) -> dict:
     return {"path": path, "window": a.window, "count": a.count}
 
@@ -178,7 +172,7 @@ def _cmd_gen(args, report: Report) -> int:
 
 
 def _cmd_analyze(args, report: Report) -> int:
-    a = _load(args.set)
+    a = read_set_file(args.set)
     report.inputs["set"] = _set_summary(args.set, a)
     ns = args.n if args.n else [a.window.length]
     anchored = a.window.lo == 1
@@ -220,7 +214,7 @@ def _cmd_analyze(args, report: Report) -> int:
 
 
 def _cmd_delta(args, report: Report) -> int:
-    a = _load(args.set)
+    a = read_set_file(args.set)
     eps = parse_fraction(args.eps, "eps")
     trange = _parse_range(args.trange, "--trange")
     res = (eps_delta_upper if args.upper else eps_delta_banach)(a, eps, args.n, trange)
@@ -246,8 +240,8 @@ def _distinct_traces(x: IntSet, m: int, cap: int = 4096) -> list[Pattern]:
 
 
 def _cmd_embed(args, report: Report) -> int:
-    x = _load(args.x)
-    y = _load(args.y)
+    x = read_set_file(args.x)
+    y = read_set_file(args.y)
     m = args.m
     if args.srange:
         srange = _parse_range(args.srange, "--srange")
@@ -279,7 +273,7 @@ def _cmd_embed(args, report: Report) -> int:
 
 def _cmd_cover(args, report: Report) -> int:
     _check_positive(args.density_n, "--density-n")
-    a = _load(args.set)
+    a = read_set_file(args.set)
     eps = parse_fraction(args.eps, "eps")
     candidates = _parse_candidates(args.x)
     if not candidates:
@@ -332,7 +326,7 @@ def _cmd_cover(args, report: Report) -> int:
 
 def _cmd_extract(args, report: Report) -> int:
     _check_positive(args.window, "--window")
-    a = _load(args.set)
+    a = read_set_file(args.set)
     slack = parse_fraction(args.slack, "slack")
     window_len = args.window if args.window is not None else min(1024, a.window.length)
     res = dense_pattern_extract(a, args.n, slack, window_len)
@@ -343,21 +337,20 @@ def _cmd_extract(args, report: Report) -> int:
     report.results["prefix"] = res.cert.prefix
     report.certificates["extraction"] = res.cert
     report.certificates["prefix_checks"] = res.checks
-    c = rebase(a, res.offset, window_len)
-    report.certificates["walk"] = block_walk_bound(c, args.n, res.cert.gamma)
+    report.certificates["walk"] = res.walk
     return 0
 
 
 def _cmd_pipeline(args, report: Report) -> int:
-    a = _load(args.a)
-    b = _load(args.b)
+    a = read_set_file(args.a)
+    b = read_set_file(args.b)
     slack = parse_fraction(args.slack, "slack")
     report.inputs["a"] = _set_summary(args.a, a)
     report.inputs["b"] = _set_summary(args.b, b)
     if sum((bool(args.chain), args.jin, args.intersect)) > 1:
         raise InputError("--chain, --jin and --intersect are mutually exclusive")
     if args.chain:
-        sets = [a, b] + [_load(p) for p in args.chain]
+        sets = [a, b] + [read_set_file(p) for p in args.chain]
         for i, p in enumerate(args.chain):
             report.inputs[f"chain_{i}"] = _set_summary(p, sets[2 + i])
         res = chain_extract(sets, args.n, slack, window_len=args.N)
@@ -417,7 +410,7 @@ def _cmd_pipeline(args, report: Report) -> int:
 
 
 def _cmd_bohr(args, report: Report) -> int:
-    d = _load(args.d)
+    d = read_set_file(args.d)
     report.inputs["d"] = _set_summary(args.d, d)
     if args.search:
         if args.eps_grid:

@@ -105,20 +105,6 @@ def _thresholds(gamma: Fraction, n: int) -> list[int]:
     return [min(max(-(-num * i // den), 0), i + 1) for i in range(1, n + 1)]
 
 
-def _first_misses(c: IntSet, n: int, gamma: Fraction) -> np.ndarray:
-    """For each offset theta in [0, N-n], the least i <= n with
-    |C ∩ [theta+1, theta+i]| < gamma*i, or 0 when every prefix meets its threshold."""
-    big = check_anchored(c, "base set")
-    if not 1 <= n < big:
-        raise InputError("need 1 <= n < N")
-    width = big - n + 1
-    p = prefix_counts(c)
-    miss = np.zeros(width, dtype=np.min_scalar_type(n))
-    for i, need in reversed(list(enumerate(_thresholds(gamma, n), start=1))):
-        np.putmask(miss, p[i : i + width] - p[:width] < need, i)
-    return miss
-
-
 def fraction_floor(gamma: Fraction, n: int) -> Fraction:
     """Largest j/i strictly below gamma with 1 <= i <= n, 0 <= j <= i."""
     gamma = Fraction(gamma)
@@ -131,8 +117,15 @@ def fraction_floor(gamma: Fraction, n: int) -> Fraction:
 
 def prefix_dense_region(c: IntSet, n: int, gamma: Fraction) -> IntSet:
     """Offsets theta in [0, N-n] with |C ∩ [theta+1, theta+i]| >= gamma*i for all i <= n."""
-    miss = _first_misses(c, n, Fraction(gamma))
-    return from_bit_vector(miss == 0, Window(0, c.window.hi - n))
+    big = check_anchored(c, "base set")
+    if not 1 <= n < big:
+        raise InputError("need 1 <= n < N")
+    width = big - n + 1
+    p = prefix_counts(c)
+    dense = np.ones(width, dtype=bool)
+    for i, need in enumerate(_thresholds(Fraction(gamma), n), start=1):
+        dense &= p[i : i + width] - p[:width] >= need
+    return from_bit_vector(dense, Window(0, big - n))
 
 
 @dataclass(frozen=True)
@@ -140,10 +133,14 @@ class WalkReport:
     """Block-walk lower bound on the prefix-dense region.
 
     The walk starts at 0; on a region offset it advances by 1, otherwise by
-    the least prefix length that misses the threshold.  A missing prefix has
+    the least prefix length i that misses the threshold.  A missing prefix has
     count strictly under gamma*i, hence at most gamma_floor*i since counts sit
     on the grid {j/i : i <= n}, and summing the walk's contributions against
-    |C| forces visits * (1 - gamma_floor) > |C| - gamma_floor*N - n.
+    |C| forces visits * (1 - gamma_floor) > |C| - gamma_floor*N - n.  The walk
+    visits every region offset, so visits == region_size and none is run: if
+    theta misses first at length i, then for 0 < j < i the count on
+    [theta+j+1, theta+i] is at most ceil(gamma*i) - 1 - ceil(gamma*j), under
+    ceil(gamma*(i-j)) as the ceiling is subadditive, so theta+j misses too.
     """
 
     gamma: Fraction
@@ -154,21 +151,17 @@ class WalkReport:
     base_size: int
 
 
-def block_walk_bound(c: IntSet, n: int, gamma: Fraction) -> WalkReport:
+def _walk_report(c: IntSet, n: int, gamma: Fraction, region_size: int) -> WalkReport:
     big = check_anchored(c, "base set")
-    gamma = Fraction(gamma)
     gn = fraction_floor(gamma, n)
-    miss = _first_misses(c, n, gamma)
-    region_size = int(np.count_nonzero(miss == 0))
     bound = (Fraction(c.count, big) - gn - Fraction(n, big)) / (1 - gn)
-    steps = miss.tolist()
-    theta, visits = 0, 0
-    while theta < len(steps):  # a region offset (step 0) is a visit and advances by one
-        visits += not steps[theta]
-        theta += steps[theta] or 1
-    if not (region_size >= visits and visits > bound * big):
+    if region_size <= bound * big:
         raise VerificationError("block walk failed to witness its own bound")
-    return WalkReport(gamma, gn, bound, visits, region_size, big)
+    return WalkReport(Fraction(gamma), gn, bound, region_size, region_size, big)
+
+
+def block_walk_bound(c: IntSet, n: int, gamma: Fraction) -> WalkReport:
+    return _walk_report(c, n, gamma, prefix_dense_region(c, n, gamma).count)
 
 
 # -- modal trace extraction ----------------------------------------------------
@@ -297,6 +290,7 @@ class DensePatternResult:
     alpha: Fraction
     cert: ExtractionCertificate
     checks: list[PrefixCheck]
+    walk: WalkReport
 
 
 def dense_pattern_extract(
@@ -309,6 +303,7 @@ def dense_pattern_extract(
     pattern then embeds into A at every match offset, so the shift set of the
     prefix inside A is at least as dense as the match class; both facts are
     asserted, the first bitwise, the second through the window estimator.
+    The walk bound on C is checked from the region size the extraction counted.
     """
     slack = Fraction(slack)
     if slack < 0:
@@ -333,7 +328,8 @@ def dense_pattern_extract(
         if not ok:
             raise VerificationError(f"shift-set density {value} under the match share {floor_value}")
         checks.append(PrefixCheck(j, value, floor_value, ok))
-    return DensePatternResult(offset, window_len, alpha, cert, checks)
+    walk = _walk_report(c, n, cert.gamma, cert.region_size)
+    return DensePatternResult(offset, window_len, alpha, cert, checks, walk)
 
 
 # -- two-set pipeline ----------------------------------------------------------

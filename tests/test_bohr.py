@@ -216,6 +216,17 @@ def test_piecewise_search_unreachable_lmin_tries_nothing(monkeypatch):
     assert piecewise_bohr_search(d, 17, [Fraction(1, 3)], 351, q_max=17, shifts=(-3,)) is None
 
 
+def test_piecewise_search_refuses_oversized_searches(monkeypatch):
+    from diffsets import bohr
+
+    d = residues({0, 1, 6}, 7, 0, 349)
+    monkeypatch.setattr(bohr, "bohr_generate", _refuse)
+    with pytest.raises(InputError, match="--qmax"):
+        piecewise_bohr_search(d, 1, [Fraction(1, 3)], 10, q_max=bohr.MAX_QMAX + 1)
+    with pytest.raises(InputError, match="--kmax"):
+        piecewise_bohr_search(d, 17, [Fraction(1, 3)], 10, q_max=17, shifts=(-3,))
+
+
 def test_piecewise_search_guards():
     d = residues({0}, 7, 0, 99)
     with pytest.raises(InputError):

@@ -16,6 +16,7 @@ import pytest
 
 from diffsets import VerificationError, Window, read_set_file, residue_set
 from diffsets.cli import main
+from diffsets.density import prefix_counts
 from diffsets.intset import MAX_WINDOW_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -303,6 +304,22 @@ def test_bohr_search_subcommand(workdir, capsys):
     assert rep["certificates"]["containment"]["ok"] is True
 
 
+def test_extract_scans_prefix_counts_once(workdir, capsys, monkeypatch):
+    from diffsets import extract
+
+    calls = []
+
+    def counted(c):
+        calls.append(c.window)
+        return prefix_counts(c)
+
+    monkeypatch.setattr(extract, "prefix_counts", counted)
+    code, out, _ = run(["extract", "--set", "a.set", "--n", "5", "--slack", "1/20"], capsys)
+    assert code == 0
+    assert json.loads(out)["certificates"]["walk"]["visits"] > 0
+    assert len(calls) == 1
+
+
 def test_bohr_search_unreachable_lmin(workdir, capsys, monkeypatch):
     from diffsets import bohr
 
@@ -320,6 +337,22 @@ def test_bohr_search_unreachable_lmin(workdir, capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["results"]["witness"] is None
+
+
+def test_bohr_search_refuses_oversized_search(workdir, capsys, monkeypatch):
+    from diffsets import bohr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized search must be refused before it generates a set")
+
+    monkeypatch.setattr(bohr, "bohr_generate", refuse)
+    argv = ["bohr", "--d", "a.set", "--search", "--kmax", "17", "--qmax", "17", "--shifts=3"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "--kmax" in err
+    code, out, err = run(argv[:-3] + ["--qmax", "100000"], capsys)
+    assert code == 2 and out == ""
+    assert "--qmax" in err
 
 
 def test_selftest_subcommand(capsys):

@@ -5,11 +5,10 @@ never is.  Each flag draws from a small pool of good, bad and edge values
 (zero, negatives, reversed ranges, malformed fractions, missing or malformed
 set files) on set files of at most 60 positions, so an example runs in
 milliseconds.  Values that only make a run long (selftest trial counts past
-2, Bohr search sizes past 4: ``--kmax 17 --qmax 17 --shifts=3`` on a.set,
-where every spec holds the non-member 3 so the search never stops early,
-tries 2^19 specs in about 110 s) are left out of the pools; huge values that
-must be refused up front are in them.  The examples are derandomized, so the
-suite runs the same argvs every time.
+2, Bohr search sizes past 4, which stay under the search's trial cap but can
+still try thousands of specs) are left out of the pools; huge values that
+must be refused up front are in them, ``--kmax`` and ``--qmax`` included.
+The examples are derandomized, so the suite runs the same argvs every time.
 """
 
 import contextlib
@@ -44,7 +43,7 @@ def _ints(*extra):
 
 
 SMALL = st.sampled_from(["0", "-5", "1", "2", "x", ""])  # selftest trial counts
-SEARCH = st.sampled_from(["0", "-5", "1", "2", "3", "4", "x", ""])  # Bohr search sizes
+SEARCH = st.sampled_from(["0", "-5", "1", "2", "3", "4", "x", "", HUGE])  # Bohr search sizes
 FRACS = st.sampled_from(["0", "1/4", "1/20", "-1/4", "1/0", "3", "x", "2/3", ""])
 RANGES = st.sampled_from(["-5..5", "5..1", "0..0", "1..30", "-200..200", "a..b", "5", f"0..{HUGE}"])
 CANDIDATES = st.one_of(RANGES, st.sampled_from(["[0,1,2]", "[]", "[1.5]", "0,2,4", "1,x", "{}"]))

@@ -187,6 +187,7 @@ def test_block_walk_bound_matches_brute_walk(c, data):
     rep = block_walk_bound(c, n, gamma)
     visits, region_size, gamma_floor = brute.block_walk(set(c.members()), big, n, gamma)
     assert (rep.visits, rep.region_size, rep.gamma_floor) == (visits, region_size, gamma_floor)
+    assert visits == region_size
 
 
 # ---------------------------------------------------------------------------
