@@ -83,11 +83,12 @@ def _residue_table(r: Fraction, eps: Fraction) -> np.ndarray:
 
 def bohr_generate(spec: BohrSpec, window: Window) -> IntSet:
     """Materialize the Bohr set on a window, membership exact per element."""
-    xs = np.arange(window.lo, window.hi + 1, dtype=np.int64) - spec.shift
+    start = window.lo - spec.shift  # a Python int: windows and shifts may sit beyond int64
     keep = np.ones(window.length, dtype=bool)
     for r in spec.freqs:
         table = _residue_table(r, spec.eps)
-        keep &= table[xs % r.denominator]
+        first = start % r.denominator
+        keep &= table[np.arange(first, first + window.length, dtype=np.int64) % r.denominator]
     return from_bit_vector(keep, window)
 
 
@@ -124,10 +125,10 @@ def suggest_freqs(d: IntSet, k_max: int, q_max: int = 32) -> list[Fraction]:
         raise InputError("k_max must be >= 1")
     if q_max < 2:
         raise InputError("q_max must be >= 2")
-    xs = np.flatnonzero(bit_vector(d)).astype(np.int64) + d.window.lo
+    offsets = np.flatnonzero(bit_vector(d))  # from d.window.lo, which may sit beyond int64
     scored: list[tuple[float, int, int]] = []
     for q in range(2, q_max + 1):
-        counts = np.bincount(xs % q, minlength=q).astype(np.float64)
+        counts = np.bincount((offsets + d.window.lo % q) % q, minlength=q).astype(np.float64)
         angles = 2.0 * np.pi * np.arange(q) / q
         for p in range(1, q // 2 + 1):
             if gcd(p, q) != 1:

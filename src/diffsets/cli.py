@@ -413,15 +413,17 @@ def _cmd_bohr(args, report: Report) -> int:
     d = read_set_file(args.d)
     report.inputs["d"] = _set_summary(args.d, d)
     if args.search:
-        if args.eps_grid:
-            eps_grid = _parse_fraction_list(args.eps_grid, "eps-grid")
+        if args.eps_grid is not None:
+            eps_grid = _parse_fraction_list(args.eps_grid, "--eps-grid")
         else:
             eps_grid = [Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8)]
-        if args.shifts:
+        if args.shifts is not None:
             try:
                 shifts = tuple(int(p) for p in args.shifts.split(",") if p.strip())
             except ValueError:
-                raise InputError(f"bad shift list {args.shifts!r}") from None
+                raise InputError(f"bad --shifts list {args.shifts!r}") from None
+            if not shifts:
+                raise InputError("--shifts list is empty")
         else:
             shifts = (0,)
         report.parameters.update(
@@ -446,9 +448,9 @@ def _cmd_bohr(args, report: Report) -> int:
         return 0
     if not args.freqs:
         raise InputError("direct mode needs --freqs (or use --search)")
-    eps = parse_fraction(args.eps, "eps") if args.eps else Fraction(1, 4)
+    eps = parse_fraction(args.eps, "--eps") if args.eps is not None else Fraction(1, 4)
     spec = BohrSpec.of(_parse_fraction_list(args.freqs, "freqs"), eps, args.shift)
-    interval = _parse_range(args.interval, "--interval") if args.interval else d.window
+    interval = _parse_range(args.interval, "--interval") if args.interval is not None else d.window
     report.parameters.update(
         {"freqs": list(spec.freqs), "eps": eps, "shift": args.shift, "interval": interval}
     )

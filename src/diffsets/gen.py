@@ -147,7 +147,8 @@ def residue_set(window: Window, modulus: int, classes) -> IntSet:
     cls = sorted({_integer(c, "classes") for c in classes})
     if any(not 0 <= c < modulus for c in cls):
         raise InputError(f"residue classes must lie in [0, {modulus})")
-    xs = np.arange(window.lo, window.hi + 1, dtype=np.int64) % modulus
+    start = window.lo % modulus  # window.lo itself may sit beyond int64
+    xs = np.arange(start, start + window.length, dtype=np.int64) % modulus
     table = np.zeros(modulus, dtype=bool)
     table[cls] = True
     return from_bit_vector(table[xs], window)

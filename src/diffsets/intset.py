@@ -255,14 +255,20 @@ def convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_set(members: Iterable[int], window: Window) -> IntSet:
-    """Build a set from members; any member outside the window is an error."""
-    xs = list(members)
-    if xs and (min(xs) < window.lo or max(xs) > window.hi):
-        bad = next(x for x in xs if x not in window)
-        raise InputError(f"member {bad} outside window {window}")
+def make_set(members: Iterable[int] | np.ndarray, window: Window) -> IntSet:
+    """Build a set from members (ints, or an int64 array); a member outside the window is an error."""
+    array = isinstance(members, np.ndarray)  # the list reader's: no Python int per member
+    xs = members if array else list(members)
+    if len(xs):
+        least, most = (int(xs.min()), int(xs.max())) if array else (min(xs), max(xs))
+        if least < window.lo or most > window.hi:
+            bad = next(int(x) for x in xs if int(x) not in window)
+            raise InputError(f"member {bad} outside window {window}")
     arr = np.zeros(window.length, dtype=bool)
-    arr[np.fromiter((x - window.lo for x in xs), dtype=np.int64, count=len(xs))] = True
+    if array:  # inside the window, so the offsets fit int64
+        arr[xs - window.lo] = True
+    else:  # Python ints may sit beyond int64; their offsets do not
+        arr[np.fromiter((x - window.lo for x in xs), dtype=np.int64, count=len(xs))] = True
     return from_bit_vector(arr, window)
 
 
@@ -381,10 +387,85 @@ def quotient(b: IntSet, h: int) -> IntSet:
 
 # -- file formats -----------------------------------------------------------
 #
-# "list": one decimal integer per line; window inferred as [min, max] unless
-#         overridden by the caller.
+# "list": one integer per line, as int() reads the line stripped of
+#         whitespace; blank lines are skipped.  The window is inferred as
+#         [min, max] unless overridden by the caller, so an empty set has no
+#         list file.
 # "bits": first line "lo=<integer>", second line a string of '0'/'1' where
 #         character i is membership of lo + i.  Lossless (keeps the window).
+#
+# numpy reads and writes list files over byte columns, a bounded chunk at a
+# time.  The reader's fast path takes a file whose every non-blank line is
+# [ \t]*[+-]?[0-9]{1,18}[ \t]* (18 digits always fit int64) and hands any
+# other file to the per-line int() reader, which decides what is accepted and
+# what each error says.
+
+_DIGITS = 18
+_POW10 = 10 ** np.arange(_DIGITS, dtype=np.int64)
+_TEXT_CHUNK = 1 << 18  # characters of a list file scanned at once, cut after a newline
+_LIST_BLOCK = 1 << 16  # window positions formatted at once by the list writer
+
+_OTHER, _DIGIT, _SIGN, _BLANK, _NEWLINE = range(5)  # ordered: cls <= _SIGN marks numbers
+_CLASS = np.full(256, _OTHER, dtype=np.uint8)  # byte -> class; never written after import
+_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_CLASS[[ord("+"), ord("-")]] = _SIGN
+_CLASS[[ord(" "), ord("\t")]] = _BLANK
+_CLASS[ord("\n")] = _NEWLINE  # read_text has turned "\r\n" and "\r" into "\n"
+
+
+def _scan_lines(raw: np.ndarray) -> np.ndarray | None:
+    """The integers of whole list-file lines ``raw`` (uint8), or None off the fast grammar."""
+    cls = np.take(_CLASS, raw)
+    if not cls.all():  # a byte of class _OTHER
+        return None
+    num = cls <= _SIGN  # bytes of the numbers
+    bounds = np.flatnonzero(num[1:] != num[:-1]) + 1  # where a number starts or ends
+    if num[0]:
+        bounds = np.insert(bounds, 0, 0)
+    if num[-1]:
+        bounds = np.append(bounds, len(raw))
+    starts, ends = bounds[::2], bounds[1::2]
+    if not len(starts):
+        return np.zeros(0, dtype=np.int64)
+    signed = cls[starts] == _SIGN
+    ndig = ends - starts - signed
+    between = ends[:-1]  # from each number's end to the next number's end
+    if (
+        (len(between) and not np.logical_or.reduceat(cls[: ends[-1]] == _NEWLINE, between).all())
+        or np.count_nonzero(cls == _SIGN) != np.count_nonzero(signed)  # a sign inside a number
+        or ndig.min() < 1
+        or ndig.max() > _DIGITS
+    ):
+        return None
+    vals = np.zeros(len(starts), dtype=np.int64)
+    for j in range(int(ndig.max())):  # digit j from the right of every number
+        vals += np.where(ndig > j, raw[ends - 1 - j] - ord("0"), 0) * _POW10[j]
+    np.negative(vals, out=vals, where=raw[starts] == ord("-"))
+    return vals
+
+
+def _scan_list(text: str) -> np.ndarray | None:
+    """A list file's members in file order as int64, or None unless the fast path takes it all."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    parts, start = [], 0
+    while start < len(data):
+        end = len(data)
+        if start + _TEXT_CHUNK < end:
+            cut = data.rfind(b"\n", start, start + _TEXT_CHUNK)
+            if cut < 0:  # a line longer than a chunk
+                cut = data.find(b"\n", start + _TEXT_CHUNK)
+            if cut >= 0:
+                end = cut + 1
+        vals = _scan_lines(raw[start:end])
+        if vals is None:
+            return None
+        parts.append(vals)
+        start = end
+    members = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return members if len(members) else None  # no number at all: the per-line reader refuses it
 
 
 def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
@@ -393,6 +474,13 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
         text = Path(path).read_text()
     except OSError as e:
         raise InputError(f"cannot read set file {path}: {e}") from e
+    members = _scan_list(text)
+    if members is not None:
+        del text  # free the file's text before make_set allocates its arrays
+        if window is None:
+            window = Window(int(members.min()), int(members.max()))
+        return make_set(members, check_window_length(window, str(path)))
+    # every file the fast path does not take, one line at a time
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty set file needs an explicit window")
@@ -423,15 +511,47 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
     return make_set(members, check_window_length(window, str(path)))
 
 
+def _digit_lines(xs: np.ndarray) -> bytes:
+    """``"".join(f"{x}\\n" for x in xs)`` in ASCII, for int64 xs below 10^18 in magnitude."""
+    neg = xs < 0
+    mag = np.abs(xs)
+    ndig = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
+    width = int(ndig.max(initial=1)) + 2  # sign, digits, newline: right-aligned rows
+    rows = np.empty((len(xs), width), dtype=np.uint8)
+    for j in range(width - 2):
+        rows[:, width - 2 - j] = mag // _POW10[j] % 10 + ord("0")
+    rows[:, width - 1] = ord("\n")
+    rows[np.flatnonzero(neg), (width - 2 - ndig)[neg]] = ord("-")
+    keep = np.arange(width) >= (width - 1 - ndig - neg)[:, None]
+    return rows[keep].tobytes()
+
+
+def _list_blocks(a: IntSet) -> Iterator[bytes]:
+    """The list file of a, one block of window positions at a time."""
+    vec, lo = bit_vector(a), a.window.lo
+    narrow = max(abs(lo), abs(a.window.hi)) < 10**_DIGITS
+    for start in range(0, len(vec), _LIST_BLOCK):
+        offsets = np.flatnonzero(vec[start : start + _LIST_BLOCK])
+        if narrow:
+            yield _digit_lines(offsets + (lo + start))
+        else:  # members of 19 digits or more: Python ints
+            yield "".join(f"{lo + start + i}\n" for i in offsets.tolist()).encode("ascii")
+
+
 def write_set_file(a: IntSet, path: str | Path, fmt: str = "bits") -> None:
     if fmt == "bits":
-        row = (bit_vector(a) + ord("0")).tobytes().decode("ascii")
-        payload = f"lo={a.window.lo}\n{row}\n"
+        blocks = [f"lo={a.window.lo}\n".encode("ascii"), (bit_vector(a) + ord("0")).tobytes(), b"\n"]
     elif fmt == "list":
-        payload = "".join(f"{x}\n" for x in a.members())
+        if not a.count:
+            raise InputError(
+                f"cannot write the empty set to {path} in list format, whose window is its "
+                "members' span; write it in bits format"
+            )
+        blocks = _list_blocks(a)
     else:
         raise InputError(f"unknown set file format {fmt!r}")
     try:
-        Path(path).write_text(payload)
+        with open(path, "wb") as f:
+            f.writelines(blocks)
     except OSError as e:
         raise InputError(f"cannot write set file {path}: {e}") from e

@@ -1,6 +1,7 @@
 """Exact Bohr-set membership, containment reports, and the witness search."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,8 +66,9 @@ def test_generate_exact_for_big_denominators_and_fine_eps(freq, eps):
 def test_generate_matches_brute(data):
     freqs = data.draw(st.lists(st.sampled_from(FREQ_POOL), min_size=1, max_size=3, unique=True))
     eps = Fraction(1, data.draw(st.integers(2, 8)))
-    shift = data.draw(st.integers(-10, 10))
-    lo = data.draw(st.integers(-30, 30))
+    # windows and shifts beyond int64 too
+    shift = data.draw(st.one_of(st.integers(-10, 10), st.just(-(10**30) + 1)))
+    lo = data.draw(st.one_of(st.integers(-30, 30), st.integers(10**24, 10**24 + 30)))
     length = data.draw(st.integers(1, 80))
     w = Window(lo, lo + length - 1)
     got = bohr_generate(BohrSpec.of(freqs, eps, shift), w)
@@ -146,6 +148,9 @@ def test_suggest_freqs_frozen_mod7():
 
     spread = residues({0, 1, 6}, 7, 0, 499)
     assert suggest_freqs(spread, 1) == [Fraction(1, 7)]
+    # a shift by a multiple of every q <= 32 keeps every residue, here beyond int64
+    far = spread.shift(lcm(*range(2, 33)) * 10**10)
+    assert suggest_freqs(far, 3) == suggest_freqs(spread, 3)
 
 
 @given(st.data())

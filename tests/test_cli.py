@@ -457,6 +457,42 @@ def test_exit_2_on_oversize_window(workdir, capsys, monkeypatch):
     assert (code, out) == (2, "") and "row.set" in err and "over the cap" in err
     (workdir / "row.set").write_text("lo=1\n" + "01" * 1000 + "\n")  # exactly at the cap
     assert run(["analyze", "--set", "row.set", "--n", "10"], capsys)[0] == 0
+    # a list span is measured from its least and greatest members, before make_set runs
+    (workdir / "span.set").write_text("1\n\n2001\n")
+    with monkeypatch.context() as m:
+        m.setattr("diffsets.intset.make_set", lambda *a: pytest.fail("allocated past the cap"))
+        code, out, err = run(["analyze", "--set", "span.set"], capsys)
+    assert (code, out) == (2, "") and "span.set" in err and "over the cap" in err
+    (workdir / "span.set").write_text("1\n\n2000\n")  # exactly at the cap
+    assert run(["analyze", "--set", "span.set", "--n", "10"], capsys)[0] == 0
+
+
+def test_gen_list_refuses_empty_set(workdir, capsys):
+    """A list file infers its window from its members, so an empty set has none."""
+    spec = '{"kind":"bernoulli","window":[1,50],"seed":3,"p":"0"}'
+    code, out, err = run(["gen", "--spec", spec, "--out", "e.set", "--fmt", "list"], capsys)
+    assert (code, out) == (2, "")
+    assert "list format" in err and "bits" in err
+    assert not (workdir / "e.set").exists()
+    assert run(["gen", "--spec", spec, "--out", "e.set", "--fmt", "bits"], capsys)[0] == 0
+    assert run(["analyze", "--set", "e.set", "--n", "10"], capsys)[0] == 0
+
+
+def test_bohr_empty_flags_exit_2(workdir, capsys):
+    """An empty list or value is refused, naming its flag; it is never read as unset."""
+    search = ["bohr", "--d", "a.set", "--search"]
+    direct = ["bohr", "--d", "a.set", "--freqs", "1/5"]
+    for argv, flag in [
+        (search + ["--shifts=,"], "--shifts"),
+        (search + ["--shifts="], "--shifts"),
+        (search + ["--eps-grid="], "--eps-grid"),
+        (search + ["--eps-grid=,"], "--eps-grid"),
+        (direct + ["--eps="], "--eps"),
+        (direct + ["--interval="], "--interval"),
+    ]:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert flag in err, argv
 
 
 def test_exit_2_on_unreadable_files(workdir, capsys):

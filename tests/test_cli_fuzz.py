@@ -3,8 +3,9 @@
 Exit codes 0, 2, 3 and 4 are the documented ones; exit 1, a Python traceback,
 never is.  Each flag draws from a small pool of good, bad and edge values
 (zero, negatives, reversed ranges, malformed fractions, missing or malformed
-set files) on set files of at most 60 positions, so an example runs in
-milliseconds.  Values that only make a run long (selftest trial counts past
+set files, list files with CRLF and blank lines or members past int64) on set
+files of at most 60 positions, so an example runs in milliseconds; the one
+list file whose span is over the window cap is refused before allocation.  Values that only make a run long (selftest trial counts past
 2, Bohr search sizes past 4, which stay under the search's trial cap but can
 still try thousands of specs) are left out of the pools; huge values that
 must be refused up front are in them, ``--kmax`` and ``--qmax`` included.
@@ -22,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 from diffsets.cli import main
 
 HUGE = str(10**13)
-SETS = ["a.set", "l.set", "n.set", "one.set", "e.set", "bad.set", "missing.set"]
+SETS = ["a.set", "l.set", "n.set", "one.set", "e.set", "bad.set", "missing.set", "crlf.set",
+        "two.set", "wide.set", "span.set"]
 SPECS = [
     '{"kind":"bernoulli","window":[1,60],"seed":3,"p":"1/2"}',
     '{"kind":"residues","window":[-20,40],"modulus":5,"classes":[0,1]}',
@@ -101,6 +103,10 @@ def files(tmp_path_factory):
     (d / "one.set").write_text("5\n")
     (d / "e.set").write_text("")
     (d / "bad.set").write_text("lo=1\n01x1\n")
+    (d / "crlf.set").write_bytes(b"3\r\n\r\n-2\r\n \r\n7\r\n12\r\n")
+    (d / "two.set").write_text("1\n4 9\n16\n")
+    (d / "wide.set").write_text("".join(f"{10**24 + x}\n" for x in (0, 2, 3, 7, 11, 12)))
+    (d / "span.set").write_text("0\n10000000\n")  # one position over the window cap
     return d
 
 

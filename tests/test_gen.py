@@ -131,7 +131,12 @@ def test_residues_frozen():
         residue_set(Window(0, 9), 3, [3])
 
 
-@given(st.integers(-30, 30), st.integers(1, 60), st.integers(1, 10), st.data())
+@given(
+    st.one_of(st.integers(-30, 30), st.integers(-(10**24), -(10**24) + 30)),  # and beyond int64
+    st.integers(1, 60),
+    st.integers(1, 10),
+    st.data(),
+)
 def test_residues_match_comprehension(lo, length, modulus, data):
     classes = data.draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=modulus, unique=True))
     w = Window(lo, lo + length - 1)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,7 +25,14 @@ from diffsets import (
     union,
     write_set_file,
 )
-from diffsets.intset import bit_vector, combine_shifts, convolve, from_bit_vector
+from diffsets import intset
+from diffsets.intset import (
+    MAX_WINDOW_LENGTH,
+    bit_vector,
+    combine_shifts,
+    convolve,
+    from_bit_vector,
+)
 
 windows = st.builds(
     lambda lo, length: Window(lo, lo + length),
@@ -276,6 +285,100 @@ def test_file_roundtrip_list(tmp_path):
     # list format loses the window; it is inferred from the members
     assert sorted(back) == [-3, 0, 7]
     assert back.window == Window(-3, 7)
+
+
+# Window starts of the list round trip: negative, straddling 0, ending at
+# 10^18 - 1 (the widest the digit columns format) or at 10^18 (one past), starting
+# at -(10^18 - 1), and far beyond int64 (the per-member writer and int() reader).
+LIST_STARTS = [-(10**6), -30, 10**18 - 64, 10**18 - 63, -(10**18 - 1), 10**30, -(10**30)]
+
+
+@st.composite
+def listable(draw):
+    lo = draw(st.sampled_from(LIST_STARTS))
+    w = Window(lo, lo + draw(st.integers(1, 64)) - 1)
+    return IntSet(w, draw(st.integers(1, (1 << w.length) - 1)))
+
+
+@given(listable(), st.sampled_from([3, 1 << 16]), st.sampled_from([5, 1 << 18]))
+def test_list_round_trip_matches_reference(tmp_path_factory, a, block, chunk):
+    """The writer's bytes are the reference's; reading them back gives the set again.
+
+    Small blocks and chunks put block and chunk cuts inside the file."""
+    path = tmp_path_factory.mktemp("lists") / "a.set"
+    with mock.patch.object(intset, "_LIST_BLOCK", block), mock.patch.object(
+        intset, "_TEXT_CHUNK", chunk
+    ):
+        write_set_file(a, path, "list")
+        assert path.read_bytes() == brute.list_file(a.members()).encode("ascii")
+        assert read_set_file(path, a.window) == a
+        back = read_set_file(path)
+    assert back.window == Window(a.min(), a.max()) and list(back) == list(a)
+
+
+def _read_both(path, window):
+    """(library result, reference result) of reading path: (lo, hi, members) or the message."""
+    try:
+        s = read_set_file(path, None if window is None else Window(*window))
+        got = (s.window.lo, s.window.hi, list(s))
+    except InputError as e:
+        got = str(e)
+    try:
+        want = brute.read_list_file(path.read_text(), str(path), window, MAX_WINDOW_LENGTH)
+    except ValueError as e:
+        want = str(e)
+    return got, want
+
+
+LIST_CASES = [
+    (b"\n\n3\n\n 5\n\n", None),  # blank lines
+    (b"3\r\n\r\n-2\r\n \r\n7\r\n", None),  # CRLF
+    (b"1\r2\r", None),  # lone CR ends a line too
+    (b" \t7 \t\n  -1\t\n", None),  # surrounding spaces and tabs
+    (b"+5\n", None),
+    (b"-0\n0007\n", None),
+    (b"4\n9", None),  # no final newline
+    (b"1 2\n", None),  # two numbers on one line
+    (b"--1\n", None),
+    (b"5-\n", None),
+    (b"+\n", None),
+    (b"1_000\n", None),  # int() takes underscores
+    (b"1234567890123456789\n1234567890123456790\n", None),  # 19 digits
+    (b"9999999999999999999\n9999999999999999998\n", None),  # 19 digits past int64
+    (b"999999999999999999\n999999999999999990\n", None),  # 18 digits
+    (b"1000000000000000000000000\n", None),  # 25 digits
+    ("\u0661\u0662\n\uff15\n".encode(), None),  # non-ASCII digits
+    (b"1\x0b2\n", None),  # a vertical tab splits lines
+    (b"5\nx\n", None),
+    (b"", None),
+    (b" \n\t\n", None),
+    (b"3\n5\n", (0, 10)),  # window overrides
+    (b"3\n50\n", (0, 10)),
+    (b"3\n", (10**30, 10**30 + 5)),
+    (b"3\n", (0, MAX_WINDOW_LENGTH)),
+    (b"0\n10000000\n", None),  # a span one over the cap
+]
+
+
+@pytest.mark.parametrize("raw, window", LIST_CASES)
+def test_list_reader_matches_reference(tmp_path, raw, window):
+    path = tmp_path / "a.set"
+    path.write_bytes(raw)
+    got, want = _read_both(path, window)
+    assert got == want
+
+
+@given(
+    st.text(alphabet="0123456789+- \t\r\n_x", max_size=40),
+    st.sampled_from([None, (-20, 20)]),
+    st.sampled_from([4, 1 << 18]),
+)
+def test_list_reader_matches_reference_on_any_text(tmp_path_factory, text, window, chunk):
+    path = tmp_path_factory.mktemp("texts") / "a.set"
+    path.write_bytes(text.encode("ascii"))
+    with mock.patch.object(intset, "_TEXT_CHUNK", chunk):
+        got, want = _read_both(path, window)
+    assert got == want
 
 
 def test_read_set_file_rejects_garbage(tmp_path):
