@@ -37,7 +37,7 @@ from .cover import (
     guaranteed_overlap,
     quotient_cover,
 )
-from .delta import eps_delta_banach, eps_delta_upper
+from .delta import eps_delta_banach, eps_delta_upper, shift_density
 from .density import (
     longest_run,
     lower_asymptotic_est,
@@ -117,6 +117,11 @@ def _check_positive(value: int | None, flag: str) -> None:
         raise InputError(f"{flag} must be >= 1, got {value}")
 
 
+def _check_path(value: str | None, flag: str) -> None:
+    if value == "":  # an empty path is refused, never read as unset
+        raise InputError(f"{flag} needs a path, got an empty value")
+
+
 def _parse_fraction_list(text: str, name: str) -> list[Fraction]:
     vals = [parse_fraction(p, name) for p in text.split(",") if p.strip()]
     if not vals:
@@ -130,7 +135,7 @@ def _set_summary(path: str, a: IntSet) -> dict:
 
 def _emit(report: Report, out: str | None) -> None:
     text = render(report)
-    if out:
+    if out is not None:
         try:
             Path(out).write_text(text)
         except OSError as e:
@@ -143,6 +148,7 @@ def _emit(report: Report, out: str | None) -> None:
 
 
 def _cmd_gen(args, report: Report) -> int:
+    _check_path(args.out, "--out")
     text = args.spec
     if text.startswith("@"):
         p = Path(text[1:])
@@ -172,6 +178,7 @@ def _cmd_gen(args, report: Report) -> int:
 
 
 def _cmd_analyze(args, report: Report) -> int:
+    _check_path(args.csv, "--csv")
     a = read_set_file(args.set)
     report.inputs["set"] = _set_summary(args.set, a)
     ns = args.n if args.n else [a.window.length]
@@ -204,7 +211,7 @@ def _cmd_analyze(args, report: Report) -> int:
             "length": args.runlen,
             "witness": w,
         }
-    if args.csv:
+    if args.csv is not None:
         write_csv(
             args.csv,
             ["n", "upper_banach", "upper_at", "lower_banach", "lower_at", "thick_witness"],
@@ -214,6 +221,7 @@ def _cmd_analyze(args, report: Report) -> int:
 
 
 def _cmd_delta(args, report: Report) -> int:
+    _check_path(args.csv, "--csv")
     a = read_set_file(args.set)
     eps = parse_fraction(args.eps, "eps")
     trange = _parse_range(args.trange, "--trange")
@@ -225,7 +233,7 @@ def _cmd_delta(args, report: Report) -> int:
     report.results["members"] = res.members
     report.results["count"] = res.members.count
     report.certificates["per_t"] = res.per_t
-    if args.csv:
+    if args.csv is not None:
         rows = [[t, v, int(t in res.members)] for t, v in sorted(res.per_t.items())]
         write_csv(args.csv, ["t", "density", "member"], rows)
     return 0
@@ -243,7 +251,7 @@ def _cmd_embed(args, report: Report) -> int:
     x = read_set_file(args.x)
     y = read_set_file(args.y)
     m = args.m
-    if args.srange:
+    if args.srange is not None:
         srange = _parse_range(args.srange, "--srange")
     else:
         if y.window.length < m:
@@ -529,9 +537,10 @@ def _st_delta_symmetry(rng: Stream) -> None:
     w = _st_window(rng, 256)
     a = _st_set(rng, w)
     r = rng.randint(1, w.hi // 4)
-    res = eps_delta_banach(a, Fraction(0), rng.randint(1, w.hi - r), Window(-r, r))
-    for t in range(r + 1):
-        assert res.per_t[t] == res.per_t[-t]
+    n = rng.randint(1, w.hi - r)
+    res = eps_delta_banach(a, Fraction(0), n, Window(-r, r))
+    for t in range(r + 1):  # the sweep scans each |t| once: -t is checked on its own overlap
+        assert res.per_t[t] == res.per_t[-t] == shift_density(a, -t, n)
         assert (t in res.members) == (-t in res.members)
 
 
@@ -746,6 +755,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     code = 0
     try:
+        _check_path(getattr(args, "report_out", None), "--out")
         code = args.fn(args, report)
     except InputError as e:
         print(f"diffsets: error: {e}", file=sys.stderr)

@@ -290,9 +290,13 @@ def certify_cover(candidates, eps: Fraction, mandated_x: int, prepare, ambient=(
     base, context = prepare()
     cert = greedy_shift_cover(base, order, eps, mandated_x)
     checks: list[list[ShiftCheck]] = [[] for _ in ambient]
+    memo: dict[tuple[int, int], Fraction] = {}
     for t in sorted({x - xi for x, xi in cert.witnesses.items()}):
-        for s, out in zip(ambient, checks):
-            value = shift_density(s, t, n, upper)
+        m = t if upper else abs(t)  # the Banach value is even in t (see delta); the anchored one is not
+        for i, (s, out) in enumerate(zip(ambient, checks)):
+            value = memo.get((i, m))
+            if value is None:
+                value = memo[i, m] = shift_density(s, t, n, upper)
             if not value > eps:
                 raise VerificationError(f"used shift {t} passed on the base but not on the full set")
             out.append(ShiftCheck(t, value, True))

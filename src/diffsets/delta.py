@@ -5,6 +5,14 @@ exceeds eps, compared by integer cross-multiplication.  Shift safety is a hard
 precondition: every t in the requested range must satisfy
 n + |t| <= window length, so the estimator never scans a silently truncated
 intersection; violations raise an input error naming the offending t.
+
+The Banach sweep scans each distinct |t| once.  This mirror is exact: for
+either sign of t, A ∩ (A - t) is ``a.bits & (a.bits >> |t|)`` on an overlap
+window of the same length, and the best-window value reads only those bits,
+n and that length (only the offset ``at``, which ``per_t`` does not keep,
+depends on where the overlap starts).  The anchored ``upper`` sweep keeps one
+evaluation per t: it reads [1, n] of an overlap that starts at 1 for t >= 0
+and at 1 - t for t < 0, so the bits it reads differ between t and -t.
 """
 
 from __future__ import annotations
@@ -79,11 +87,14 @@ def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> Eps
     def one(t: int) -> Fraction:  # not via shift_density: bench/spans.py traces these two calls
         return _estimate(shift_intersection(a, t), n, upper)
 
+    ts = range(trange.lo, trange.hi + 1)
     if upper:  # every overlap still reaches n, and [1, n] of it only reads A on [1, n + |t|]
         a = restrict(a, Window(1, n + _max_shift(trange)))
-    ts = list(range(trange.lo, trange.hi + 1))
-    values = par.ordered_map(one, ts)
-    per_t = dict(zip(ts, values))
+        per_t = dict(zip(ts, par.ordered_map(one, ts)))
+    else:  # the Banach value is even in t (module docstring): one scan per |t|
+        mags = sorted({abs(t) for t in ts})
+        by_mag = dict(zip(mags, par.ordered_map(one, mags)))
+        per_t = {t: by_mag[abs(t)] for t in ts}
     members = make_set([t for t, v in per_t.items() if v > eps], trange)
     return EpsDeltaResult(eps, n, trange, members, per_t, "upper" if upper else "banach")
 

@@ -16,10 +16,18 @@ indexed by the (leaving, entering) byte pair and holding the maximum prefix sum
 over the byte's 8 offsets and the least offset attaining it.  The minimum is
 the maximum with the two streams swapped.  No bit enters or leaves past the
 last offset L - n, so in the last byte the sum stays flat beyond it, and the
-table's least offset on a tie is never one of those.  The anchored estimators
-read only [1, m] of the window, in one vectorised pass: a float ratio may
-nominate the extremum, but the verdict is an int64 cross-multiplication,
-which is exact for every window length the parsers admit.
+table's least offset on a tie is never one of those.  The set's big-int is
+converted to bytes once per scan: the leaving stream is its first bytes, the
+last one masked to the (L - n) mod 8 bits still leaving, and the entering
+stream is the same bytes from byte n // 8 on, shifted down by n mod 8 bits
+with uint8 shifts.  The running sum is the difference of two window counts,
+so its absolute value is at most n <= intset.MAX_WINDOW_LENGTH = 10^7 < 2^31,
+and it is accumulated exactly in int32 (in int64 for an n of 2^31 or more,
+which only a library caller past the parsers' cap can pass).
+
+The anchored estimators read only [1, m] of the window, in one vectorised
+pass: a float ratio may nominate the extremum, but the verdict is an int64
+cross-multiplication, which is exact for every window length the parsers admit.
 """
 
 from __future__ import annotations
@@ -116,16 +124,21 @@ def _banach(a: IntSet, n: int, maximize: bool) -> DensityEstimate:
     last = a.window.length - n  # offsets 0 .. last
     size = last // 8 + 1
     # bit j leaves and bit j + n enters on the step from offset j to j + 1 (j < last)
-    leaving, entering = a.bits & ((1 << last) - 1), a.bits >> n
-    up, down = (entering, leaving) if maximize else (leaving, entering)
-    ub, db = bit_bytes(up, size), bit_bytes(down, size)
+    full = bit_bytes(a.bits, n // 8 + size + 1)
+    leaving = full[:size].copy()
+    leaving[-1] &= (1 << last % 8) - 1
+    q, r = divmod(n, 8)
+    entering = full[q:q + size]
+    if r:
+        entering = (entering >> r) | (full[q + 1:q + size + 1] << (8 - r))
+    ub, db = (entering, leaving) if maximize else (leaving, entering)
     key = db.astype(np.uint16) << 8
     key |= ub
     packed = np.take(_PREFIX_MAX, key)
-    step = np.bitwise_count(ub).astype(np.int64)
-    step -= np.bitwise_count(db)
-    best = np.zeros(size, dtype=np.int64)  # the sum before each byte ...
-    np.cumsum(step[:-1], out=best[1:])
+    step = (np.bitwise_count(ub) - np.bitwise_count(db)).view(np.int8)  # in -8..8: uint8 wraps back
+    acc = np.int32 if n < 1 << 31 else np.int64  # |sum| <= n; the parsers cap n far below 2^31
+    best = np.zeros(size, dtype=acc)  # the sum before each byte ...
+    np.cumsum(step[:-1], dtype=acc, out=best[1:])
     best += packed >> 3  # ... plus the best prefix inside it
     g = int(np.argmax(best))  # first hit: least byte, and the table's least offset in it
     base = (a.bits & ((1 << n) - 1)).bit_count()

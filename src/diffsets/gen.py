@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import intset
 from .density import thick_witness
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (
@@ -144,6 +145,8 @@ def bernoulli_set(window: Window, p: Fraction, seed: int) -> IntSet:
 def residue_set(window: Window, modulus: int, classes) -> IntSet:
     if modulus < 1:
         raise InputError("modulus must be >= 1")
+    if modulus > intset.MAX_WINDOW_LENGTH:  # the residue table holds one entry per residue
+        raise InputError(f"modulus {modulus} is over the cap of {intset.MAX_WINDOW_LENGTH}")
     cls = sorted({_integer(c, "classes") for c in classes})
     if any(not 0 <= c < modulus for c in cls):
         raise InputError(f"residue classes must lie in [0, {modulus})")

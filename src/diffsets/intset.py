@@ -474,6 +474,8 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
         text = Path(path).read_text()
     except OSError as e:
         raise InputError(f"cannot read set file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not a set file (not text: {e.reason} at byte {e.start})") from None
     members = _scan_list(text)
     if members is not None:
         del text  # free the file's text before make_set allocates its arrays

@@ -438,6 +438,8 @@ def test_exit_2_on_oversize_window(workdir, capsys, monkeypatch):
     for argv, name in [
         (["analyze", "--set", "far.set"], "far.set"),
         (["gen", "--spec", far_gen, "--out", "g.set"], "window"),
+        (["gen", "--spec", RESIDUE_SPEC.replace('"modulus":5', f'"modulus":{10**30}'),
+          "--out", "g.set"], "modulus"),
         (["delta", "--set", "a.set", "--eps", "0", "--n", "5", f"--trange=0..{cap}"], "trange"),
         (["cover", "--set", "a.set", "--eps", "0", "--n", "5", f"--x=0..{cap}"], "candidate range"),
         (["embed", "--x", "a.set", "--y", "a.set", "--m", "3", f"--srange=0..{cap}"], "srange"),
@@ -493,6 +495,28 @@ def test_bohr_empty_flags_exit_2(workdir, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, ""), argv
         assert flag in err, argv
+
+
+def test_empty_path_and_range_flags_exit_2(workdir, capsys):
+    """An empty path or range is refused, naming its flag; it is never read as unset."""
+    for argv, flag in [
+        (["analyze", "--set", "a.set", "--n", "10", "--csv="], "--csv"),
+        (["delta", "--set", "a.set", "--eps", "1/10", "--n", "10", "--trange=-3..3", "--csv="],
+         "--csv"),
+        (["embed", "--x", "a.set", "--y", "a.set", "--m", "3", "--srange="], "--srange"),
+        (["analyze", "--set", "a.set", "--n", "10", "--out="], "--out"),
+        (["gen", "--spec", RESIDUE_SPEC, "--out="], "--out"),
+    ]:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert flag in err, argv
+
+
+def test_exit_2_on_set_file_that_is_not_text(workdir, capsys):
+    (workdir / "bin.set").write_bytes(b"\xff\xfe1\n")
+    code, out, err = run(["analyze", "--set", "bin.set"], capsys)
+    assert (code, out) == (2, "")
+    assert "bin.set" in err and "not a set file" in err
 
 
 def test_exit_2_on_unreadable_files(workdir, capsys):

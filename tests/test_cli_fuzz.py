@@ -2,13 +2,15 @@
 
 Exit codes 0, 2, 3 and 4 are the documented ones; exit 1, a Python traceback,
 never is.  Each flag draws from a small pool of good, bad and edge values
-(zero, negatives, reversed ranges, malformed fractions, missing or malformed
-set files, list files with CRLF and blank lines or members past int64) on set
-files of at most 60 positions, so an example runs in milliseconds; the one
-list file whose span is over the window cap is refused before allocation.  Values that only make a run long (selftest trial counts past
-2, Bohr search sizes past 4, which stay under the search's trial cap but can
-still try thousands of specs) are left out of the pools; huge values that
-must be refused up front are in them, ``--kmax`` and ``--qmax`` included.
+(zero, negatives, reversed ranges, malformed fractions, empty values, missing or
+malformed set files, a file that is not text, list files with CRLF and blank
+lines or members past int64) on set files of at most 60 positions, so an
+example runs in milliseconds; the one list file whose span is over the window
+cap is refused before allocation.  Values that only make a run long (selftest
+trial counts past 2, Bohr search sizes past 4, which stay under the search's
+trial cap but can still try thousands of specs) are left out of the pools;
+huge values that must be refused up front are in them, ``--kmax``, ``--qmax``
+and a residue modulus included.
 The examples are derandomized, so the suite runs the same argvs every time.
 """
 
@@ -24,11 +26,12 @@ from diffsets.cli import main
 
 HUGE = str(10**13)
 SETS = ["a.set", "l.set", "n.set", "one.set", "e.set", "bad.set", "missing.set", "crlf.set",
-        "two.set", "wide.set", "span.set"]
+        "two.set", "wide.set", "span.set", "bin.set"]
 SPECS = [
     '{"kind":"bernoulli","window":[1,60],"seed":3,"p":"1/2"}',
     '{"kind":"residues","window":[-20,40],"modulus":5,"classes":[0,1]}',
     '{"kind":"residues","window":[1,50],"modulus":0,"classes":[0]}',
+    f'{{"kind":"residues","window":[1,50],"modulus":{10**30},"classes":[0]}}',
     '{"kind":"blocks","window":[1,50],"scale":-1}',
     '{"kind":"thick_triple","window":[-200,200],"scale":4,"blocks":3}',
     '{"kind":"ap_union","window":[1,50],"aps":[[1,3,5]]}',
@@ -47,19 +50,20 @@ def _ints(*extra):
 SMALL = st.sampled_from(["0", "-5", "1", "2", "x", ""])  # selftest trial counts
 SEARCH = st.sampled_from(["0", "-5", "1", "2", "3", "4", "x", "", HUGE])  # Bohr search sizes
 FRACS = st.sampled_from(["0", "1/4", "1/20", "-1/4", "1/0", "3", "x", "2/3", ""])
-RANGES = st.sampled_from(["-5..5", "5..1", "0..0", "1..30", "-200..200", "a..b", "5", f"0..{HUGE}"])
+RANGES = st.sampled_from(["-5..5", "5..1", "0..0", "1..30", "-200..200", "a..b", "5", f"0..{HUGE}", ""])
 CANDIDATES = st.one_of(RANGES, st.sampled_from(["[0,1,2]", "[]", "[1.5]", "0,2,4", "1,x", "{}"]))
 FRACLISTS = st.sampled_from(["1/5,2/7", "1/3", "", ",", "x", "1/0", "-1/4", "1/100000000000000"])
 FILES = st.sampled_from(SETS)
+CSV = st.sampled_from(["r.csv", ""])
 
 # every subcommand: its flags, each with a value pool (None for a switch)
 FLAGS = {
     "gen": {"--spec": st.sampled_from(SPECS), "--out": st.just("g.set"),
             "--fmt": st.sampled_from(["bits", "list", "xml"])},
     "analyze": {"--set": FILES, "--n": _ints("60", HUGE), "--gap": _ints(HUGE),
-                "--runlen": _ints(HUGE), "--csv": st.just("r.csv")},
+                "--runlen": _ints(HUGE), "--csv": CSV},
     "delta": {"--set": FILES, "--eps": FRACS, "--n": _ints("50", HUGE), "--trange": RANGES,
-              "--upper": None, "--csv": st.just("r.csv")},
+              "--upper": None, "--csv": CSV},
     "embed": {"--x": FILES, "--y": FILES, "--m": _ints(HUGE), "--srange": RANGES,
               "--dense": None, "--n": _ints(HUGE)},
     "cover": {"--set": FILES, "--eps": FRACS, "--x": CANDIDATES, "--n": _ints("50", HUGE),
@@ -89,7 +93,7 @@ def argvs(draw):
         else:
             argv.append(f"{flag}={draw(pool)}")  # "=" keeps values like "-5" off the flag list
     if cmd != "gen" and draw(st.booleans()):
-        argv.append("--out=r.json")
+        argv.append(draw(st.sampled_from(["--out=r.json", "--out="])))
     return argv
 
 
@@ -107,6 +111,7 @@ def files(tmp_path_factory):
     (d / "two.set").write_text("1\n4 9\n16\n")
     (d / "wide.set").write_text("".join(f"{10**24 + x}\n" for x in (0, 2, 3, 7, 11, 12)))
     (d / "span.set").write_text("0\n10000000\n")  # one position over the window cap
+    (d / "bin.set").write_bytes(b"\xff\xfe1\n")  # not UTF-8
     return d
 
 

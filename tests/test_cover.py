@@ -1,6 +1,7 @@
 """Counting inequality, greedy shift covers, and density consequences."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from diffsets import (
     upper_banach_est,
     verify_cover_certificate,
 )
+from diffsets.cover import ShiftCheck, certify_cover
+from diffsets.delta import shift_density
 
 
 def residues(classes, modulus, lo, hi):
@@ -310,6 +313,25 @@ def test_delta_cover_checks_out(data):
     assert res.cert.covered
     for ch in res.checks:
         assert ch.ok and ch.value > 0
+
+
+def test_certify_cover_checks_equal_per_shift_evaluation(monkeypatch):
+    """Each |t| is scanned once per ambient set, yet every used signed t still gets its
+    own check, in ascending order, holding the per-shift value."""
+    scans = []
+    monkeypatch.setattr("diffsets.cover.shift_density",
+                        lambda s, t, n, upper: scans.append((id(s), abs(t))) or shift_density(s, t, n, upper))
+    rng = random.Random(6)
+    base = IntSet(Window(1, 400), rng.getrandbits(400))
+    a = IntSet(Window(0, 2999), rng.getrandbits(3000))
+    b = IntSet(Window(-700, 2299), rng.getrandbits(3000))
+    _, cert, checks = certify_cover(range(-20, 21), Fraction(1, 20), 0, lambda: (base, None),
+                                    ambient=(a, b), n=300)
+    used = sorted({x - xi for x, xi in cert.witnesses.items()})
+    assert any(t > 0 and -t in used for t in used)  # the mirror is exercised
+    assert sorted(scans) == sorted({(id(s), abs(t)) for s in (a, b) for t in used})
+    for s, got in zip((a, b), checks):
+        assert got == [ShiftCheck(t, shift_density(s, t, 300), True) for t in used]
 
 
 def test_delta_cover_span_precondition():

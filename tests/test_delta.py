@@ -1,5 +1,6 @@
 """Shift-intersection density sweeps against brute force."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from diffsets import (
     shift_intersection,
     upper_banach_est,
 )
+import diffsets.delta as delta_module
+from diffsets.delta import shift_density
 
 
 def residues(classes, modulus, lo, hi):
@@ -71,6 +74,45 @@ def test_per_t_is_exact_banach_value(data):
     whi = min(a.window.hi, a.window.hi - t)
     value, _ = brute.upper_banach(inter, wlo, whi, n)
     assert res.per_t[t] == value
+
+
+@st.composite
+def sets_with_one_sided_trange(draw):
+    """A set, n, and a shift range straddling 0, on one side of it, or holding only 0."""
+    length = draw(st.integers(60, 120))
+    lo = draw(st.integers(-20, 20))
+    a = IntSet(Window(lo, lo + length - 1), draw(st.integers(0, (1 << length) - 1)))
+    n = draw(st.integers(1, 10))
+    t1, t2 = sorted(draw(st.lists(st.integers(1, length - n), min_size=2, max_size=2)))
+    trange = draw(st.sampled_from([Window(-3, 50), Window(0, 0), Window(t1, t2),
+                                   Window(-t2, -t1), Window(-t1, t2), Window(-t2, t1)]))
+    return a, n, trange
+
+
+@given(sets_with_one_sided_trange())
+def test_per_t_matches_per_shift_evaluation(case):
+    """The sweep scans each |t| once; every t still reads its own per-shift value."""
+    a, n, trange = case
+    res = eps_delta_banach(a, Fraction(0), n, trange)
+    ts = range(trange.lo, trange.hi + 1)
+    assert list(res.per_t) == list(ts)
+    assert res.per_t == {t: shift_density(a, t, n) for t in ts}
+
+
+def test_banach_sweep_scans_each_magnitude_once(monkeypatch):
+    """One Banach scan per distinct |t|; the anchored sweep still evaluates every t."""
+    a = IntSet(Window(1, 400), random.Random(3).getrandbits(400))
+    calls = []
+    for name in ("upper_banach_est", "upper_asymptotic_est"):
+        scan = getattr(delta_module, name)
+        monkeypatch.setattr(delta_module, name, lambda s, n, scan=scan: calls.append(s) or scan(s, n))
+    for lo, hi, mags in [(-3, 50, 51), (-50, 50, 51), (5, 40, 36), (-40, -5, 36), (0, 0, 1)]:
+        calls.clear()
+        eps_delta_banach(a, Fraction(1, 5), 30, Window(lo, hi))
+        assert len(calls) == mags, (lo, hi)
+        calls.clear()
+        eps_delta_upper(a, Fraction(1, 5), 30, Window(lo, hi))
+        assert len(calls) == hi - lo + 1, (lo, hi)
 
 
 @st.composite

@@ -157,6 +157,24 @@ def test_banach_pair_matches_brute_on_byte_and_word_edges(case):
     assert _est(lower_banach_est(a, n)) == brute.lower_banach(mem, a.window.lo, a.window.hi, n)
 
 
+def test_banach_pair_matches_brute_at_every_byte_phase():
+    """Every n mod 8 (the entering bytes' bit shift) against every (L - n) mod 8
+    (where the last leaving byte is cut), n = L included, on random, full and
+    empty windows, with n past a few bytes as well."""
+    rng = random.Random(8)
+    for n in [*range(1, 9), *range(64, 72)]:
+        for extra in range(17):  # L - n
+            length = n + extra
+            for bits in (rng.getrandbits(length), (1 << length) - 1, 0):
+                lo = rng.choice([-37, 0, 1, 2**70])
+                a = IntSet(Window(lo, lo + length - 1), bits)
+                mem = set(a.members())
+                got = (_est(upper_banach_est(a, n)), _est(lower_banach_est(a, n)))
+                want = (brute.upper_banach(mem, a.window.lo, a.window.hi, n),
+                        brute.lower_banach(mem, a.window.lo, a.window.hi, n))
+                assert got == want, (n, length, bits)
+
+
 def test_banach_n_out_of_range():
     a = make_set([1], Window(0, 9))
     with pytest.raises(InputError):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -234,6 +235,21 @@ def test_gen_dispatch_and_roundtrip():
 def test_gen_refuses_float_probability():
     with pytest.raises(InputError):
         gen(GenSpec("bernoulli", Window(0, 9), 0, {"p": 0.5}))
+
+
+def test_residue_modulus_is_capped(monkeypatch):
+    """The residue table holds one entry per residue: a modulus past the window cap is
+    refused, naming the field, before anything is allocated."""
+    huge = {"kind": "residues", "window": [1, 50], "modulus": 10**30, "classes": [0]}
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated a residue table"))
+        m.setattr(np, "arange", lambda *a, **k: pytest.fail("allocated the residues"))
+        with pytest.raises(InputError, match="modulus .* over the cap"):
+            gen(spec_from_json(huge))
+    monkeypatch.setattr("diffsets.intset.MAX_WINDOW_LENGTH", 2000)
+    with pytest.raises(InputError, match="modulus 2001 is over the cap of 2000"):
+        residue_set(Window(1, 50), 2001, [0])
+    assert set(residue_set(Window(1, 50), 2000, [7]).members()) == {7}  # exactly at the cap
 
 
 def test_gen_rejects_bad_specs():
