@@ -79,9 +79,8 @@ def pigeonhole_shift(c: IntSet, d: IntSet) -> PigeonholeWitness:
     """Exhaustive max of |(C - x) ∩ D| over x in [1, N], via one convolution.
 
     Coefficient x + nu - 1 of C convolved with D reversed is |(C - x) ∩ D|,
-    exact for any nu: ``convolve``'s lanes, as wide as the digits of
-    min(|C|, |D|), never carry; the product stays under
-    2 * MAX_WINDOW_LENGTH * 8 digits < MAX_PREC; Inexact and Overflow trap.
+    exact for any nu: ``convolve``'s lanes never carry, its tile products
+    stay far below MAX_PREC, and Inexact and Overflow trap.
     """
     n = check_anchored(c, "first set")
     nu = check_anchored(d, "second set")

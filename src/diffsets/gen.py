@@ -215,7 +215,24 @@ def blocks_set(window: Window, scale: int = 1) -> IntSet:
 
 
 def thick_triple_bounds(scale: int, blocks: int) -> Window:
-    """Smallest window on which thick_triple(scale, blocks) can materialize."""
+    """Smallest window on which thick_triple(scale, blocks) can materialize.
+
+    A window longer than the cap is an input error naming the field that
+    makes it so, decided before 4**blocks is built: the window is longer than
+    2 * shift > 4**(blocks + 1), over the cap once blocks + 1 passes half its
+    bit length.
+    """
+    cap = intset.MAX_WINDOW_LENGTH
+    over = f"is over the cap: thick_triple's window would be longer than {cap}"
+    if blocks + 1 > cap.bit_length() // 2 or _triple_window(1, blocks).length > cap:
+        raise InputError(f"blocks {blocks} {over}")
+    need = _triple_window(scale, blocks)
+    if need.length > cap:
+        raise InputError(f"scale {scale} {over}")
+    return need
+
+
+def _triple_window(scale: int, blocks: int) -> Window:
     g = 4 * scale * (blocks + 1)
     shift = g * 4 ** (blocks + 1)
     top_a = g * 4**blocks + scale * blocks

@@ -210,7 +210,8 @@ def from_bit_vector(arr, window: Window) -> IntSet:
 
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Overflow])
-_BLOCK = 1 << 16  # least block of the longer vector per product: bounds the digit strings held
+_LANE_BUDGET = 1 << 18  # input lanes per decimal product: bounds every product's memory
+_LANE_CHUNK = 1 << 14  # product lanes read off at once
 
 
 def _lanes(vec: np.ndarray, w: int) -> Decimal:
@@ -222,36 +223,55 @@ def _lanes(vec: np.ndarray, w: int) -> Decimal:
     return Decimal(text)
 
 
-def _lane_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The convolution of u and v read off one decimal product (see ``convolve``)."""
+def _add_lane_product(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Add the convolution of u and v, read off one decimal product, into out (see ``convolve``)."""
     w = len(str(min(np.count_nonzero(u), np.count_nonzero(v))))
-    n = len(u) + len(v) - 1
-    prod = _EXACT.multiply(_lanes(u, w), _lanes(v, w))
-    digits = np.frombuffer(str(prod).rjust(n * w, "0").encode("ascii"), np.uint8) - ord("0")
-    del prod
-    out = np.zeros(n, dtype=np.int64)
-    for j in range(w):  # digit column j of every lane, most significant first
-        out *= 10
-        out += digits[j::w]
-    return out[::-1]
+    raw = np.frombuffer(str(_EXACT.multiply(_lanes(u, w), _lanes(v, w))).encode("ascii"), np.uint8)
+    lead, full = len(raw) % w, len(raw) // w  # leading zero lanes are not printed
+    if lead:  # the partial lane above the full ones
+        out[full] += int(raw[:lead].tobytes())
+    lanes = out[:full][::-1]  # the full lanes, most significant first
+    for start in range(0, full, _LANE_CHUNK):
+        chunk = raw[lead + start * w : lead + (start + _LANE_CHUNK) * w]
+        acc = np.zeros(len(chunk) // w, dtype=np.int64)
+        for j in range(w):  # digit column j of every lane
+            acc *= 10
+            acc += chunk[j::w]
+        acc -= ord("0") * (10**w - 1) // 9  # the ASCII offset of w digits, once per lane
+        lanes[start : start + len(acc)] += acc
+
+
+def _tile(n: int, most: int) -> int:
+    """Length of the fewest equal tiles of at most ``most`` positions that cover n."""
+    return -(-n // -(-n // most))
 
 
 def convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """c[k] = sum_i u[i] * v[k - i] of two nonempty uint8 0/1 arrays, exact, as int64.
 
-    Blocks of max(2^16, shorter length) positions of the longer vector, and the
-    shorter vector, become decimals with a w-digit lane per position, w the
-    digits of the pair's smaller count of ones, which bounds every coefficient:
-    lanes never carry.  libmpdec multiplies exactly (number-theoretic
-    transform), 2 * MAX_WINDOW_LENGTH lanes of 8 digits stay below MAX_PREC,
-    and Inexact and Overflow are trapped: a count is never rounded.
+    Each decimal product multiplies a tile of u by a tile of v, at most
+    _LANE_BUDGET = 2^18 positions between them: both whole vectors when they
+    fit, else tiles of the shorter vector of at most half the budget and
+    equal tiles of the longer one that fill the rest.  So every product holds
+    a bounded amount of digit text and libmpdec buffers (a few MiB), whatever
+    the lengths up to the window cap.  A tile becomes one decimal with a
+    w-digit lane per position, w the digits of the tile pair's smaller count
+    of ones, which bounds every coefficient of their product: lanes never
+    carry.  The int64 sums over tiles stay below the window cap.  libmpdec
+    multiplies exactly (number-theoretic transform), 2^18 lanes of at most 6
+    digits stay far below MAX_PREC, and Inexact and Overflow are trapped: a
+    count is never rounded.
     """
-    u, v = sorted((u, v), key=len, reverse=True)  # blocks of the longer one
+    u, v = sorted((u, v), key=len, reverse=True)  # v is the shorter
     out = np.zeros(len(u) + len(v) - 1, dtype=np.int64)
-    step = max(_BLOCK, len(v))
-    for start in range(0, len(u), step):
-        block = u[start : start + step]
-        out[start : start + len(block) + len(v) - 1] += _lane_product(block, v)
+    fits = len(u) + len(v) <= _LANE_BUDGET
+    v_step = len(v) if fits else _tile(len(v), _LANE_BUDGET // 2)
+    u_step = len(u) if fits else _tile(len(u), _LANE_BUDGET - v_step)
+    for i in range(0, len(u), u_step):
+        for j in range(0, len(v), v_step):
+            a, b = u[i : i + u_step], v[j : j + v_step]
+            if a.any() and b.any():  # a tile of zeros adds nothing
+                _add_lane_product(a, b, out[i + j : i + j + len(a) + len(b) - 1])
     return out
 
 
@@ -284,11 +304,15 @@ def shift_set(a: IntSet, t: int) -> IntSet:
     return a.shift(t)
 
 
+def _aligned(a: IntSet, lo: int) -> int:
+    """a's bits with bit 0 at integer lo; members below lo are dropped, those above kept."""
+    d = lo - a.window.lo
+    return a.bits >> d if d >= 0 else a.bits << -d
+
+
 def _slice_onto(a: IntSet, w: Window) -> int:
     """Bits of a's members that fall inside w, in w's coordinates."""
-    d = w.lo - a.window.lo
-    bits = a.bits >> d if d >= 0 else a.bits << -d
-    return bits & _mask(w.length)
+    return _aligned(a, w.lo) & _mask(w.length)
 
 
 def restrict(a: IntSet, w: Window) -> IntSet:
@@ -302,12 +326,16 @@ def rebase(a: IntSet, offset: int, n: int) -> IntSet:
 
 
 def combine_shifts(a: IntSet, shifts: Iterable[int], w: Window, union: bool = False) -> IntSet:
-    """(A + t) ∩ w intersected over every t in shifts (joined with union=True), on w."""
-    acc = 0 if union else _mask(w.length)
+    """(A + t) ∩ w intersected over every t in shifts (joined with union=True), on w.
+
+    The shifted copies are combined unmasked, so the window mask is built and
+    applied once; no shifts give the full set (the empty set for a union).
+    """
+    acc = 0 if union else -1  # -1: every bit set, the identity of AND
     for t in shifts:
-        bits = _slice_onto(a, w.shift(-t))
+        bits = _aligned(a, w.lo - t)
         acc = acc | bits if union else acc & bits
-    return IntSet(w, acc)
+    return IntSet(w, acc & _mask(w.length))
 
 
 def intersect(a: IntSet, b: IntSet) -> IntSet:
@@ -330,10 +358,12 @@ def complement_in(a: IntSet, w: Window) -> IntSet:
 def difference_set(a: IntSet, b: IntSet) -> IntSet:
     """{x - y : x in A, y in B} on window [A.lo - B.hi, A.hi - B.lo].
 
-    The support of A convolved with B reversed, exact: ``convolve``'s lanes
-    are as wide as the digits of min(|A|, |B|), so they never carry; the
-    product stays under 2 * MAX_WINDOW_LENGTH * 8 digits < MAX_PREC; and
-    Inexact and Overflow are trapped.  Empty inputs give the empty set.
+    The support of A convolved with B reversed, exact: ``convolve`` multiplies
+    tiles of at most 2^18 positions between them, with lanes as wide as the
+    digits of the tile pair's smaller count of ones, so they never carry;
+    each product stays far below MAX_PREC and holds a few MiB at most, at any
+    window length up to the cap; and Inexact and Overflow are trapped.  Empty
+    inputs give the empty set.
     """
     w = Window(a.window.lo - b.window.hi, a.window.hi - b.window.lo)
     return from_bit_vector(convolve(bit_vector(a), bit_vector(b)[::-1]), w)
@@ -491,12 +521,17 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
             lo = int(lines[0][3:])
         except ValueError as e:
             raise InputError(f"{path}: bad bits header {lines[0]!r}") from e
-        if len(lines) != 2 or set(lines[1]) - {"0", "1"}:
-            raise InputError(f"{path}: bits format needs one '0'/'1' line")
+        bad_row = f"{path}: bits format needs one '0'/'1' line"
+        if len(lines) != 2 or not lines[1].isascii():
+            raise InputError(bad_row)
         row = lines[1]
         w = check_window_length(Window(lo, lo + len(row) - 1), str(path))
-        bits = int(row[::-1], 2) if row else 0
-        s = IntSet(w, bits)
+        del text  # free the file's text before the row is converted
+        vec = np.frombuffer(bytearray(row, "ascii"), np.uint8)
+        vec -= ord("0")  # a byte below "0" wraps past 1
+        if vec.max() > 1:
+            raise InputError(bad_row)
+        s = from_bit_vector(vec, w)
         if window is not None:
             check_window_length(window, str(path))
             if window.lo > w.lo or window.hi < w.hi:

@@ -469,6 +469,17 @@ def test_exit_2_on_oversize_window(workdir, capsys, monkeypatch):
     assert run(["analyze", "--set", "span.set", "--n", "10"], capsys)[0] == 0
 
 
+@pytest.mark.parametrize("field, scale, blocks", [("blocks", 4, 100000), ("scale", 10**6, 3)])
+def test_gen_thick_triple_over_the_cap_names_field(workdir, capsys, field, scale, blocks):
+    """A thick_triple whose smallest window passes the cap exits 2 naming the field."""
+    spec = ('{"kind":"thick_triple","window":[-20500,20500],'
+            f'"scale":{scale},"blocks":{blocks}}}')
+    code, out, err = run(["gen", "--spec", spec, "--out", "t.set"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"diffsets: error: {field} ") and "over the cap" in err
+    assert not (workdir / "t.set").exists()
+
+
 def test_gen_list_refuses_empty_set(workdir, capsys):
     """A list file infers its window from its members, so an empty set has none."""
     spec = '{"kind":"bernoulli","window":[1,50],"seed":3,"p":"0"}'

@@ -21,6 +21,7 @@ from diffsets import (
     spec_to_json,
     thick_witness,
 )
+from diffsets import intset
 from diffsets.gen import ap_union_set, blocks_set, chain_in_thick, residue_set, thick_triple, thick_triple_bounds
 from diffsets.prng import Stream, mix64, stream_block, stream_value
 
@@ -194,6 +195,17 @@ def test_thick_triple_guards():
         thick_triple(w, 0, 3)
     with pytest.raises(InputError):
         thick_triple(w, 4, 1)
+
+
+def test_thick_triple_bounds_refuse_over_the_cap():
+    cap = intset.MAX_WINDOW_LENGTH
+    assert thick_triple_bounds(1, 7).length <= cap  # the most blocks any scale admits
+    for scale, blocks, field in [(1, 8, "blocks"), (4, 7, "scale"), (10**5, 3, "scale"),
+                                 (4, 10**4000, "blocks")]:  # 4**blocks is never built
+        with pytest.raises(InputError, match=f"^{field} .* over the cap"):
+            thick_triple_bounds(scale, blocks)
+        with pytest.raises(InputError, match=f"^{field} "):
+            thick_triple(Window(-100, 100), scale, blocks)
 
 
 def test_chain_in_thick_frozen():

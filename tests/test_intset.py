@@ -1,8 +1,10 @@
+import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -155,13 +157,16 @@ def test_intersect_matches_sets(a, b):
     assert set(intersect(a, b)) == set(a) & set(b)
 
 
-@given(intsets(), st.lists(st.integers(-8, 8), min_size=1, max_size=4), st.booleans())
-def test_combine_shifts_matches_sets(a, shifts, join):
-    w = Window(a.window.lo - 3, a.window.hi + 3)
-    copies = [{x + t for x in a} for t in shifts]
-    want = set.union(*copies) if join else set.intersection(*copies)
+@given(intsets(), windows, st.lists(st.integers(-120, 120), max_size=5), st.booleans())
+def test_combine_shifts_matches_sets(a, w, shifts, join):
+    # copies that straddle either edge of w or leave it, and no copies at all
+    copies = [{x + t for x in a if x + t in w} for t in shifts]
+    if join:
+        want = set().union(*copies)
+    else:
+        want = set(range(w.lo, w.hi + 1)).intersection(*copies)
     got = combine_shifts(a, shifts, w, union=join)
-    assert got.window == w and set(got) == {x for x in want if x in w}
+    assert got.window == w and set(got) == want
 
 
 def zero_one(length, ones):
@@ -192,18 +197,81 @@ def test_convolve_all_ones_and_all_zeros(lu, lv):
     assert convolve(np.zeros(lu, dtype=np.uint8), ones_v).tolist() == [0] * (lu + lv - 1)
 
 
-@pytest.mark.parametrize("lu, lv", [(3 * 2**16 + 5, 300), (2**17 + 3, 2**16 + 1)])
+def _pair_sums(u, v):
+    """The convolution of two 0/1 arrays as a count over every pair of ones."""
+    pairs = np.flatnonzero(u)[:, None] + np.flatnonzero(v)[None, :]
+    return np.bincount(pairs.ravel(), minlength=len(u) + len(v) - 1).tolist()
+
+
+BUDGET = intset._LANE_BUDGET
+
+
+@pytest.mark.parametrize("lu, lv", [(3 * BUDGET + 5, 300), (BUDGET + 3, BUDGET // 2 + 1)])
 def test_convolve_across_blocks(lu, lv):
-    # longer than one product block; sparse, so a loop over the pairs of ones is the reference
+    # longer than one product, once with the shorter vector whole and once cut in two
     rng = np.random.default_rng(lu)
     u = (rng.random(lu) < 0.01).astype(np.uint8)
     v = (rng.random(lv) < (0.5 if lv < 1000 else 0.005)).astype(np.uint8)
-    want = [0] * (lu + lv - 1)
-    for i in np.flatnonzero(u).tolist():
-        for j in np.flatnonzero(v).tolist():
-            want[i + j] += 1
+    want = _pair_sums(u, v)
     assert convolve(u, v).tolist() == want
     assert convolve(v, u).tolist() == want
+
+
+@contextlib.contextmanager
+def _spy_products(budget):
+    """Patch the lane budget; record (u tile, v tile, lane width) of every decimal product."""
+    products, real = [], intset._add_lane_product
+
+    def spy(a, b, out):
+        width = len(str(min(np.count_nonzero(a), np.count_nonzero(b))))
+        products.append((a.ctypes.data, len(a), b.ctypes.data, len(b), width))
+        real(a, b, out)
+
+    with mock.patch.object(intset, "_LANE_BUDGET", budget), \
+            mock.patch.object(intset, "_add_lane_product", spy):
+        yield products
+
+
+# (lane width, budget, lengths of the shorter and of the longer vector, zeros
+# per vector): both vectors cut into several tiles, and every tile pair holds
+# at least 1, 10 or 100 ones, and fewer than 10, 100 or 1000
+TILED = [
+    (1, 16, (9, 12), (12, 60), 2),
+    (2, 64, (33, 40), (48, 150), 4),
+    (3, 512, (257, 300), (384, 700), 9),
+]
+
+
+@pytest.mark.parametrize("width, budget, short, long, holes", TILED, ids=["w1", "w2", "w3"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_convolve_tiles_both_vectors_like_brute(width, budget, short, long, holes, data):
+    u = np.ones(data.draw(st.integers(*long)), dtype=np.uint8)
+    v = np.ones(data.draw(st.integers(*short)), dtype=np.uint8)
+    for vec in (u, v):
+        vec[data.draw(st.lists(st.integers(0, len(vec) - 1), max_size=holes))] = 0
+    with _spy_products(budget) as products:
+        got = convolve(v, u) if data.draw(st.booleans()) else convolve(u, v)
+    assert got.tolist() == brute.convolve(u.tolist(), v.tolist())
+    assert all(la + lb <= budget for _, la, _, lb, _ in products)
+    assert len({p[0] for p in products}) >= 2 and len({p[2] for p in products}) >= 2
+    assert {p[4] for p in products} == {width}
+
+
+def test_convolve_memory_is_bounded_by_the_budget():
+    # two long vectors: one product would hold about 7 bytes per lane on top of the output
+    rng = np.random.default_rng(7)
+    u, v = ((rng.random(1 << 16) < 0.5).astype(np.uint8) for _ in range(2))
+    budget = 1 << 14
+    with mock.patch.object(intset, "_LANE_BUDGET", budget):
+        tracemalloc.start()
+        try:
+            out = convolve(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(out, convolve(u, v))  # the same sums as one product at the default budget
+    assert peak < out.nbytes + 32 * budget
 
 
 @st.composite
@@ -389,6 +457,35 @@ def test_read_set_file_rejects_garbage(tmp_path):
     p.write_text("")
     with pytest.raises(InputError):
         read_set_file(p)
+
+
+BAD_ROWS = ["01x1", "0_1", "+01", "1 0", "0\uff10", "1\u0660", "01\n10"]  # ０ and Arabic-Indic ٠
+
+
+@pytest.mark.parametrize("row", BAD_ROWS)
+def test_read_bits_refuses_rows_off_zero_one(tmp_path, row):
+    p = tmp_path / "bad.set"
+    p.write_text(f"lo=1\n{row}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"bits format needs one '0'/'1' line$"):
+        read_set_file(p)
+
+
+def test_read_bits_cap_refuses_before_the_row_is_read(tmp_path, monkeypatch):
+    p = tmp_path / "long.set"
+    p.write_text("lo=1\n" + "01" * 10 + "1\n")
+    monkeypatch.setattr(intset, "MAX_WINDOW_LENGTH", 20)
+    monkeypatch.setattr(intset, "from_bit_vector", lambda *a: pytest.fail("allocated past the cap"))
+    with pytest.raises(InputError, match="over the cap"):
+        read_set_file(p)
+
+
+def test_read_bits_round_trips_a_negative_start(tmp_path):
+    a = make_set([-30, -29, -27, -1, 0], Window(-30, 1))
+    p = tmp_path / "n.set"
+    write_set_file(a, p, "bits")
+    assert p.read_text() == "lo=-30\n11010000000000000000000000000110\n"
+    back = read_set_file(p)
+    assert back.window == a.window and back.bits == a.bits
 
 
 def test_read_bits_window_override(tmp_path):
