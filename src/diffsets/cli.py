@@ -12,7 +12,10 @@ results and exit 0.
 
 Conventions: rationals are written "p/q" on the command line and in
 reports, ranges "lo..hi" inclusive on both ends, and shift candidate lists
-accept a range, a JSON array, or a comma list.  Every subcommand except
+accept a range, a JSON array, or a comma list.  Each flag's value is parsed
+by the type given in its add_argument, when the command line is read: an
+empty or malformed value exits 2 naming the flag, before any set file is
+read, also where the chosen mode ignores the flag.  Every subcommand except
 ``gen`` takes --out for the report destination (default stdout); ``gen``
 uses --out for the generated set file and always reports on stdout.
 """
@@ -60,7 +63,7 @@ from .extract import (
     pigeonhole_shift,
     trace_extract,
 )
-from .gen import bernoulli_set, gen, residue_set, spec_from_json, spec_to_json
+from .gen import GenSpec, bernoulli_set, gen, residue_set, spec_from_json, spec_to_json
 from .intset import (
     IntSet,
     Window,
@@ -78,55 +81,84 @@ __all__ = ["main", "build_parser"]
 
 
 # -- flag parsing helpers -----------------------------------------------------
+#
+# Each parses (text, flag) or raises InputError naming the flag; build_parser
+# binds each to its flag's add_argument through _flag.
 
 
-def _parse_range(text: str, name: str) -> Window:
+def _flag(parse, flag: str, *extra):
+    return lambda text: parse(text, flag, *extra)
+
+
+def _parse_path(text: str, flag: str) -> str:
+    if text == "":  # an empty path is refused, never read as unset
+        raise InputError(f"{flag} needs a path, got an empty value")
+    return text
+
+
+def _parse_int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"cannot parse {flag} = {text!r} as an integer") from None
+
+
+def _parse_positive(text: str, flag: str) -> int:
+    value = _parse_int(text, flag)
+    if value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
+def _parse_list(text: str, flag: str, item=parse_fraction) -> list:
+    vals = [item(p, flag) for p in text.split(",") if p.strip()]
+    if not vals:
+        raise InputError(f"{flag} list is empty")
+    return vals
+
+
+def _parse_range(text: str, flag: str) -> Window:
     parts = text.split("..")
     if len(parts) != 2:
-        raise InputError(f"{name} must look like lo..hi, got {text!r}")
+        raise InputError(f"{flag} must look like lo..hi, got {text!r}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise InputError(f"{name} ends must be integers, got {text!r}") from None
+        raise InputError(f"{flag} ends must be integers, got {text!r}") from None
     if lo > hi:
-        raise InputError(f"{name} must have lo <= hi, got {text!r}")
-    return check_window_length(Window(lo, hi), name)
+        raise InputError(f"{flag} must have lo <= hi, got {text!r}")
+    return check_window_length(Window(lo, hi), flag)
 
 
-def _parse_candidates(text: str) -> list[int]:
+def _parse_candidates(text: str, flag: str) -> list[int]:
     t = text.strip()
     if t.startswith("["):
         try:
             vals = json.loads(t)
         except json.JSONDecodeError as e:
-            raise InputError(f"bad candidate JSON: {e}") from None
-        if not isinstance(vals, list) or not all(isinstance(v, int) for v in vals):
-            raise InputError("candidate JSON must be an array of integers")
+            raise InputError(f"{flag}: bad candidate JSON: {e}") from None
+        if not isinstance(vals, list) or not vals or not all(isinstance(v, int) for v in vals):
+            raise InputError(f"{flag}: candidate JSON must be a nonempty array of integers")
         return vals
     if ".." in t:
-        w = _parse_range(t, "--x candidate range")
+        w = _parse_range(t, f"{flag} candidate range")
         return list(range(w.lo, w.hi + 1))
+    return _parse_list(t, flag, _parse_int)
+
+
+def _parse_spec(text: str, flag: str) -> GenSpec:
+    """A generator spec given as JSON, or as @path to a JSON file."""
+    if text.startswith("@"):
+        p = Path(text[1:])
+        try:
+            text = p.read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"{flag}: cannot read spec file {p}: {e}") from e
     try:
-        return [int(p) for p in t.split(",") if p.strip()]
-    except ValueError:
-        raise InputError(f"cannot parse candidate list {text!r}") from None
-
-
-def _check_positive(value: int | None, flag: str) -> None:
-    if value is not None and value < 1:
-        raise InputError(f"{flag} must be >= 1, got {value}")
-
-
-def _check_path(value: str | None, flag: str) -> None:
-    if value == "":  # an empty path is refused, never read as unset
-        raise InputError(f"{flag} needs a path, got an empty value")
-
-
-def _parse_fraction_list(text: str, name: str) -> list[Fraction]:
-    vals = [parse_fraction(p, name) for p in text.split(",") if p.strip()]
-    if not vals:
-        raise InputError(f"{name} list is empty")
-    return vals
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{flag} is not valid JSON: {e}") from None
+    return spec_from_json(data)
 
 
 def _set_summary(path: str, a: IntSet) -> dict:
@@ -148,22 +180,9 @@ def _emit(report: Report, out: str | None) -> None:
 
 
 def _cmd_gen(args, report: Report) -> int:
-    _check_path(args.out, "--out")
-    text = args.spec
-    if text.startswith("@"):
-        p = Path(text[1:])
-        try:
-            text = p.read_text()
-        except OSError as e:
-            raise InputError(f"cannot read spec file {p}: {e}") from e
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"gen spec is not valid JSON: {e}") from None
-    spec = spec_from_json(data)
-    report.seed = spec.seed
-    report.inputs["spec"] = spec_to_json(spec)
-    made = gen(spec)
+    report.seed = args.spec.seed
+    report.inputs["spec"] = spec_to_json(args.spec)
+    made = gen(args.spec)
     if isinstance(made, tuple):
         entries = []
         for s, suffix in zip(made, (".a", ".b", ".c")):
@@ -178,10 +197,9 @@ def _cmd_gen(args, report: Report) -> int:
 
 
 def _cmd_analyze(args, report: Report) -> int:
-    _check_path(args.csv, "--csv")
     a = read_set_file(args.set)
     report.inputs["set"] = _set_summary(args.set, a)
-    ns = args.n if args.n else [a.window.length]
+    ns = args.n if args.n is not None else [a.window.length]
     anchored = a.window.lo == 1
     per_n = {}
     rows = []
@@ -221,14 +239,11 @@ def _cmd_analyze(args, report: Report) -> int:
 
 
 def _cmd_delta(args, report: Report) -> int:
-    _check_path(args.csv, "--csv")
     a = read_set_file(args.set)
-    eps = parse_fraction(args.eps, "eps")
-    trange = _parse_range(args.trange, "--trange")
-    res = (eps_delta_upper if args.upper else eps_delta_banach)(a, eps, args.n, trange)
+    res = (eps_delta_upper if args.upper else eps_delta_banach)(a, args.eps, args.n, args.trange)
     report.inputs["set"] = _set_summary(args.set, a)
     report.parameters.update(
-        {"eps": eps, "n": args.n, "trange": trange, "estimator": res.kind}
+        {"eps": args.eps, "n": args.n, "trange": args.trange, "estimator": res.kind}
     )
     report.results["members"] = res.members
     report.results["count"] = res.members.count
@@ -250,10 +265,8 @@ def _distinct_traces(x: IntSet, m: int, cap: int = 4096) -> list[Pattern]:
 def _cmd_embed(args, report: Report) -> int:
     x = read_set_file(args.x)
     y = read_set_file(args.y)
-    m = args.m
-    if args.srange is not None:
-        srange = _parse_range(args.srange, "--srange")
-    else:
+    m, srange = args.m, args.srange
+    if srange is None:
         if y.window.length < m:
             raise InputError(f"target window shorter than the trace length {m}")
         srange = Window(y.window.lo, y.window.hi - m + 1)
@@ -280,12 +293,8 @@ def _cmd_embed(args, report: Report) -> int:
 
 
 def _cmd_cover(args, report: Report) -> int:
-    _check_positive(args.density_n, "--density-n")
     a = read_set_file(args.set)
-    eps = parse_fraction(args.eps, "eps")
-    candidates = _parse_candidates(args.x)
-    if not candidates:
-        raise InputError("empty candidate list")
+    eps, candidates = args.eps, args.x
     report.inputs["set"] = _set_summary(args.set, a)
     report.parameters.update(
         {"eps": eps, "n": args.n, "candidates": len(candidates), "mandated": args.mandate}
@@ -333,13 +342,11 @@ def _cmd_cover(args, report: Report) -> int:
 
 
 def _cmd_extract(args, report: Report) -> int:
-    _check_positive(args.window, "--window")
     a = read_set_file(args.set)
-    slack = parse_fraction(args.slack, "slack")
     window_len = args.window if args.window is not None else min(1024, a.window.length)
-    res = dense_pattern_extract(a, args.n, slack, window_len)
+    res = dense_pattern_extract(a, args.n, args.slack, window_len)
     report.inputs["set"] = _set_summary(args.set, a)
-    report.parameters.update({"n": args.n, "slack": slack, "window_len": window_len})
+    report.parameters.update({"n": args.n, "slack": args.slack, "window_len": window_len})
     report.results["offset"] = res.offset
     report.results["alpha"] = res.alpha
     report.results["prefix"] = res.cert.prefix
@@ -352,18 +359,17 @@ def _cmd_extract(args, report: Report) -> int:
 def _cmd_pipeline(args, report: Report) -> int:
     a = read_set_file(args.a)
     b = read_set_file(args.b)
-    slack = parse_fraction(args.slack, "slack")
     report.inputs["a"] = _set_summary(args.a, a)
     report.inputs["b"] = _set_summary(args.b, b)
-    if sum((bool(args.chain), args.jin, args.intersect)) > 1:
+    if sum((args.chain is not None, args.jin, args.intersect)) > 1:
         raise InputError("--chain, --jin and --intersect are mutually exclusive")
-    if args.chain:
+    if args.chain is not None:
         sets = [a, b] + [read_set_file(p) for p in args.chain]
         for i, p in enumerate(args.chain):
             report.inputs[f"chain_{i}"] = _set_summary(p, sets[2 + i])
-        res = chain_extract(sets, args.n, slack, window_len=args.N)
+        res = chain_extract(sets, args.n, args.slack, window_len=args.N)
         report.parameters.update(
-            {"n": args.n, "slack": slack, "window_len": args.N, "sets": len(sets)}
+            {"n": args.n, "slack": args.slack, "window_len": args.N, "sets": len(sets)}
         )
         report.results["final_prefix"] = res.final_prefix
         report.results["final_gamma"] = res.final_gamma
@@ -372,12 +378,11 @@ def _cmd_pipeline(args, report: Report) -> int:
         return 0
     if args.N is None or args.nu is None:
         raise InputError("pipeline needs --N and --nu")
-    report.parameters.update({"N": args.N, "nu": args.nu, "n": args.n, "slack": slack})
+    report.parameters.update({"N": args.N, "nu": args.nu, "n": args.n, "slack": args.slack})
     if args.jin:
-        if not args.x:
+        if args.x is None:
             raise InputError("--jin needs --x candidates")
-        candidates = _parse_candidates(args.x)
-        res = difference_cover(a, b, candidates, args.N, args.nu, args.n, slack)
+        res = difference_cover(a, b, args.x, args.N, args.nu, args.n, args.slack)
         report.results["shifts"] = list(res.cert.shifts)
         report.results["expected_k"] = res.expected_k
         report.results["covered_interval"] = res.covered_interval
@@ -388,15 +393,13 @@ def _cmd_pipeline(args, report: Report) -> int:
     if args.intersect:
         if args.eps is None:
             raise InputError("--intersect needs --eps")
-        if not args.x:
+        if args.x is None:
             raise InputError("--intersect needs --x candidates")
-        eps = parse_fraction(args.eps, "eps")
-        candidates = _parse_candidates(args.x)
         res = intersect_delta_cover(
-            a, b, eps, candidates, args.N, args.nu, args.n, slack,
+            a, b, args.eps, args.x, args.N, args.nu, args.n, args.slack,
             mandated_x=args.mandate,
         )
-        report.parameters["eps"] = eps
+        report.parameters["eps"] = args.eps
         report.results["shifts"] = list(res.cert.shifts)
         report.results["expected_k"] = res.expected_k
         report.certificates["cover"] = res.cert
@@ -404,7 +407,7 @@ def _cmd_pipeline(args, report: Report) -> int:
         report.certificates["checks_b"] = res.checks_b
         report.certificates["pipeline"] = res.pipeline
         return 0
-    res = joint_extract(a, b, args.N, args.nu, args.n, slack)
+    res = joint_extract(a, b, args.N, args.nu, args.n, args.slack)
     report.results["alpha"] = res.alpha
     report.results["beta"] = res.beta
     report.results["gamma"] = res.gamma
@@ -421,30 +424,12 @@ def _cmd_bohr(args, report: Report) -> int:
     d = read_set_file(args.d)
     report.inputs["d"] = _set_summary(args.d, d)
     if args.search:
-        if args.eps_grid is not None:
-            eps_grid = _parse_fraction_list(args.eps_grid, "--eps-grid")
-        else:
-            eps_grid = [Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8)]
-        if args.shifts is not None:
-            try:
-                shifts = tuple(int(p) for p in args.shifts.split(",") if p.strip())
-            except ValueError:
-                raise InputError(f"bad --shifts list {args.shifts!r}") from None
-            if not shifts:
-                raise InputError("--shifts list is empty")
-        else:
-            shifts = (0,)
         report.parameters.update(
-            {
-                "kmax": args.kmax,
-                "lmin": args.lmin,
-                "qmax": args.qmax,
-                "eps_grid": eps_grid,
-                "shifts": list(shifts),
-            }
+            {"kmax": args.kmax, "lmin": args.lmin, "qmax": args.qmax,
+             "eps_grid": args.eps_grid, "shifts": args.shifts}
         )
         wit = piecewise_bohr_search(
-            d, args.kmax, eps_grid, args.lmin, q_max=args.qmax, shifts=shifts
+            d, args.kmax, args.eps_grid, args.lmin, q_max=args.qmax, shifts=args.shifts
         )
         if wit is None:
             report.results["witness"] = None
@@ -454,13 +439,12 @@ def _cmd_bohr(args, report: Report) -> int:
         report.results["generated"] = s
         report.certificates["containment"] = bohr_contained(s, d, wit.interval)
         return 0
-    if not args.freqs:
+    if args.freqs is None:
         raise InputError("direct mode needs --freqs (or use --search)")
-    eps = parse_fraction(args.eps, "--eps") if args.eps is not None else Fraction(1, 4)
-    spec = BohrSpec.of(_parse_fraction_list(args.freqs, "freqs"), eps, args.shift)
-    interval = _parse_range(args.interval, "--interval") if args.interval is not None else d.window
+    spec = BohrSpec.of(args.freqs, args.eps, args.shift)
+    interval = d.window if args.interval is None else args.interval
     report.parameters.update(
-        {"freqs": list(spec.freqs), "eps": eps, "shift": args.shift, "interval": interval}
+        {"freqs": list(spec.freqs), "eps": args.eps, "shift": args.shift, "interval": interval}
     )
     s = bohr_generate(spec, d.window)
     report.results["generated"] = s
@@ -609,7 +593,6 @@ _CHECKS = [
 
 
 def _cmd_selftest(args, report: Report) -> int:
-    _check_positive(args.trials, "--trials")
     report.seed = args.seed
     report.parameters["trials"] = args.trials
     passed = {name: 0 for name, _ in _CHECKS}
@@ -634,10 +617,11 @@ def _cmd_selftest(args, report: Report) -> int:
 
 
 def _report_flags(p: argparse.ArgumentParser, csv: bool = False) -> None:
-    p.add_argument("--out", dest="report_out", metavar="PATH",
+    p.add_argument("--out", dest="report_out", metavar="PATH", type=_flag(_parse_path, "--out"),
                    help="write the report here instead of stdout")
     if csv:
-        p.add_argument("--csv", metavar="PATH", help="also write per-row data as CSV")
+        p.add_argument("--csv", metavar="PATH", type=_flag(_parse_path, "--csv"),
+                       help="also write per-row data as CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -649,99 +633,114 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen", help="materialize a generator spec into a set file")
-    p.add_argument("--spec", required=True, help="GenSpec JSON, or @path to a JSON file")
-    p.add_argument("--out", required=True,
+    p.add_argument("--spec", required=True, type=_flag(_parse_spec, "--spec"),
+                   help="GenSpec JSON, or @path to a JSON file")
+    p.add_argument("--out", required=True, type=_flag(_parse_path, "--out"),
                    help="set file to write; triple generators append .a/.b/.c")
     p.add_argument("--fmt", choices=("bits", "list"), default="bits")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("analyze", help="density estimates and structure classifiers")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
     p.add_argument("--n", type=int, action="append", help="window length, repeatable")
-    p.add_argument("--gap", type=int, help="gap bound for the piecewise syndetic check")
-    p.add_argument("--runlen", type=int, help="interval length for the piecewise syndetic check")
+    p.add_argument("--gap", type=_flag(_parse_positive, "--gap"),
+                   help="gap bound for the piecewise syndetic check")
+    p.add_argument("--runlen", type=_flag(_parse_positive, "--runlen"),
+                   help="interval length for the piecewise syndetic check")
     _report_flags(p, csv=True)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("delta", help="shifts whose self-intersection clears a density threshold")
-    p.add_argument("--set", required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
+    p.add_argument("--eps", required=True, type=_flag(parse_fraction, "--eps"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trange", required=True, help="shift range lo..hi")
+    p.add_argument("--trange", required=True, type=_flag(_parse_range, "--trange"),
+                   help="shift range lo..hi")
     p.add_argument("--upper", action="store_true",
                    help="use the anchored asymptotic estimator instead of the window scan")
     _report_flags(p, csv=True)
     p.set_defaults(fn=_cmd_delta)
 
     p = sub.add_parser("embed", help="window embeddability of X into Y")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--x", required=True, type=_flag(_parse_path, "--x"))
+    p.add_argument("--y", required=True, type=_flag(_parse_path, "--y"))
     p.add_argument("--m", type=int, required=True, help="trace length")
-    p.add_argument("--srange", help="shift search range lo..hi (default: all of Y)")
+    p.add_argument("--srange", type=_flag(_parse_range, "--srange"),
+                   help="shift search range lo..hi (default: all of Y)")
     p.add_argument("--dense", action="store_true", help="also estimate shift-set densities")
     p.add_argument("--n", type=int, help="estimator window for --dense")
     _report_flags(p)
     p.set_defaults(fn=_cmd_embed)
 
     p = sub.add_parser("cover", help="greedy shift cover with certificates")
-    p.add_argument("--set", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--x", required=True, help="candidate shifts: lo..hi, JSON array, or comma list")
+    p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
+    p.add_argument("--eps", required=True, type=_flag(parse_fraction, "--eps"))
+    p.add_argument("--x", required=True, type=_flag(_parse_candidates, "--x"),
+                   help="candidate shifts: lo..hi, JSON array, or comma list")
     p.add_argument("--n", type=int, required=True, help="base window length")
     p.add_argument("--h", type=int, help="quotient mode: cover x by {t : h*t dense} + F/h")
     p.add_argument("--mandate", type=int, default=0, help="shift the cover must use first")
     p.add_argument("--upper", action="store_true",
                    help="anchored window and asymptotic re-verification (heuristic)")
-    p.add_argument("--density-n", type=int,
+    p.add_argument("--density-n", type=_flag(_parse_positive, "--density-n"),
                    help="window length for the covering-density consequence")
     _report_flags(p)
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("extract", help="modal trace extraction with walk bound")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
     p.add_argument("--n", type=int, required=True, help="trace length")
-    p.add_argument("--slack", required=True, help="density slack below the best window")
-    p.add_argument("--window", type=int, help="base window length (default min(1024, all))")
+    p.add_argument("--slack", required=True, type=_flag(parse_fraction, "--slack"),
+                   help="density slack below the best window")
+    p.add_argument("--window", type=_flag(_parse_positive, "--window"),
+                   help="base window length (default min(1024, all))")
     _report_flags(p)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("pipeline", help="two-set alignment and extraction pipelines")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", required=True, type=_flag(_parse_path, "--a"))
+    p.add_argument("--b", required=True, type=_flag(_parse_path, "--b"))
     p.add_argument("--N", type=int, help="window length for the first set")
     p.add_argument("--nu", type=int, help="window length for the second set")
     p.add_argument("--n", type=int, required=True, help="trace length")
-    p.add_argument("--slack", default="1/50")
-    p.add_argument("--chain", nargs="+", metavar="PATH",
+    p.add_argument("--slack", default="1/50", type=_flag(parse_fraction, "--slack"))
+    p.add_argument("--chain", nargs="+", metavar="PATH", type=_flag(_parse_path, "--chain"),
                    help="fold further sets through the pipeline")
     p.add_argument("--jin", action="store_true",
                    help="cover candidates by dense shifts of the aligned overlap")
     p.add_argument("--intersect", action="store_true",
                    help="cover candidates by shifts eps-dense for both sets")
-    p.add_argument("--eps", help="threshold for --intersect")
-    p.add_argument("--x", help="candidate shifts for --jin / --intersect")
+    p.add_argument("--eps", type=_flag(parse_fraction, "--eps"), help="threshold for --intersect")
+    p.add_argument("--x", type=_flag(_parse_candidates, "--x"),
+                   help="candidate shifts for --jin / --intersect")
     p.add_argument("--mandate", type=int, default=0)
     _report_flags(p)
     p.set_defaults(fn=_cmd_pipeline)
 
     p = sub.add_parser("bohr", help="rational Bohr sets: generate, contain, search")
-    p.add_argument("--d", required=True, help="ambient set (usually a difference set)")
-    p.add_argument("--freqs", help="comma list of rational frequencies")
-    p.add_argument("--eps", help="width threshold (default 1/4)")
+    p.add_argument("--d", required=True, type=_flag(_parse_path, "--d"),
+                   help="ambient set (usually a difference set)")
+    p.add_argument("--freqs", type=_flag(_parse_list, "--freqs"),
+                   help="comma list of rational frequencies")
+    p.add_argument("--eps", default="1/4", type=_flag(parse_fraction, "--eps"),
+                   help="width threshold (default 1/4)")
     p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--interval", help="containment check range lo..hi (default: full window)")
+    p.add_argument("--interval", type=_flag(_parse_range, "--interval"),
+                   help="containment check range lo..hi (default: full window)")
     p.add_argument("--search", action="store_true", help="piecewise witness search")
     p.add_argument("--kmax", type=int, default=2, help="max frequencies per spec")
     p.add_argument("--Lmin", dest="lmin", type=int, default=16,
                    help="minimum violation-free interval length")
-    p.add_argument("--eps-grid", help="comma list of eps values for the search")
+    p.add_argument("--eps-grid", default="1/3,1/4,1/6,1/8", type=_flag(_parse_list, "--eps-grid"),
+                   help="comma list of eps values for the search")
     p.add_argument("--qmax", type=int, default=32, help="max denominator for suggested freqs")
-    p.add_argument("--shifts", help="comma list of shifts for the search")
+    p.add_argument("--shifts", default="0", type=_flag(_parse_list, "--shifts", _parse_int),
+                   help="comma list of shifts for the search")
     _report_flags(p)
     p.set_defaults(fn=_cmd_bohr)
 
     p = sub.add_parser("selftest", help="randomized invariant suite")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_flag(_parse_positive, "--trials"), default=100)
     p.add_argument("--seed", type=int, default=1)
     _report_flags(p)
     p.set_defaults(fn=_cmd_selftest)
@@ -750,29 +749,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    report = Report(command=args.cmd, version=__version__)
-    t0 = time.perf_counter()
-    code = 0
     try:
-        _check_path(getattr(args, "report_out", None), "--out")
-        code = args.fn(args, report)
+        args = build_parser().parse_args(argv)  # the flag parsers raise InputError
+        report = Report(command=args.cmd, version=__version__)
+        t0 = time.perf_counter()
+        try:
+            code = args.fn(args, report)
+        except VerificationError as e:
+            report.violations.append(str(e))
+            code = 3
+        report.timing["seconds"] = round(time.perf_counter() - t0, 6)
+        _emit(report, getattr(args, "report_out", None))
+        return code
     except InputError as e:
         print(f"diffsets: error: {e}", file=sys.stderr)
         return 2
     except InfeasibleError as e:
         print(f"diffsets: infeasible: {e}", file=sys.stderr)
         return 4
-    except VerificationError as e:
-        report.violations.append(str(e))
-        code = 3
-    report.timing["seconds"] = round(time.perf_counter() - t0, 6)
-    try:
-        _emit(report, getattr(args, "report_out", None))
-    except InputError as e:
-        print(f"diffsets: error: {e}", file=sys.stderr)
-        return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -251,6 +251,8 @@ def piecewise_syndetic_witness(a: IntSet, g: int, length: int) -> Window | None:
     """
     if g < 1:
         raise InputError("gap bound must be >= 1")
+    if length < 1:
+        raise InputError("interval length must be >= 1")
     if length > a.window.length:
         return None
     spread = range(min(g, a.window.length))  # a shift past the window length adds nothing

@@ -9,13 +9,15 @@ drops the timing block and nothing else.  The rest of the module walks every
 subcommand once and exercises each exit code path.
 """
 
+import argparse
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from diffsets import VerificationError, Window, read_set_file, residue_set
-from diffsets.cli import main
+from diffsets import VerificationError, Window, cli, read_set_file, residue_set
+from diffsets.cli import build_parser, main
 from diffsets.density import prefix_counts
 from diffsets.intset import MAX_WINDOW_LENGTH
 
@@ -387,10 +389,13 @@ def test_exit_2_on_bad_input(workdir, capsys):
         (cover + ["--h", "3", "--density-n", "0"], "--density-n"),
         (cover + ["--density-n", "0"], "--density-n"),
         (["extract", "--set", "a.set", "--n", "4", "--slack", "1/50", "--window", "0"], "--window"),
+        (["analyze", "--set", "a.set", "--gap", "2", "--runlen", "0"], "--runlen"),
+        (["analyze", "--set", "a.set", "--gap", "2", "--runlen=-5"], "--runlen"),
+        (["analyze", "--set", "a.set", "--gap", "0", "--runlen", "4"], "--gap"),
     ]:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, ""), argv
-        assert flag in err
+        assert flag in err and "empty window" not in err, argv
     # malformed generator specs name the offending field
     for spec, field in [
         ('{"kind":"residues","window":[1,50],"modulus":"x","classes":[0]}', "modulus"),
@@ -523,11 +528,113 @@ def test_empty_path_and_range_flags_exit_2(workdir, capsys):
         assert flag in err, argv
 
 
+def _subcommands():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _value_actions():
+    """(subcommand, action) for every flag of every subcommand that takes a value."""
+    return [
+        (cmd, action)
+        for cmd, p in _subcommands().items()
+        for action in p._actions
+        if action.option_strings and action.nargs != 0
+    ]
+
+
+def run_or_exit(argv, capsys):
+    """run(), with argparse's own refusals read as their exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# one valid command line per subcommand, for the tests that append one flag to it
+BASE_ARGV = {
+    "gen": ["gen", "--spec", RESIDUE_SPEC, "--out", "g.set"],
+    "analyze": ["analyze", "--set", "a.set", "--n", "100"],
+    "delta": ["delta", "--set", "a.set", "--eps", "1/4", "--n", "500", "--trange=-10..10"],
+    "embed": ["embed", "--x", "a.set", "--y", "a.set", "--m", "3"],
+    "cover": ["cover", "--set", "a.set", "--eps", "0", "--x=-20..20", "--n", "500"],
+    "extract": ["extract", "--set", "a.set", "--n", "4", "--slack", "1/50"],
+    "pipeline": ["pipeline", "--a", "a.set", "--b", "a.set", "--N", "200", "--nu", "20",
+                 "--n", "4"],
+    "bohr": ["bohr", "--d", "a.set", "--freqs", "1/5"],
+    "selftest": ["selftest", "--trials", "2"],
+}
+
+
+def test_base_argvs_cover_every_subcommand_and_run(workdir, capsys):
+    assert sorted(BASE_ARGV) == sorted(_subcommands())
+    for argv in BASE_ARGV.values():
+        code, _, err = run_or_exit(argv, capsys)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "cmd, flag", [(cmd, a.option_strings[0]) for cmd, a in _value_actions()]
+)
+def test_every_empty_flag_value_exits_2_naming_it(workdir, capsys, cmd, flag):
+    """Every value flag, generated from the parser: an empty value is never read as unset."""
+    code, out, err = run_or_exit(BASE_ARGV[cmd] + [f"{flag}="], capsys)
+    assert (code, out) == (2, ""), err
+    assert flag in err
+
+
+def test_cli_never_tests_a_value_flag_for_truthiness():
+    """An empty or zero value must not read as unset: only `is None` may test a value flag."""
+    dests = {a.dest for _, a in _value_actions()}
+    tested = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            tested.append(node.test)
+        elif isinstance(node, ast.BoolOp):
+            tested.extend(node.values)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested.append(node.operand)
+        elif isinstance(node, ast.comprehension):
+            tested.extend(node.ifs)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bool":
+            tested.extend(node.args)
+    truthy = [
+        ast.unparse(t) for t in tested
+        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+        and t.value.id == "args" and t.attr in dests
+    ]
+    assert truthy == []
+
+
+def test_malformed_value_of_an_ignored_flag_exits_2(workdir, capsys):
+    """Values are parsed with the command line, also where the chosen mode ignores them."""
+    for argv, flag in [
+        (["bohr", "--d", "a.set", "--search", "--eps=x"], "--eps"),
+        (BASE_ARGV["pipeline"] + ["--x=5..1"], "--x"),
+        (BASE_ARGV["bohr"] + ["--shifts=x"], "--shifts"),
+    ]:
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert flag in err, argv
+
+
+def test_flag_values_are_refused_before_any_set_file_is_read(workdir, capsys, monkeypatch):
+    monkeypatch.setattr("diffsets.cli.read_set_file", lambda *a: pytest.fail("read a set file"))
+    code, out, err = run(BASE_ARGV["delta"] + ["--eps=x"], capsys)
+    assert (code, out) == (2, "") and "--eps" in err
+
+
 def test_exit_2_on_set_file_that_is_not_text(workdir, capsys):
     (workdir / "bin.set").write_bytes(b"\xff\xfe1\n")
     code, out, err = run(["analyze", "--set", "bin.set"], capsys)
     assert (code, out) == (2, "")
     assert "bin.set" in err and "not a set file" in err
+    code, out, err = run(["gen", "--spec", "@bin.set", "--out", "g.set"], capsys)
+    assert (code, out) == (2, "")
+    assert "--spec" in err and "cannot read spec file bin.set" in err
 
 
 def test_exit_2_on_unreadable_files(workdir, capsys):

@@ -14,6 +14,7 @@ and a residue modulus included.
 The examples are derandomized, so the suite runs the same argvs every time.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -22,7 +23,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffsets.cli import main
+from diffsets.cli import build_parser, main
 
 HUGE = str(10**13)
 SETS = ["a.set", "l.set", "n.set", "one.set", "e.set", "bad.set", "missing.set", "crlf.set",
@@ -79,6 +80,17 @@ FLAGS = {
                  ["0,1", "", "x", "-3"])},
     "selftest": {"--trials": SMALL, "--seed": _ints(HUGE)},
 }
+
+
+def test_flags_lists_every_declared_option():
+    """A flag added to the parser cannot miss the fuzz."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(FLAGS) == sorted(sub.choices)
+    for cmd, p in sub.choices.items():
+        declared = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        fuzzed = set(FLAGS[cmd]) | ({"--out"} if cmd != "gen" else set())  # argvs adds --out
+        assert declared == fuzzed, cmd
 
 
 @st.composite

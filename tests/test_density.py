@@ -440,6 +440,9 @@ def test_piecewise_syndetic_frozen():
     # an interval plus far-away dust: witness sits on the interval
     a = make_set(list(range(10, 20)) + [40, 55], Window(0, 60))
     assert piecewise_syndetic_witness(a, 1, 10) == Window(10, 19)
+    for length in (0, -5):  # an empty interval is refused, as in thick_witness
+        with pytest.raises(InputError, match="interval length must be >= 1"):
+            piecewise_syndetic_witness(evens, 2, length)
 
 
 # ---------------------------------------------------------------------------
