@@ -23,7 +23,8 @@ import numpy as np
 
 from .density import longest_run
 from .errors import InputError, VerificationError
-from .intset import MAX_WINDOW_LENGTH, IntSet, Window, bit_vector, complement_in, from_bit_vector, restrict
+from .intset import (MAX_WINDOW_LENGTH, IntSet, Window, bit_vector, complement_in, from_bit_vector,
+                     minus, restrict)
 
 __all__ = [
     "BohrSpec",
@@ -105,10 +106,10 @@ def bohr_contained(s: IntSet, a: IntSet, interval: Window) -> BohrContainment:
     for w, name in ((s.window, "candidate"), (a.window, "target")):
         if interval.lo < w.lo or interval.hi > w.hi:
             raise InputError(f"interval {interval} outside the {name} window {w}")
-    s_bits = restrict(s, interval)
-    bad = IntSet(interval, s_bits.bits & ~restrict(a, interval).bits)
+    s_in = restrict(s, interval)
+    bad = minus(s_in, a)
     listed = list(islice(bad.members(), 10))
-    return BohrContainment(bad.count == 0, s_bits.count, bad.count, listed)
+    return BohrContainment(bad.count == 0, s_in.count, bad.count, listed)
 
 
 def suggest_freqs(d: IntSet, k_max: int, q_max: int = 32) -> list[Fraction]:
@@ -190,7 +191,7 @@ def piecewise_bohr_search(
     for combo, eps, shift in _trials(freqs, eps_values, shifts):
         spec = BohrSpec(combo, eps, shift)
         s = bohr_generate(spec, window)
-        clean = complement_in(IntSet(window, s.bits & ~d.bits), window)
+        clean = complement_in(minus(s, d), window)
         run = longest_run(clean)
         if run is None:
             continue

@@ -20,7 +20,7 @@ from .delta import shift_density
 from .density import DensityEstimate, lower_banach_est, thick_witness, upper_banach_est
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, from_bit_vector,
-                     intersect, make_set, rebase, restrict, sumset)
+                     intersect, make_set, rebase, restrict, self_overlap, sumset)
 
 __all__ = [
     "CsInequality",
@@ -104,9 +104,9 @@ def guaranteed_overlap(family: list[IntSet], n: int | None = None) -> Fraction:
 
 
 def dense_shift_count(c: IntSet, t: int) -> int:
-    """|C ∩ (C - t) ∩ [1, N]| for C ⊆ [1, N]; symmetric in the sign of t."""
-    check_anchored(c, "base set")
-    return (c.bits & (c.bits >> abs(t))).bit_count()
+    """|C ∩ (C - t) ∩ [1, N]| for C ⊆ [1, N]; symmetric in the sign of t, 0 once |t| >= N."""
+    n = check_anchored(c, "base set")
+    return self_overlap(c, t).count if abs(t) < n else 0
 
 
 def dense_shift_member(c: IntSet, t: int, eps: Fraction) -> bool:
@@ -394,6 +394,8 @@ def cover_density_check(
     shifts = list(dict.fromkeys(shifts))
     if not shifts:
         raise InputError("empty shift list")
+    if n < 1:  # both thresholds divide by n
+        raise InputError(f"window length n = {n} must be >= 1")
     k = len(shifts)
     norm, c = _normalize_shifts(shifts)
     s_norm = s.shift(c)

@@ -6,13 +6,13 @@ precondition: every t in the requested range must satisfy
 n + |t| <= window length, so the estimator never scans a silently truncated
 intersection; violations raise an input error naming the offending t.
 
-The Banach sweep scans each distinct |t| once.  This mirror is exact: for
-either sign of t, A ∩ (A - t) is ``a.bits & (a.bits >> |t|)`` on an overlap
-window of the same length, and the best-window value reads only those bits,
-n and that length (only the offset ``at``, which ``per_t`` does not keep,
-depends on where the overlap starts).  The anchored ``upper`` sweep keeps one
-evaluation per t: it reads [1, n] of an overlap that starts at 1 for t >= 0
-and at 1 - t for t < 0, so the bits it reads differ between t and -t.
+The Banach sweep scans each distinct |t| once.  This mirror is exact:
+A ∩ (A + t) is A ∩ (A - t) moved up by t, window and all
+(``intset.self_overlap``), and a translation keeps the best-window value
+(only the offset ``at``, which ``per_t`` does not keep, moves).  The
+anchored ``upper`` sweep keeps one evaluation per t: it reads [1, n] of an
+overlap that starts at 1 for t >= 0 and at 1 - t for t < 0, so the members
+it reads differ between t and -t.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import par
 from .density import check_sub_window, syndetic_gap, upper_asymptotic_est, upper_banach_est
 from .errors import InputError
-from .intset import IntSet, Window, check_anchored, make_set, restrict
+from .intset import IntSet, Window, check_anchored, make_set, restrict, self_overlap
 
 __all__ = [
     "EpsDeltaResult",
@@ -48,13 +48,8 @@ class EpsDeltaResult:
 
 
 def shift_intersection(a: IntSet, t: int) -> IntSet:
-    """A ∩ (A - t) on the exact overlap window.
-
-    For either sign of t, bit i of the overlap is bit i AND bit i + |t| of A,
-    so one shift and one AND build it.
-    """
-    w = a.window.intersect(a.window.shift(-t))
-    return IntSet(w, a.bits & (a.bits >> abs(t)))
+    """A ∩ (A - t) on the exact overlap window."""
+    return self_overlap(a, t)
 
 
 def _max_shift(trange: Window) -> int:

@@ -38,7 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .intset import IntSet, Window, bit_bytes, bit_vector, check_anchored, combine_shifts, restrict
+from .intset import (IntSet, Window, bit_bytes, bit_vector, check_anchored, combine_shifts,
+                     restrict, self_overlap)
 
 __all__ = [
     "DensityEstimate",
@@ -124,7 +125,7 @@ def _banach(a: IntSet, n: int, maximize: bool) -> DensityEstimate:
     last = a.window.length - n  # offsets 0 .. last
     size = last // 8 + 1
     # bit j leaves and bit j + n enters on the step from offset j to j + 1 (j < last)
-    full = bit_bytes(a.bits, n // 8 + size + 1)
+    full = bit_bytes(a, n // 8 + size + 1)
     leaving = full[:size].copy()
     leaving[-1] &= (1 << last % 8) - 1
     q, r = divmod(n, 8)
@@ -141,7 +142,7 @@ def _banach(a: IntSet, n: int, maximize: bool) -> DensityEstimate:
     np.cumsum(step[:-1], dtype=acc, out=best[1:])
     best += packed >> 3  # ... plus the best prefix inside it
     g = int(np.argmax(best))  # first hit: least byte, and the table's least offset in it
-    base = (a.bits & ((1 << n) - 1)).bit_count()
+    base = restrict(a, Window(a.window.lo, a.window.lo + n - 1)).count
     count = base + int(best[g]) if maximize else base - int(best[g])
     at = a.window.lo - 1 + 8 * g + int(packed[g] & 7)
     return DensityEstimate(Fraction(count, n), n, at, UPPER_BANACH if maximize else LOWER_BANACH)
@@ -199,16 +200,16 @@ def schnirelmann_est(a: IntSet, n: int) -> DensityEstimate:
     return _anchored_scan(a, 1, n, SCHNIRELMANN, maximize=False)
 
 
-def _runs_at_least(bits: int, length: int) -> int:
-    """Bit x set in the result iff positions x .. x+length-1 are all set."""
+def _runs_at_least(runs: IntSet, length: int) -> IntSet:
+    """The x with x .. x+length-1 all in the set (length at most its window length)."""
     need = length - 1
     shift = 1
-    while need > 0 and bits:
+    while need > 0 and runs:
         s = min(shift, need)
-        bits &= bits >> s
+        runs = self_overlap(runs, s)
         need -= s
         shift <<= 1
-    return bits
+    return runs
 
 
 def thick_witness(a: IntSet, length: int) -> int | None:
@@ -217,10 +218,8 @@ def thick_witness(a: IntSet, length: int) -> int | None:
         raise InputError("interval length must be >= 1")
     if length > a.window.length:
         return None
-    runs = _runs_at_least(a.bits, length)
-    if not runs:
-        return None
-    return a.window.lo + (runs & -runs).bit_length() - 1
+    runs = _runs_at_least(a, length)
+    return runs.min() if runs else None
 
 
 def longest_run(a: IntSet) -> tuple[int, int] | None:
@@ -256,8 +255,8 @@ def piecewise_syndetic_witness(a: IntSet, g: int, length: int) -> Window | None:
     if length > a.window.length:
         return None
     spread = range(min(g, a.window.length))  # a shift past the window length adds nothing
-    runs = _runs_at_least(combine_shifts(a, spread, a.window, union=True).bits, length)
+    runs = _runs_at_least(combine_shifts(a, spread, a.window, union=True), length)
     if not runs:
         return None
-    x = a.window.lo + (runs & -runs).bit_length() - 1
+    x = runs.min()
     return Window(x, x + length - 1)

@@ -189,19 +189,10 @@ def find_ap(a: IntSet, k: int) -> tuple[int, int] | None:
         return None
     if k == 1:
         return (a.min(), 1)
-    best: tuple[int, int] | None = None
     max_d = (a.window.length - 1) // (k - 1)
-    for d in range(1, max_d + 1):
-        hits = a.bits
-        for j in range(1, k):
-            hits &= a.bits >> (j * d)
-            if not hits:
-                break
-        if hits:
-            start = a.window.lo + (hits & -hits).bit_length() - 1
-            if best is None or (start, d) < best:
-                best = (start, d)
-    return best
+    starts = ((combine_shifts(a, [-j * d for j in range(k)], a.window), d)
+              for d in range(1, max_d + 1))  # the starts of the progressions of difference d
+    return min(((s.min(), d) for s, d in starts if s), default=None)
 
 
 def ap_shift_density(y: IntSet, d: int, k: int, n: int) -> DensityEstimate:
@@ -209,10 +200,7 @@ def ap_shift_density(y: IntSet, d: int, k: int, n: int) -> DensityEstimate:
     if k < 1 or d == 0:
         raise InputError("need k >= 1 and d != 0")
     span = (k - 1) * d
-    if d > 0:
-        w = Window(y.window.lo, y.window.hi - span)
-    else:
-        w = Window(y.window.lo - span, y.window.hi)
-    if w.length < 1:
-        raise InputError("window too short for this progression")
+    if abs(span) >= y.window.length:  # before the empty window of starts is built
+        raise InputError(f"window {y.window} too short for this progression (span {abs(span)})")
+    w = y.window.intersect(y.window.shift(-span))  # the starts x with x and x + span in the window
     return upper_banach_est(combine_shifts(y, [-j * d for j in range(k)], w), n)

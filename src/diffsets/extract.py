@@ -24,7 +24,7 @@ from .density import longest_run, prefix_counts, upper_banach_est
 from .embed import Pattern, shift_set_of, trace_classes, trace_pattern
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, convolve,
-                     difference_set, from_bit_vector, intersect, make_set, rebase, restrict,
+                     difference_set, from_bit_vector, intersect, make_set, minus, rebase, restrict,
                      shift_set)
 
 __all__ = [
@@ -320,7 +320,7 @@ def dense_pattern_extract(
     for j in range(1, len(cert.prefix) + 1):
         f = Pattern(cert.prefix.elems[:j])
         s = shift_set_of(f, a, srange)
-        if shifted.bits & ~s.bits:
+        if minus(shifted, s):
             raise VerificationError(f"a match offset fails to embed the length-{j} prefix")
         value = upper_banach_est(s, srange.length).value
         ok = value >= floor_value
@@ -380,7 +380,7 @@ def joint_extract(
     d = rebase(b, off_b, sub_len)
     pig = pigeonhole_shift(c, d)
     zeta = pig.shift
-    w = IntSet(Window(1, sub_len), (c.bits >> zeta) & d.bits)
+    w = intersect(restrict(c.shift(-zeta), d.window), d)
     if Fraction(w.count, sub_len) != pig.ratio:
         raise VerificationError("overlap count disagrees with the convolution readout")
     if Fraction(w.count, sub_len) < alpha * beta - Fraction(sub_len, window_len):
@@ -399,7 +399,7 @@ def joint_extract(
         combine_shifts(b, [-e for e in cert.prefix], align_window),
     )
     shifted = shift_set(cert.matches, off_b)
-    if shifted.bits & ~inter.bits:
+    if minus(shifted, inter):
         raise VerificationError("a match offset fails the joint alignment recount")
     if inter.count < cert.matches.count:
         raise VerificationError("alignment recount lost matches")

@@ -27,9 +27,12 @@ from .intset import (
     check_window_length,
     complement_in,
     difference_set,
+    empty_set,
     from_bit_vector,
     full_set,
+    intersect,
     make_set,
+    minus,
     restrict,
 )
 from .prng import stream_block
@@ -134,7 +137,7 @@ def bernoulli_set(window: Window, p: Fraction, seed: int) -> IntSet:
     if not 0 <= p <= 1:
         raise InputError("bernoulli probability must be in [0, 1]")
     if p == 0:
-        return IntSet(window, 0)
+        return empty_set(window)
     if p == 1:
         return full_set(window)
     threshold = (p.numerator * (1 << 64) - 1) // p.denominator
@@ -196,15 +199,15 @@ def blocks_set(window: Window, scale: int = 1) -> IntSet:
     """
     if scale < 1:
         raise InputError("scale must be >= 1")
-    bits = 0
+    keep = np.zeros(window.length, dtype=bool)  # a block may span the whole window
     best_full = 0
     for k, lo, hi in _block_intervals(window, scale):
-        bits |= ((1 << (hi - lo + 1)) - 1) << (lo - window.lo)
+        keep[lo - window.lo : hi - window.lo + 1] = True
         if lo == scale * k * k * k and hi == scale * k * k * k + k:
             best_full = max(best_full, k + 1)
     if best_full == 0:
         raise InputError("window holds no complete block; widen it or lower the scale")
-    out = IntSet(window, bits)
+    out = from_bit_vector(keep, window)
     if thick_witness(out, best_full) is None:
         raise VerificationError("blocks lost their own longest interval")
     if thick_witness(complement_in(out, window), best_full) is None:
@@ -260,22 +263,11 @@ def thick_triple(window: Window, scale: int = 4, blocks: int = 3):
     shift = g * 4 ** (blocks + 1)
     starts = [g * 4**k for k in range(1, blocks + 1)]
     lens = [scale * k for k in range(1, blocks + 1)]
-
-    def interval_bits(lo: int, hi: int) -> int:
-        return ((1 << (hi - lo + 1)) - 1) << (lo - window.lo)
-
-    a_bits = 0
-    for s, ln in zip(starts, lens):
-        a_bits |= interval_bits(s, s + ln)
-    a = IntSet(window, a_bits)
-    b = IntSet(window, a_bits << shift)
-    c_bits = 0
-    for j in range(blocks):
-        for k in range(blocks):
-            lo = starts[j] - starts[k] - lens[k] - shift
-            hi = starts[j] - starts[k] + lens[j] - shift
-            c_bits |= interval_bits(lo, hi)
-    c = IntSet(window, c_bits)
+    a = make_set([x for s, ln in zip(starts, lens) for x in range(s, s + ln + 1)], window)
+    b = restrict(a.shift(shift), window)
+    bands = [(starts[j] - starts[k] - lens[k] - shift, starts[j] - starts[k] + lens[j] - shift)
+             for j in range(blocks) for k in range(blocks)]  # a sliver of the window
+    c = make_set([x for lo, hi in bands for x in range(lo, hi + 1)], window)
 
     want = scale  # every set and complement must hold an interval this long
     for s, name in ((a, "A"), (b, "B"), (c, "C")):
@@ -286,7 +278,7 @@ def thick_triple(window: Window, scale: int = 4, blocks: int = 3):
     diff = difference_set(a, b)
     if diff.count != restrict(diff, window).count:
         raise VerificationError("difference set escapes the window")
-    if restrict(diff, window).bits & ~c.bits:
+    if minus(diff, c):
         raise VerificationError("A - B escapes C")
     return a, b, c
 
@@ -301,19 +293,18 @@ def chain_in_thick(t: IntSet, count: int, window: Window) -> IntSet:
     """
     if count < 1:
         raise InputError("count must be >= 1")
-    avail = (1 << window.length) - 1
+    avail = full_set(window)
     chosen: list[int] = []
     while len(chosen) < count:
-        if avail == 0:
+        if not avail:
             raise InfeasibleError(
                 f"chain stuck after {len(chosen)} of {count} points; "
                 "the thick set has no common continuation in this window"
             )
-        idx = (avail & -avail).bit_length() - 1
-        v = window.lo + idx
+        v = avail.min()
         chosen.append(v)
-        avail &= restrict(t.shift(v), window).bits
-        avail &= ~((1 << (idx + 1)) - 1)
+        avail = intersect(avail, restrict(t.shift(v), window))
+        avail = minus(avail, full_set(Window(window.lo, v)))  # only points above v stay
     members = set(t.members())
     for i in range(len(chosen)):
         for j in range(i + 1, len(chosen)):

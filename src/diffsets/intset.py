@@ -3,9 +3,11 @@
 An IntSet is an immutable set of integers inside a closed window [lo, hi].
 Bit i of ``bits`` is element ``lo + i``, so shifts, intersections and unions
 are single big-int operations; difference and sum sets are the supports of
-one exact convolution (``convolve``).  Operations never silently clip members:
-every result window is the exact window implied by the operation, and
-explicit restriction is spelled ``restrict``.  Per-element work goes through
+one exact convolution (``convolve``).  Only this module knows that layout;
+the others use its set algebra (the report's ``bits_hex`` only serializes
+``bits``).  Operations never silently clip members: every result window is
+the exact window implied by the operation, and explicit restriction is
+spelled ``restrict``.  Per-element work goes through
 a numpy 0/1 vector, crossing only by ``bit_vector`` and ``from_bit_vector``
 (the byte-parallel Banach scan reads the packed bytes through ``bit_bytes``).
 """
@@ -46,6 +48,8 @@ __all__ = [
     "restrict",
     "rebase",
     "combine_shifts",
+    "self_overlap",
+    "minus",
     "read_set_file",
     "write_set_file",
 ]
@@ -185,9 +189,9 @@ class IntSet:
         return f"IntSet({self.window!r}, count={self.count})"
 
 
-def bit_bytes(bits: int, size: int) -> np.ndarray:
-    """The nonnegative int ``bits`` (below 2**(8*size)) as ``size`` little-endian uint8 bytes."""
-    return np.frombuffer(bits.to_bytes(size, "little"), dtype=np.uint8)
+def bit_bytes(a: IntSet, size: int) -> np.ndarray:
+    """a's membership bits as ``size`` little-endian uint8 bytes (8 * size >= its window length)."""
+    return np.frombuffer(a.bits.to_bytes(size, "little"), dtype=np.uint8)
 
 
 def _unpack(bits: int, n: int) -> np.ndarray:
@@ -250,9 +254,9 @@ def convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """c[k] = sum_i u[i] * v[k - i] of two nonempty uint8 0/1 arrays, exact, as int64.
 
     Each decimal product multiplies a tile of u by a tile of v, at most
-    _LANE_BUDGET = 2^18 positions between them: both whole vectors when they
-    fit, else tiles of the shorter vector of at most half the budget and
-    equal tiles of the longer one that fill the rest.  So every product holds
+    _LANE_BUDGET = 2^18 positions between them: tiles of the shorter vector
+    of at most half the budget and equal tiles of the longer one that fill
+    the rest (so both whole vectors when they fit).  So every product holds
     a bounded amount of digit text and libmpdec buffers (a few MiB), whatever
     the lengths up to the window cap.  A tile becomes one decimal with a
     w-digit lane per position, w the digits of the tile pair's smaller count
@@ -264,9 +268,8 @@ def convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     u, v = sorted((u, v), key=len, reverse=True)  # v is the shorter
     out = np.zeros(len(u) + len(v) - 1, dtype=np.int64)
-    fits = len(u) + len(v) <= _LANE_BUDGET
-    v_step = len(v) if fits else _tile(len(v), _LANE_BUDGET // 2)
-    u_step = len(u) if fits else _tile(len(u), _LANE_BUDGET - v_step)
+    v_step = _tile(len(v), _LANE_BUDGET // 2)
+    u_step = _tile(len(u), _LANE_BUDGET - v_step)
     for i in range(0, len(u), u_step):
         for j in range(0, len(v), v_step):
             a, b = u[i : i + u_step], v[j : j + v_step]
@@ -336,6 +339,21 @@ def combine_shifts(a: IntSet, shifts: Iterable[int], w: Window, union: bool = Fa
         bits = _aligned(a, w.lo - t)
         acc = acc | bits if union else acc & bits
     return IntSet(w, acc & _mask(w.length))
+
+
+def self_overlap(a: IntSet, t: int) -> IntSet:
+    """A ∩ (A - t) on the overlap of A's window and its shift by -t (needs |t| < its length).
+
+    For either sign of t, bit i of the overlap is bit i AND bit i + |t| of A,
+    so one shift and one AND build it.
+    """
+    w = a.window.intersect(a.window.shift(-t))
+    return IntSet(w, a.bits & (a.bits >> abs(t)))
+
+
+def minus(a: IntSet, b: IntSet) -> IntSet:
+    """A \\ B on A's window; members of B outside it are ignored."""
+    return IntSet(a.window, a.bits & ~_slice_onto(b, a.window))
 
 
 def intersect(a: IntSet, b: IntSet) -> IntSet:

@@ -130,7 +130,7 @@ def test_guaranteed_overlap_frozen():
 def test_dense_shift_count_matches_brute(data):
     n = data.draw(st.integers(2, 60))
     c = IntSet(Window(1, n), data.draw(st.integers(1, (1 << n) - 1)))
-    t = data.draw(st.integers(-n, n))
+    t = data.draw(st.integers(-2 * n, 2 * n))  # the greedy asks for shifts up to 2N, no overlap past N
     mem = set(c.members())
     want = len(brute.shift_intersection(mem, abs(t)))
     assert dense_shift_count(c, t) == want
@@ -387,6 +387,15 @@ def test_cover_density_thick_cover():
 
     rep = cover_density_check(s, [0], "thick_cover", 10, thick_len=10)
     assert not rep.premise_ok  # evens alone contain no 10-interval
+
+
+@pytest.mark.parametrize("mode, extra", [("full_cover", {"cover_range": Window(0, 50)}),
+                                         ("thick_cover", {"thick_len": 10})])
+@pytest.mark.parametrize("n", [0, -3])
+def test_cover_density_refuses_n_below_one(mode, extra, n):
+    s = residues({0}, 2, 0, 99)
+    with pytest.raises(InputError, match=f"n = {n} must be >= 1"):
+        cover_density_check(s, [0, 1], mode, n, **extra)
 
 
 def test_cover_density_input_errors():

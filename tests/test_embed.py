@@ -293,6 +293,16 @@ def test_ap_shift_density_frozen():
         ap_shift_density(evens, 0, 3, 10)
 
 
+def test_ap_shift_density_refuses_a_progression_longer_than_the_window():
+    evens = make_set(range(0, 100, 2), Window(0, 99))
+    for d, k in [(200, 3), (-200, 3), (50, 3), (-1, 101)]:  # spans 400, 400, 100, 100 > 99
+        with pytest.raises(InputError, match="too short for this progression"):
+            ap_shift_density(evens, d, k, 1)
+    full = make_set(range(100), Window(0, 99))
+    assert ap_shift_density(full, 33, 4, 1).value == 1  # span 99: one start, 0
+    assert ap_shift_density(full, -33, 4, 1).at == 98  # its mirror: the start 99
+
+
 def test_ap_preserved_by_embedding():
     # X has a 3-term AP of span 4 inside every length-5 trace rule; if every
     # trace embeds, Y must contain the progression too

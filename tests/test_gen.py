@@ -227,6 +227,17 @@ def test_chain_in_thick_dead_end():
         chain_in_thick(t, 0, Window(1, 500))
 
 
+def test_huge_integer_fields_size_no_allocation():
+    """count and the blocks scale size nothing: a count past any chain dead-ends, and a
+    scale past the window leaves no complete block, both at the window cap."""
+    cap = [1, intset.MAX_WINDOW_LENGTH]
+    thick = {"kind": "blocks", "window": cap, "scale": 1}
+    with pytest.raises(InfeasibleError, match="chain stuck after 7 of"):
+        gen(spec_from_json({"kind": "chain_in_thick", "window": cap, "count": 10**30, "thick": thick}))
+    with pytest.raises(InputError, match="no complete block"):
+        gen(spec_from_json({"kind": "blocks", "window": cap, "scale": 10**30}))
+
+
 # ---------------------------------------------------------------------------
 # dispatch and the JSON spec format
 

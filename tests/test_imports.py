@@ -46,3 +46,22 @@ def test_no_unreferenced_private_names():
     dead = [f"{name}:{priv}" for name, tree in trees.items()
             for priv in _module_level_privates(tree) if priv not in read]
     assert not dead, dead
+
+
+def test_only_intset_knows_the_bit_layout():
+    """Outside intset no module reads IntSet.bits or builds an IntSet from raw bits.
+
+    The report's ``bits_hex`` is the one reader: it serializes the layout.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "intset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "bits" and path.name != "report.py":
+                found.append(f"{path.name}:{node.lineno} reads .bits")
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "IntSet":
+                    found.append(f"{path.name}:{node.lineno} calls IntSet(...)")
+    assert not found, found

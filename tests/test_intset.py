@@ -34,6 +34,8 @@ from diffsets.intset import (
     combine_shifts,
     convolve,
     from_bit_vector,
+    minus,
+    self_overlap,
 )
 
 windows = st.builds(
@@ -167,6 +169,33 @@ def test_combine_shifts_matches_sets(a, w, shifts, join):
         want = set(range(w.lo, w.hi + 1)).intersection(*copies)
     got = combine_shifts(a, shifts, w, union=join)
     assert got.window == w and set(got) == want
+
+
+@given(intsets(), intsets())
+def test_minus_matches_sets(a, b):
+    # independent windows: disjoint, offset, nested and equal ones
+    got = minus(a, b)
+    assert got.window == a.window and set(got) == set(a) - set(b)
+
+
+def test_minus_disjoint_and_offset_windows():
+    a = make_set([0, 2, 4], Window(0, 4))
+    assert minus(a, make_set([7, 9], Window(6, 9))) == a  # disjoint: nothing to take away
+    assert minus(a, make_set([4, 5], Window(3, 9))) == make_set([0, 2], Window(0, 4))
+    assert minus(a, make_set([-1, 2], Window(-3, 2))) == make_set([0, 4], Window(0, 4))
+    assert not minus(a, full_set(Window(-5, 5)))
+
+
+@given(intsets(), st.data())
+def test_self_overlap_matches_sets(a, data):
+    length = a.window.length
+    t = data.draw(st.integers(-(length - 1), length - 1))  # both signs
+    got = self_overlap(a, t)
+    assert got.window == a.window.intersect(a.window.shift(-t))
+    assert set(got) == {x for x in a if x + t in a}
+    assert self_overlap(a, -t) == got.shift(t)  # A ∩ (A + t) = (A ∩ (A - t)) + t
+    with pytest.raises(InputError):
+        self_overlap(a, data.draw(st.sampled_from([length, -length, 2 * length])))
 
 
 def zero_one(length, ones):
