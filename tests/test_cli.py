@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from diffsets import VerificationError, Window, cli, read_set_file, residue_set
+from diffsets import (VerificationError, Window, cli, gen, read_set_file, residue_set,
+                      spec_from_json)
 from diffsets.cli import build_parser, main
 from diffsets.density import prefix_counts
 from diffsets.intset import MAX_WINDOW_LENGTH
@@ -136,6 +137,40 @@ def test_extract_matches_golden(workdir, capsys):
     )
     assert code == 0
     assert canon(out) == canon((GOLDEN / "extract.json").read_text())
+
+
+# one run per CLI branch that no other golden reaches: the quotient cover
+# (cover --h), the chained extraction (pipeline --chain), the three-file
+# thick_triple gen and the piecewise-syndetic witness (analyze --gap/--runlen)
+BRANCH_GOLDENS = {
+    "cover_quotient.json":
+        ["cover", "--set", "a.set", "--eps", "1/10", "--x=-20..20", "--n", "500", "--h", "3"],
+    "pipeline_chain.json":
+        ["pipeline", "--a", "c5.set", "--b", "c6.set", "--chain", "c7.set",
+         "--n", "3", "--slack", "1/20", "--N", "1000"],
+    "gen_thick_triple.json":
+        ["gen", "--spec", '{"kind":"thick_triple","window":[-914,962],"scale":1,"blocks":2}',
+         "--out", "t.set"],
+    "analyze_piecewise.json":
+        ["analyze", "--set", "a.set", "--n", "100", "--gap", "5", "--runlen", "50"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_GOLDENS))
+def test_branch_matches_golden(workdir, capsys, name):
+    for seed in (5, 6, 7):
+        _gen(f'{{"kind":"bernoulli","window":[1,2000],"seed":{seed},"p":"1/2"}}',
+             f"c{seed}.set", capsys)
+    code, out, _ = run(BRANCH_GOLDENS[name], capsys)
+    assert code == 0
+    assert canon(out) == canon((GOLDEN / name).read_text())
+
+
+def test_gen_thick_triple_writes_each_set(workdir, capsys):
+    spec = '{"kind":"thick_triple","window":[-914,962],"scale":1,"blocks":2}'
+    _gen(spec, "t.set", capsys)
+    made = gen(spec_from_json(json.loads(spec)))
+    assert [read_set_file(f"t.set.{x}") for x in "abc"] == list(made)
 
 
 def test_report_out_flag_writes_file(workdir, capsys):
