@@ -3,117 +3,21 @@
 Sets live on explicit integer windows as big-integer bitmasks; every
 density, shift cover, alignment, and extraction result carries a
 certificate whose inequalities are checked in exact rational arithmetic.
+
+The package namespace is exactly the union of the library modules'
+``__all__`` lists; the CLI, the thread map and the PRNG stream stay in
+their modules (``diffsets.cli``, ``diffsets.par``, ``diffsets.prng``).
 """
 
 __version__ = "0.1.0"
 
-from .bohr import (
-    BohrContainment,
-    BohrSpec,
-    PiecewiseBohrWitness,
-    bohr_contained,
-    bohr_generate,
-    piecewise_bohr_search,
-    suggest_freqs,
-)
-from .cover import (
-    CoverCertificate,
-    CoverDensityReport,
-    CsInequality,
-    DeltaCoverResult,
-    QuotientCoverResult,
-    candidate_order,
-    cover_density_check,
-    cs_family_inequality,
-    delta_cover,
-    dense_shift_count,
-    dense_shift_member,
-    greedy_shift_cover,
-    guaranteed_overlap,
-    quotient_cover,
-    verify_cover_certificate,
-)
-from .delta import (
-    EpsDeltaResult,
-    delta_syndetic_check,
-    eps_delta_banach,
-    eps_delta_upper,
-    shift_intersection,
-)
-from .density import (
-    DensityEstimate,
-    longest_run,
-    lower_asymptotic_est,
-    lower_banach_est,
-    piecewise_syndetic_witness,
-    schnirelmann_est,
-    syndetic_gap,
-    thick_witness,
-    upper_asymptotic_est,
-    upper_banach_est,
-)
-from .embed import (
-    EmbedWitness,
-    Pattern,
-    WindowEmbedReport,
-    ap_shift_density,
-    dense_embed_est,
-    embed_witness,
-    find_ap,
-    shift_set_of,
-    window_embeddable,
-)
-from .errors import DiffsetsError, InfeasibleError, InputError, VerificationError
-from .extract import (
-    ChainExtractResult,
-    DensePatternResult,
-    DifferenceCoverResult,
-    ExtractionCertificate,
-    IntersectCoverResult,
-    JointExtractResult,
-    PigeonholeWitness,
-    WalkReport,
-    block_walk_bound,
-    chain_extract,
-    dense_pattern_extract,
-    difference_cover,
-    fraction_floor,
-    intersect_delta_cover,
-    joint_extract,
-    pigeonhole_shift,
-    prefix_dense_region,
-    trace_extract,
-    verify_extraction,
-)
-from .gen import (
-    GenSpec,
-    bernoulli_set,
-    blocks_set,
-    chain_in_thick,
-    gen,
-    residue_set,
-    spec_from_json,
-    spec_to_json,
-    thick_triple,
-    thick_triple_bounds,
-)
-from .intset import (
-    IntSet,
-    Window,
-    complement_in,
-    delta_set,
-    difference_set,
-    dilate,
-    empty_set,
-    full_set,
-    intersect,
-    make_set,
-    quotient,
-    read_set_file,
-    restrict,
-    shift_set,
-    sumset,
-    union,
-    write_set_file,
-)
-from .report import Report, parse_fraction, render, to_jsonable
+from .bohr import *
+from .cover import *
+from .delta import *
+from .density import *
+from .embed import *
+from .errors import *
+from .extract import *
+from .gen import *
+from .intset import *
+from .report import *

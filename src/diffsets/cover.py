@@ -34,6 +34,7 @@ __all__ = [
     "dense_shift_count",
     "dense_shift_member",
     "dense_shift_set",
+    "candidate_order",
     "greedy_shift_cover",
     "verify_cover_certificate",
     "certify_cover",
@@ -433,9 +434,14 @@ def cover_density_check(
 def full_cover_density(
     c: IntSet, h: int, hull: Window, eps: Fraction, shifts, n: int | None = None
 ) -> tuple[IntSet, CoverDensityReport]:
-    """The quotient {t in hull : h*t in D(C, eps)} and the full_cover check of its cover
-    of hull by shifts, at length n (default a quarter of the hull)."""
-    q = dense_shift_set(c, h, hull, eps)
+    """The quotient {t : h*t in D(C, eps)} and the full_cover check of its cover of hull
+    by shifts, at length n (default a quarter of the hull).
+
+    The cover reads the quotient at x - f for x in hull and f in shifts, so q is
+    built on every such point, not on hull alone.
+    """
+    reach = Window(min(hull.lo, hull.lo - max(shifts)), max(hull.hi, hull.hi - min(shifts)))
+    q = dense_shift_set(c, h, reach, eps)
     n = n if n is not None else max(1, hull.length // 4)
     return q, cover_density_check(q, shifts, "full_cover", n, cover_range=hull)
 
@@ -489,5 +495,5 @@ def quotient_cover(
     covered = combine_shifts(q, base_shifts, hull, union=True)
     cover_ok = all(x in covered for x in base)
     return QuotientCoverResult(
-        h, False, res.offset, res.cert, base_shifts, q, cover_ok, density
+        h, False, res.offset, res.cert, base_shifts, restrict(q, hull), cover_ok, density
     )

@@ -1,5 +1,7 @@
 """Exception taxonomy, mirrored by the CLI exit codes."""
 
+__all__ = ["DiffsetsError", "InputError", "VerificationError", "InfeasibleError"]
+
 
 class DiffsetsError(Exception):
     """Base class for all library errors."""

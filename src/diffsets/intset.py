@@ -307,15 +307,18 @@ def shift_set(a: IntSet, t: int) -> IntSet:
     return a.shift(t)
 
 
-def _aligned(a: IntSet, lo: int) -> int:
-    """a's bits with bit 0 at integer lo; members below lo are dropped, those above kept."""
+def _aligned(a: IntSet, lo: int, hi: int) -> int:
+    """a's bits with bit 0 at integer lo, members below lo dropped; 0 when a's window
+    misses [lo, hi], so no shift ever spans the distance between two windows."""
+    if a.window.hi < lo or a.window.lo > hi:
+        return 0
     d = lo - a.window.lo
     return a.bits >> d if d >= 0 else a.bits << -d
 
 
 def _slice_onto(a: IntSet, w: Window) -> int:
     """Bits of a's members that fall inside w, in w's coordinates."""
-    return _aligned(a, w.lo) & _mask(w.length)
+    return _aligned(a, w.lo, w.hi) & _mask(w.length)
 
 
 def restrict(a: IntSet, w: Window) -> IntSet:
@@ -332,11 +335,12 @@ def combine_shifts(a: IntSet, shifts: Iterable[int], w: Window, union: bool = Fa
     """(A + t) ∩ w intersected over every t in shifts (joined with union=True), on w.
 
     The shifted copies are combined unmasked, so the window mask is built and
-    applied once; no shifts give the full set (the empty set for a union).
+    applied once; no shifts give the full set (the empty set for a union).  A
+    copy that misses w adds nothing to a union and empties an intersection.
     """
     acc = 0 if union else -1  # -1: every bit set, the identity of AND
     for t in shifts:
-        bits = _aligned(a, w.lo - t)
+        bits = _aligned(a, w.lo - t, w.hi - t)
         acc = acc | bits if union else acc & bits
     return IntSet(w, acc & _mask(w.length))
 

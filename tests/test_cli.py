@@ -1,12 +1,15 @@
 """End-to-end CLI runs.
 
-The five reference reports under golden/ pin the full output of analyze,
-delta and cover (the last two also with --upper) on a {0,1} mod 5 residue
-set.  embed_dense.json pins two `embed --dense` reports (a trace length up to
-16 and one above it), so the order of the distinct traces is pinned, and
-extract.json pins one `extract` report, on small generated sets.  Comparison
-drops the timing block and nothing else.  The rest of the module walks every
-subcommand once and exercises each exit code path.
+Eleven golden files under golden/ pin full CLI output.  Five pin
+analyze, delta and cover (the last two also with --upper) on a {0,1} mod 5
+residue set.  embed_dense.json pins two `embed --dense` reports (a trace
+length up to 16 and one above it), so the order of the distinct traces is
+pinned, and extract.json pins one `extract` report, on small generated sets.
+Four more pin one branch each that nothing else reaches (BRANCH_GOLDENS):
+cover --h, pipeline --chain, the three-file thick_triple gen and analyze
+--gap/--runlen.  Comparison drops the timing block and nothing else.  The
+rest of the module walks every subcommand once and exercises each exit code
+path.
 """
 
 import argparse
@@ -287,6 +290,38 @@ def test_pipeline_covers_exit_3_without_recount(workdir, capsys, monkeypatch):
         code, out, _ = run(pipeline + mode, capsys)
         assert code == 3, mode
         assert json.loads(out)["violations"] == ["recount refused"]
+
+
+def test_cover_density_reads_the_quotient_past_the_candidates(workdir, capsys):
+    """Candidates 50..400 with the mandated shift 50: the cover reads x - 50 < 50."""
+    cover = ["cover", "--set", "a.set", "--eps", "1/20", "--n", "1000", "--x=50..400",
+             "--mandate", "50"]
+    code, out, _ = run(cover, capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["results"]["cover"]["covered"]
+    assert rep["certificates"]["density"]["premise_ok"]
+    code, out, _ = run(cover + ["--h", "2"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["results"]["quotient"]["cover_ok"]
+    assert rep["certificates"]["density"]["premise_ok"]
+    assert rep["results"]["quotient_members"]["window"] == [50, 400]
+
+
+def test_pipeline_jin_on_a_far_window(workdir, capsys):
+    """A set at 10^20 against one near 1: no set operation shifts by the distance."""
+    far = '{"kind":"residues","window":[100000000000000000000,100000000000000002000],' \
+          '"modulus":5,"classes":[0,1]}'
+    _gen(far, "far.set", capsys)
+    _gen('{"kind":"bernoulli","window":[1,2000],"seed":1,"p":"3/10"}', "b.set", capsys)
+    code, out, err = run(
+        ["pipeline", "--a", "far.set", "--b", "b.set", "--N", "1000", "--nu", "100",
+         "--n", "3", "--jin", "--x=-3..3"],
+        capsys,
+    )
+    assert code == 0, err
+    assert json.loads(out)["certificates"]["cover"]["covered"]
 
 
 def test_bohr_direct_subcommand(workdir, capsys):

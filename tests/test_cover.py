@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import brute
 from diffsets import (
@@ -460,3 +460,19 @@ def test_quotient_cover_frozen_mod4_h2():
     assert res.cover_ok
     assert set(res.quotient_members.members()) == {t for t in range(-20, 21) if t % 2 == 0}
     assert res.density.premise_ok and res.density.ok
+
+
+@given(st.data())
+def test_quotient_cover_ok_agrees_with_the_certificate(data):
+    # candidates away from 0 as well: the cover reads the quotient outside their hull
+    h = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(16, 48))
+    base = data.draw(st.lists(st.integers(-(n // h), n // h), min_size=1, max_size=10))
+    length = n + h * (max(base) - min(base)) + data.draw(st.integers(0, 20))
+    a = IntSet(Window(1, length), data.draw(st.integers(1, (1 << length) - 1)))
+    gamma = upper_banach_est(a, n).value
+    eps = data.draw(st.sampled_from([Fraction(0), Fraction(1, 16)]))
+    assume(eps < gamma * gamma)
+    res = quotient_cover(a, h, base, eps, n, mandated_x=data.draw(st.sampled_from(base)))
+    assert res.cover_ok == res.cert.covered
+    assert res.quotient_members.window == Window(min(base), max(base))

@@ -1,14 +1,29 @@
-"""Module boundaries: no module of the package imports another module's private names."""
+"""Module boundaries: what each module imports, reads and makes public."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
+import diffsets
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "diffsets"
+
+# the modules whose __all__ the package re-exports; cli, par and prng stay out
+LIBRARY = ("bohr", "cover", "delta", "density", "embed", "errors", "extract", "gen",
+           "intset", "report")
+
+
+def _modules():
+    """The package's module files, so no test here can pass on an empty directory."""
+    paths = sorted(SRC.glob("*.py"))
+    assert SRC / "intset.py" in paths, f"no package modules under {SRC}"
+    return paths
 
 
 def test_no_private_cross_module_imports():
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _modules():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
                 found += [
@@ -35,7 +50,7 @@ def _module_level_privates(tree):
 def test_no_unreferenced_private_names():
     """Every module-level private name is read somewhere in the package, so dead helpers go."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
+             for path in _modules()}
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -54,7 +69,7 @@ def test_only_intset_knows_the_bit_layout():
     The report's ``bits_hex`` is the one reader: it serializes the layout.
     """
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _modules():
         if path.name == "intset.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -65,3 +80,13 @@ def test_only_intset_knows_the_bit_layout():
                 if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "IntSet":
                     found.append(f"{path.name}:{node.lineno} calls IntSet(...)")
     assert not found, found
+
+
+def test_package_exports_exactly_the_library_all_lists():
+    """diffsets' public names are the union of the library modules' __all__, each declared once."""
+    assert set(LIBRARY) <= {path.stem for path in _modules()}
+    declared = [name for mod in LIBRARY for name in importlib.import_module(f"diffsets.{mod}").__all__]
+    assert len(declared) == len(set(declared)), "a name is public in two modules"
+    public = {name for name, value in vars(diffsets).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(declared)

@@ -186,6 +186,20 @@ def test_minus_disjoint_and_offset_windows():
     assert not minus(a, full_set(Window(-5, 5)))
 
 
+def test_set_algebra_against_a_far_window_makes_no_shift():
+    """A window 10^30 away slices to nothing; shifting its bits that far would overflow."""
+    w = Window(1, 10)
+    near = make_set([1, 5, 9], w)
+    far = make_set([10**30 + 2], Window(10**30, 10**30 + 10))
+    assert restrict(far, w) == empty_set(w)
+    assert restrict(near, far.window) == empty_set(far.window)
+    assert minus(near, far) == near
+    assert complement_in(far, w) == full_set(w)
+    assert combine_shifts(far, [0, -5], w, union=True) == empty_set(w)
+    assert combine_shifts(near, [10**30, 0], w) == empty_set(w)
+    assert combine_shifts(near, [0, -(10**30)], w, union=True) == near
+
+
 @given(intsets(), st.data())
 def test_self_overlap_matches_sets(a, data):
     length = a.window.length
