@@ -9,10 +9,22 @@ intersection; violations raise an input error naming the offending t.
 The Banach sweep scans each distinct |t| once.  This mirror is exact:
 A ∩ (A + t) is A ∩ (A - t) moved up by t, window and all
 (``intset.self_overlap``), and a translation keeps the best-window value
-(only the offset ``at``, which ``per_t`` does not keep, moves).  The
-anchored ``upper`` sweep keeps one evaluation per t: it reads [1, n] of an
-overlap that starts at 1 for t >= 0 and at 1 - t for t < 0, so the members
-it reads differ between t and -t.
+(only the offset ``at``, which ``per_t`` does not keep, moves).
+
+The anchored ``upper`` sweep has no such mirror: it reads [1, n] of an
+overlap that starts at 1 for t >= 0 and at 1 - t for t < 0, so the members it
+reads differ between t and -t.  It evaluates every t, but in one pass over
+A's members x_1 < ... < x_c in [1, n] for a block of shifts at a time
+(``density.upper_asymptotic_shifts``), not one estimator call per shift.
+Row t of the block holds whether x_j + t is in A, and its running sum is
+|A ∩ (A - t) ∩ [1, x_j]|.  Each column is a genuine point of the objective
+P_t[i] / i, and so is lo_i = ceil(n/2).  Since P_t is flat between members of
+A ∩ (A - t), the least maximiser is lo_i or one of those members, and they
+are all columns.  So the best column, least i on ties, is exact.  A block
+holds about 2^14 cells (shifts x members); a row longer than that runs alone.
+On the sweep bench's set (Bernoulli 3/10 on [1, 10^5], n = 10^4, 2001 shifts,
+2 vCPU) the sweep takes about 0.06 s against 0.21 s for one call per shift,
+and the bench's peak RSS rises by about 0.2 MiB of 40 MiB.
 """
 
 from __future__ import annotations
@@ -21,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import par
-from .density import check_sub_window, syndetic_gap, upper_asymptotic_est, upper_banach_est
+from .density import (check_sub_window, syndetic_gap, upper_asymptotic_est, upper_asymptotic_shifts,
+                      upper_banach_est)
 from .errors import InputError
 from .intset import IntSet, Window, check_anchored, make_set, restrict, self_overlap
 
@@ -80,12 +93,11 @@ def shift_density(a: IntSet, t: int, n: int, upper: bool = False) -> Fraction:
 
 def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> EpsDeltaResult:
     def one(t: int) -> Fraction:  # not via shift_density: bench/spans.py traces these two calls
-        return _estimate(shift_intersection(a, t), n, upper)
+        return upper_banach_est(shift_intersection(a, t), n).value
 
     ts = range(trange.lo, trange.hi + 1)
-    if upper:  # every overlap still reaches n, and [1, n] of it only reads A on [1, n + |t|]
-        a = restrict(a, Window(1, n + _max_shift(trange)))
-        per_t = dict(zip(ts, par.ordered_map(one, ts)))
+    if upper:  # one pass over A's members for blocks of shifts (module docstring)
+        per_t = {t: est.value for t, est in zip(ts, upper_asymptotic_shifts(a, n, ts))}
     else:  # the Banach value is even in t (module docstring): one scan per |t|
         mags = sorted({abs(t) for t in ts})
         by_mag = dict(zip(mags, par.ordered_map(one, mags)))

@@ -25,15 +25,20 @@ so its absolute value is at most n <= intset.MAX_WINDOW_LENGTH = 10^7 < 2^31,
 and it is accumulated exactly in int32 (in int64 for an n of 2^31 or more,
 which only a library caller past the parsers' cap can pass).
 
-The anchored estimators read only [1, m] of the window, in one vectorised
-pass: a float ratio may nominate the extremum, but the verdict is an int64
-cross-multiplication, which is exact for every window length the parsers admit.
+The anchored estimators read only [1, m] of the window, and only at member
+candidates: P[i]/i falls across a gap, so the maximum sits at lo_i or at a
+member, and the minimum at lo_i, hi_i or just before a member.  One verdict
+serves them and the shift sweep ``upper_asymptotic_shifts``: a float ratio
+may nominate the extremum, but the decision is an int64 cross-multiplication,
+which is exact for every window length the parsers admit, and ties go to the
+least i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +55,7 @@ __all__ = [
     "upper_asymptotic_est",
     "lower_asymptotic_est",
     "schnirelmann_est",
+    "upper_asymptotic_shifts",
     "thick_witness",
     "longest_run",
     "syndetic_gap",
@@ -158,31 +164,54 @@ def lower_banach_est(a: IntSet, n: int) -> DensityEstimate:
     return _banach(a, n, maximize=False)
 
 
+def _least_extremum(p: np.ndarray, i: np.ndarray, maximize: bool) -> np.ndarray:
+    """For each row of p, the least column whose p/i is the row's exact max (or min).
+
+    i holds the positions of the columns, shared by every row and ascending,
+    so the least column is the least i.  The float ratio nominates a column
+    c; the sign of p*i[c] - p[c]*i then decides, in int64, which columns beat
+    it or tie with it.  Every factor is a count or position of at most the
+    window length, which the parsers cap at intset.MAX_WINDOW_LENGTH = 10^7:
+    every product is at most 10^14 < 2^63, so exact (int64 would stay exact
+    up to lengths of 3*10^9).  A row whose nominee lost retries among the
+    winners, which ends: each retry strictly improves the row's nominee.
+    """
+    sign = 1 if maximize else -1
+    pick = np.argmax if maximize else np.argmin
+    ratio = p / i
+    c = pick(ratio, axis=1)
+    diff = p * i[c][:, None]
+    diff -= p[np.arange(len(p)), c][:, None] * i
+    diff *= sign  # > 0: the column beats c
+    for r in np.flatnonzero((diff > 0).any(axis=1)):  # the float nominee lost this row
+        while (won := np.flatnonzero(diff[r] > 0)).size:
+            c = won[pick(ratio[r, won])]
+            diff[r] = sign * (p[r] * i[c] - p[r, c] * i)
+    return (diff == 0).argmax(axis=1)  # the first column that ties the extremum
+
+
 def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, kind: str, maximize: bool) -> DensityEstimate:
     """Exact max/min of P[i]/i over i in [lo_i, hi_i], least i on ties (window at 1).
 
-    Only [1, hi_i] is counted.  The float ratio nominates a candidate c/d;
-    p*d - c*i then decides, in int64, which i beat it or tie with it.  Every
-    factor is at most hi_i, at most the window length, which the parsers cap
-    at intset.MAX_WINDOW_LENGTH = 10^7: every product is at most 10^14 < 2^63,
-    so exact (int64 would stay exact up to lengths of 3*10^9).
+    Only [1, hi_i] is read, and only at member candidates.  P is flat across
+    a gap while i grows, so P[i]/i falls strictly across a gap when P > 0 and
+    stays 0 when P = 0.  The least maximiser is therefore lo_i or a member
+    x > lo_i, and the least minimiser is lo_i, x - 1 for such a member, or
+    hi_i.  Their counts are P[lo_i] plus 0, 1, 2, ... in member order.
     """
     check_anchored(a, "set")
     check_sub_window(a, hi_i)
-    p = prefix_counts(restrict(a, Window(1, hi_i)))[lo_i:]
-    i = np.arange(lo_i, hi_i + 1, dtype=np.int64)
-    ratio = p / i
-    pick = np.argmax if maximize else np.argmin
-    k = int(pick(ratio))
-    while True:
-        diff = p * i[k] - p[k] * i
-        better = diff > 0 if maximize else diff < 0
-        if not better.any():
-            break
-        cands = np.flatnonzero(better)  # the float nominee lost: retry among the winners
-        k = int(cands[pick(ratio[cands])])
-    k = int(np.flatnonzero(diff == 0)[0])
-    return DensityEstimate(Fraction(int(p[k]), int(i[k])), hi_i, lo_i + k, kind)
+    xs = np.flatnonzero(bit_vector(restrict(a, Window(1, hi_i)))) + 1
+    base = int(np.searchsorted(xs, lo_i, side="right"))  # P[lo_i]
+    later = xs[base:]
+    p = np.arange(base, len(xs) + 1)  # P at lo_i, then at each later member
+    if maximize:
+        i = np.concatenate(([lo_i], later))
+    else:  # P just before each later member is one less than at it
+        p = np.concatenate(([base], p))
+        i = np.concatenate(([lo_i], later - 1, [hi_i]))
+    k = int(_least_extremum(p[None, :], i, maximize)[0])
+    return DensityEstimate(Fraction(int(p[k]), int(i[k])), hi_i, int(i[k]), kind)
 
 
 def upper_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
@@ -198,6 +227,52 @@ def lower_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
 def schnirelmann_est(a: IntSet, n: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over 1 <= i <= n (window anchored at 1)."""
     return _anchored_scan(a, 1, n, SCHNIRELMANN, maximize=False)
+
+
+# Cells (shifts x members) per block of upper_asymptotic_shifts.  On the sweep
+# bench's delta --upper (about 3000 members, 2001 shifts) 2^13 took 0.11 s, 2^14
+# 0.056 s, 2^16 0.047 s and 2^17 0.065 s, while the peak Python heap grew from
+# 0.78 MiB at 2^14 to 2.6 MiB at 2^17.  A row longer than this runs alone, so a
+# block never outgrows one shift's arrays.
+_SHIFT_LANES = 1 << 14
+
+
+def upper_asymptotic_shifts(a: IntSet, m: int, ts: Sequence[int]) -> Iterator[DensityEstimate]:
+    """Yield upper_asymptotic_est(A ∩ (A - t) on [1, m], m) for each t in ts, in order.
+
+    The window must start at 1 and hold m + |t| for every t (checked when
+    iteration starts).  Yielding, not listing, keeps one estimate alive at a
+    time, so memory does not grow with the number of shifts.  With x_1 < ... <
+    x_c the members of A in [1, m], P_t at x_j is the running count of the
+    x_j + t in A, so one gather from A's bits on [1 - r, m + r], r = max |t|
+    (zero below 1), and one int32 row cumsum give P_t at every member, for a
+    block of shifts at once.  The candidates are lo_i and the members past it: each is a
+    genuine point (P_t[i], i), and the least maximiser sits at lo_i or at a
+    member of A ∩ (A - t) ⊆ A (``_anchored_scan``), so ``_least_extremum``
+    over them is exact.
+    """
+    hi = check_anchored(a, "set")
+    check_sub_window(a, m)
+    t = np.asarray(ts, dtype=np.int64)
+    reach = int(np.abs(t).max(initial=0))
+    if m + reach > hi:
+        raise InputError(f"m + |t| = {m + reach} exceeds window length {hi}")
+    lo_i = (m + 1) // 2
+    bits = bit_vector(restrict(a, Window(1, m + reach)))
+    padded = np.concatenate((np.zeros(reach, dtype=np.uint8), bits))  # index of y: y - 1 + reach
+    xs = np.flatnonzero(bits[:m])  # x_j - 1
+    base = int(np.searchsorted(xs, lo_i - 1, side="right"))  # members up to lo_i
+    i = np.concatenate(([lo_i], xs[base:] + 1))
+    rows = max(1, _SHIFT_LANES // max(1, len(xs)))
+    for start in range(0, len(t), rows):
+        tb = t[start:start + rows]
+        hit = padded[xs + reach + tb[:, None]]  # x_j + t in A
+        counts = np.zeros((len(tb), len(xs) + 1), dtype=np.int32)
+        np.cumsum(hit, axis=1, dtype=np.int32, out=counts[:, 1:])
+        p = counts[:, base:]  # P_t at lo_i, then at each member past it
+        k = _least_extremum(p, i, maximize=True)
+        for c, d in zip(p[np.arange(len(tb)), k].tolist(), i[k].tolist()):
+            yield DensityEstimate(Fraction(c, d), m, d, UPPER_ASYMPTOTIC)
 
 
 def _runs_at_least(runs: IntSet, length: int) -> IntSet:

@@ -10,7 +10,7 @@ artifact of clipping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -45,14 +45,6 @@ class Pattern:
             raise InputError("empty pattern")
         if any(a >= b for a, b in zip(self.elems, self.elems[1:])):
             raise InputError("pattern elements must be strictly increasing")
-
-    @classmethod
-    def of(cls, elems: Iterable[int]) -> "Pattern":
-        return cls(tuple(sorted(set(elems))))
-
-    @property
-    def span(self) -> int:
-        return self.elems[-1] - self.elems[0]
 
     def shift(self, t: int) -> "Pattern":
         return Pattern(tuple(e + t for e in self.elems))

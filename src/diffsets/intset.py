@@ -175,11 +175,6 @@ class IntSet:
             raise InputError("empty set has no max")
         return self.window.lo + self.bits.bit_length() - 1
 
-    def density(self):
-        from fractions import Fraction
-
-        return Fraction(self.count, self.window.length)
-
     # -- basic transforms ---------------------------------------------------
 
     def shift(self, t: int) -> "IntSet":

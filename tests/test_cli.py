@@ -63,6 +63,19 @@ def test_gen_writes_readable_set(workdir, capsys):
     assert rep["results"]["set"]["count"] == 840
 
 
+def test_gen_chain_in_thick_defaults_its_thick_set(workdir, capsys):
+    """With no thick spec, chain_in_thick chains inside the scale-1 blocks set on
+    [1, window length - 1]."""
+    spec = '{"kind":"chain_in_thick","window":[1,500],"count":4}'
+    code, out, _ = run(["gen", "--spec", spec, "--out", "c.set"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["set"]["count"] == 4
+    chain = sorted(read_set_file(str(workdir / "c.set")).members())
+    assert chain == [1, 2, 3, 11]
+    thick = set(gen(spec_from_json({"kind": "blocks", "window": [1, 499], "scale": 1})).members())
+    assert all(y - x in thick for i, x in enumerate(chain) for y in chain[i + 1:])
+
+
 def test_analyze_matches_golden(workdir, capsys):
     code, out, _ = run(["analyze", "--set", "a.set", "--n", "100"], capsys)
     assert code == 0

@@ -17,6 +17,8 @@ from diffsets import (
     eps_delta_upper,
     make_set,
     shift_intersection,
+    upper_asymptotic_est,
+    upper_asymptotic_shifts,
     upper_banach_est,
 )
 import diffsets.delta as delta_module
@@ -100,7 +102,8 @@ def test_per_t_matches_per_shift_evaluation(case):
 
 
 def test_banach_sweep_scans_each_magnitude_once(monkeypatch):
-    """One Banach scan per distinct |t|; the anchored sweep still evaluates every t."""
+    """One Banach scan per distinct |t|; the anchored sweep makes no per-shift estimator
+    call, yet every t reads its per-shift value."""
     a = IntSet(Window(1, 400), random.Random(3).getrandbits(400))
     calls = []
     for name in ("upper_banach_est", "upper_asymptotic_est"):
@@ -111,34 +114,97 @@ def test_banach_sweep_scans_each_magnitude_once(monkeypatch):
         eps_delta_banach(a, Fraction(1, 5), 30, Window(lo, hi))
         assert len(calls) == mags, (lo, hi)
         calls.clear()
-        eps_delta_upper(a, Fraction(1, 5), 30, Window(lo, hi))
-        assert len(calls) == hi - lo + 1, (lo, hi)
+        res = eps_delta_upper(a, Fraction(1, 5), 30, Window(lo, hi))
+        assert not calls, (lo, hi)
+        ts = range(lo, hi + 1)
+        assert list(res.per_t) == list(ts)
+        assert res.per_t == {t: shift_density(a, t, 30, upper=True) for t in ts}
 
 
 @st.composite
 def anchored_with_trange(draw, max_len=300):
-    length = draw(st.integers(4, max_len))
-    a = IntSet(Window(1, length), draw(st.integers(0, (1 << length) - 1)))
-    m = draw(st.integers(1, max(1, length // 2)))
+    """An anchored set (empty, full, one member, sparse or random), m, and a shift
+    range straddling 0, on one side of it, or {0}; its far end is often the
+    tightest safe shift, m + |t| = the window length."""
+    length = draw(st.integers(1, max_len))
+    kind = draw(st.sampled_from(["empty", "full", "single", "sparse", "random"]))
+    if kind == "empty":
+        bits = 0
+    elif kind == "full":
+        bits = (1 << length) - 1
+    elif kind == "single":
+        bits = 1 << draw(st.integers(0, length - 1))
+    elif kind == "sparse":
+        bits = sum(1 << x for x in set(draw(st.lists(st.integers(0, length - 1), max_size=4))))
+    else:
+        bits = draw(st.integers(0, (1 << length) - 1))
+    m = draw(st.integers(1, length))
     tmax = length - m
-    thi = draw(st.integers(0, tmax))
-    tlo = draw(st.integers(-tmax, thi))
-    return a, m, Window(tlo, thi)
+    far = tmax if draw(st.booleans()) else draw(st.integers(0, tmax))
+    near = draw(st.integers(0, far))
+    trange = draw(st.sampled_from([Window(-far, near), Window(-near, far), Window(near, far),
+                                   Window(-far, -near), Window(0, 0)]))
+    return IntSet(Window(1, length), bits), m, trange
 
 
-@settings(max_examples=60)
+def _upper_want(a, m, t):
+    """(value, least i) of the anchored maximum on A ∩ (A - t), by brute force."""
+    inter = {x for x in brute.shift_intersection(set(a.members()), t) if x <= m}
+    return brute.anchored_max(inter, (m + 1) // 2, m)
+
+
+@settings(max_examples=80)
 @given(st.data())
 def test_upper_per_t_matches_brute(data):
+    """The block sweep equals one estimator call per shift, and brute force."""
     a, m, trange = data.draw(anchored_with_trange())
     eps = Fraction(data.draw(st.integers(0, 3)), 4)
+    ts = range(trange.lo, trange.hi + 1)
     res = eps_delta_upper(a, eps, m, trange)
-    mem = set(a.members())
-    for t in range(trange.lo, trange.hi + 1):
-        # the intersection's members all sit in [1, length], so re-anchoring
-        # at 1 keeps every one of them
-        value, _ = brute.anchored_max(brute.shift_intersection(mem, t), (m + 1) // 2, m)
+    assert res.per_t == {t: shift_density(a, t, m, upper=True) for t in ts}
+    for t, est in zip(ts, upper_asymptotic_shifts(a, m, ts), strict=True):
+        value, at = _upper_want(a, m, t)
+        assert (est.value, est.at) == (value, at)
         assert res.per_t[t] == value
         assert (t in res.members) == (value > eps)
+
+
+def test_upper_sweep_spans_many_blocks():
+    """About 500 members in [1, m] and 2001 shifts: dozens of blocks of ~2^14 cells."""
+    a = IntSet(Window(1, 3000), random.Random(11).getrandbits(3000))
+    res = eps_delta_upper(a, Fraction(1, 3), 1000, Window(-1000, 1000))
+    assert res.per_t == {t: shift_density(a, t, 1000, upper=True) for t in range(-1000, 1001)}
+    # a row longer than a block (over 2^14 members) runs alone; A ∩ (A - t) ∩ [1, m]
+    # is [1, m] for t >= 0 and [1 - t, m] for t < 0, whose best ratio is at i = m
+    m = 16_500
+    full = IntSet(Window(1, 17_000), (1 << 17_000) - 1)
+    ests = upper_asymptotic_shifts(full, m, range(-250, 251))
+    want = [(Fraction(m + t, m), m) if t < 0 else (1, 8250) for t in range(-250, 251)]
+    assert [(e.value, e.at) for e in ests] == want
+
+
+def test_upper_sweep_ignores_a_wrong_nominee(first_nominee):
+    """A float nominee that is always the first column still yields the exact
+    maximum at the least i on every shift."""
+    rng = random.Random(7)
+    cases = [(residues({0, 1}, 5, 1, 400), 199), (residues({1}, 2, 1, 400), 200)]
+    for length in (7, 60, 400):
+        cases.append((IntSet(Window(1, length), rng.getrandbits(length)), length // 2))
+    for a, m in cases:
+        tmax = a.window.length - m
+        ts = range(-tmax, tmax + 1)
+        ests = upper_asymptotic_shifts(a, m, ts)
+        assert [(e.value, e.at) for e in ests] == [_upper_want(a, m, t) for t in ts], m
+
+
+def test_upper_shift_sweep_refuses_unsafe_input():
+    a = residues({0}, 2, 1, 100)
+    with pytest.raises(InputError, match="exceeds window length 100"):
+        list(upper_asymptotic_shifts(a, 90, range(-11, 5)))
+    with pytest.raises(InputError, match="starting at 1"):
+        list(upper_asymptotic_shifts(residues({0}, 2, 0, 99), 10, range(-5, 5)))
+    ests = list(upper_asymptotic_shifts(a, 90, range(-10, 11)))  # m + |t| = 100 at both ends
+    assert ests[10] == upper_asymptotic_est(a, 90)
 
 
 @given(st.data())
