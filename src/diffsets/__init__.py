@@ -5,7 +5,7 @@ density, shift cover, alignment, and extraction result carries a
 certificate whose inequalities are checked in exact rational arithmetic.
 
 The package namespace is exactly the union of the library modules'
-``__all__`` lists; the CLI, the thread map and the PRNG stream stay in
+``__all__`` lists; the CLI, the sweep map and the PRNG stream stay in
 their modules (``diffsets.cli``, ``diffsets.par``, ``diffsets.prng``).
 """
 

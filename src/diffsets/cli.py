@@ -198,6 +198,8 @@ def _cmd_gen(args, report: Report) -> int:
 
 
 def _cmd_analyze(args, report: Report) -> int:
+    if (args.gap is None) != (args.runlen is None):
+        raise InputError("--gap and --runlen must be given together")
     a = read_set_file(args.set)
     report.inputs["set"] = _set_summary(args.set, a)
     ns = args.n if args.n is not None else [a.window.length]
@@ -221,8 +223,6 @@ def _cmd_analyze(args, report: Report) -> int:
     report.results["per_n"] = per_n
     report.results["longest_run"] = longest_run(a)
     report.results["syndetic_gap"] = syndetic_gap(a) if a.count >= 2 else None
-    if (args.gap is None) != (args.runlen is None):
-        raise InputError("--gap and --runlen must be given together")
     if args.gap is not None:
         w = piecewise_syndetic_witness(a, args.gap, args.runlen)
         report.results["piecewise_syndetic"] = {
@@ -264,6 +264,8 @@ def _distinct_traces(x: IntSet, m: int, cap: int = 4096) -> list[Pattern]:
 
 
 def _cmd_embed(args, report: Report) -> int:
+    if args.dense and args.n is None:
+        raise InputError("--dense needs --n for the shift-set estimator")
     x = read_set_file(args.x)
     y = read_set_file(args.y)
     m, srange = args.m, args.srange
@@ -276,8 +278,6 @@ def _cmd_embed(args, report: Report) -> int:
     report.parameters.update({"m": m, "srange": srange})
     report.results["window_embed"] = window_embeddable(x, y, m, srange)
     if args.dense:
-        if args.n is None:
-            raise InputError("--dense needs --n for the shift-set estimator")
         entries = []
         worst = None
         for pat in _distinct_traces(x, m):
@@ -294,6 +294,8 @@ def _cmd_embed(args, report: Report) -> int:
 
 
 def _cmd_cover(args, report: Report) -> int:
+    if args.h is not None and args.upper:
+        raise InputError("--upper applies to the direct cover, not the quotient mode")
     a = read_set_file(args.set)
     eps, candidates = args.eps, args.x
     report.inputs["set"] = _set_summary(args.set, a)
@@ -301,8 +303,6 @@ def _cmd_cover(args, report: Report) -> int:
         {"eps": eps, "n": args.n, "candidates": len(candidates), "mandated": args.mandate}
     )
     if args.h is not None:
-        if args.upper:
-            raise InputError("--upper applies to the direct cover, not the quotient mode")
         res = quotient_cover(
             a, args.h, candidates, eps, args.n,
             mandated_x=args.mandate, density_n=args.density_n,
@@ -358,12 +358,21 @@ def _cmd_extract(args, report: Report) -> int:
 
 
 def _cmd_pipeline(args, report: Report) -> int:
+    if sum((args.chain is not None, args.jin, args.intersect)) > 1:
+        raise InputError("--chain, --jin and --intersect are mutually exclusive")
+    if args.chain is None:
+        if args.N is None or args.nu is None:
+            raise InputError("pipeline needs --N and --nu")
+        if args.jin and args.x is None:
+            raise InputError("--jin needs --x candidates")
+        if args.intersect and args.eps is None:
+            raise InputError("--intersect needs --eps")
+        if args.intersect and args.x is None:
+            raise InputError("--intersect needs --x candidates")
     a = read_set_file(args.a)
     b = read_set_file(args.b)
     report.inputs["a"] = _set_summary(args.a, a)
     report.inputs["b"] = _set_summary(args.b, b)
-    if sum((args.chain is not None, args.jin, args.intersect)) > 1:
-        raise InputError("--chain, --jin and --intersect are mutually exclusive")
     if args.chain is not None:
         sets = [a, b] + [read_set_file(p) for p in args.chain]
         for i, p in enumerate(args.chain):
@@ -377,12 +386,8 @@ def _cmd_pipeline(args, report: Report) -> int:
         report.results["floor"] = res.floor
         report.certificates["chain"] = res
         return 0
-    if args.N is None or args.nu is None:
-        raise InputError("pipeline needs --N and --nu")
     report.parameters.update({"N": args.N, "nu": args.nu, "n": args.n, "slack": args.slack})
     if args.jin:
-        if args.x is None:
-            raise InputError("--jin needs --x candidates")
         res = difference_cover(a, b, args.x, args.N, args.nu, args.n, args.slack)
         report.results["shifts"] = list(res.cert.shifts)
         report.results["expected_k"] = res.expected_k
@@ -392,10 +397,6 @@ def _cmd_pipeline(args, report: Report) -> int:
         report.certificates["pipeline"] = res.pipeline
         return 0
     if args.intersect:
-        if args.eps is None:
-            raise InputError("--intersect needs --eps")
-        if args.x is None:
-            raise InputError("--intersect needs --x candidates")
         res = intersect_delta_cover(
             a, b, args.eps, args.x, args.N, args.nu, args.n, args.slack,
             mandated_x=args.mandate,
@@ -422,6 +423,8 @@ def _cmd_pipeline(args, report: Report) -> int:
 
 
 def _cmd_bohr(args, report: Report) -> int:
+    if not args.search and args.freqs is None:
+        raise InputError("direct mode needs --freqs (or use --search)")
     d = read_set_file(args.d)
     report.inputs["d"] = _set_summary(args.d, d)
     if args.search:
@@ -440,8 +443,6 @@ def _cmd_bohr(args, report: Report) -> int:
         report.results["generated"] = s
         report.certificates["containment"] = bohr_contained(s, d, wit.interval)
         return 0
-    if args.freqs is None:
-        raise InputError("direct mode needs --freqs (or use --search)")
     spec = BohrSpec.of(args.freqs, args.eps, args.shift)
     interval = d.window if args.interval is None else args.interval
     report.parameters.update(

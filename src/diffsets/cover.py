@@ -20,7 +20,7 @@ from .delta import shift_density
 from .density import DensityEstimate, lower_banach_est, thick_witness, upper_banach_est
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, from_bit_vector,
-                     intersect, make_set, rebase, restrict, self_overlap, sumset)
+                     intersect, rebase, restrict, self_overlap)
 
 __all__ = [
     "CsInequality",
@@ -418,7 +418,8 @@ def cover_density_check(
             raise InputError("thick_cover needs thick_len")
         if n > thick_len:
             raise InputError("n must not exceed the thick interval length")
-        covered = sumset(s_norm, make_set(norm, Window(min(norm), max(norm))))
+        hull = Window(s_norm.window.lo + min(norm), s_norm.window.hi + max(norm))
+        covered = combine_shifts(s_norm, norm, hull, union=True)
         w = thick_witness(covered, thick_len)
         premise_ok = w is not None
         blocks = -(-thick_len // n)  # ceil(L / n)

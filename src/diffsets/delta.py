@@ -65,12 +65,21 @@ def shift_intersection(a: IntSet, t: int) -> IntSet:
     return self_overlap(a, t)
 
 
-def _max_shift(trange: Window) -> int:
-    return max(abs(trange.lo), abs(trange.hi))
+def shift_density(a: IntSet, t: int, n: int, upper: bool = False) -> Fraction:
+    """Best length-n window density of A ∩ (A - t), or its anchored upper proxy."""
+    s = shift_intersection(a, t)
+    if upper:  # re-anchor at 1 (the overlap may start above it); [1, n] is all it reads
+        return upper_asymptotic_est(restrict(s, Window(1, min(n, s.window.hi))), n).value
+    return upper_banach_est(s, n).value
 
 
-def _check_shift_safety(a: IntSet, n: int, trange: Window) -> None:
-    worst = _max_shift(trange)
+def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> EpsDeltaResult:
+    if upper:
+        check_anchored(a, "eps_delta_upper's set")
+    if eps < 0:
+        raise InputError("eps must be >= 0")
+    eps = Fraction(eps)
+    worst = max(abs(trange.lo), abs(trange.hi))
     if n + worst > a.window.length:
         t = trange.lo if abs(trange.lo) == worst else trange.hi
         raise InputError(
@@ -79,19 +88,6 @@ def _check_shift_safety(a: IntSet, n: int, trange: Window) -> None:
         )
     check_sub_window(a, n)
 
-
-def _estimate(s: IntSet, n: int, upper: bool) -> Fraction:
-    if upper:  # re-anchor at 1 (the overlap may start above it); [1, n] is all it reads
-        return upper_asymptotic_est(restrict(s, Window(1, min(n, s.window.hi))), n).value
-    return upper_banach_est(s, n).value
-
-
-def shift_density(a: IntSet, t: int, n: int, upper: bool = False) -> Fraction:
-    """Best length-n window density of A ∩ (A - t), or its anchored upper proxy."""
-    return _estimate(shift_intersection(a, t), n, upper)
-
-
-def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> EpsDeltaResult:
     def one(t: int) -> Fraction:  # not via shift_density: bench/spans.py traces these two calls
         return upper_banach_est(shift_intersection(a, t), n).value
 
@@ -108,19 +104,12 @@ def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> Eps
 
 def eps_delta_banach(a: IntSet, eps: Fraction, n: int, trange: Window) -> EpsDeltaResult:
     """Shifts t in trange with best-window density of A ∩ (A - t) > eps."""
-    if eps < 0:
-        raise InputError("eps must be >= 0")
-    _check_shift_safety(a, n, trange)
-    return _sweep(a, Fraction(eps), n, trange, upper=False)
+    return _sweep(a, eps, n, trange, upper=False)
 
 
 def eps_delta_upper(a: IntSet, eps: Fraction, m: int, trange: Window) -> EpsDeltaResult:
     """Same sweep with the upper asymptotic proxy (window anchored at 1)."""
-    check_anchored(a, "eps_delta_upper's set")
-    if eps < 0:
-        raise InputError("eps must be >= 0")
-    _check_shift_safety(a, m, trange)
-    return _sweep(a, Fraction(eps), m, trange, upper=True)
+    return _sweep(a, eps, m, trange, upper=True)
 
 
 def delta_syndetic_check(a: IntSet, n: int, g: int, trange: Window) -> dict:

@@ -19,13 +19,12 @@ from math import floor
 import numpy as np
 
 from .cover import CoverCertificate, ShiftCheck, candidate_order, certify_cover, dense_shift_count
-from .delta import shift_intersection
+from .delta import shift_density
 from .density import longest_run, prefix_counts, upper_banach_est
 from .embed import Pattern, shift_set_of, trace_classes, trace_pattern
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, convolve,
-                     difference_set, from_bit_vector, intersect, make_set, minus, rebase, restrict,
-                     shift_set)
+                     difference_set, from_bit_vector, intersect, make_set, minus, rebase, restrict)
 
 __all__ = [
     "PigeonholeWitness",
@@ -314,7 +313,7 @@ def dense_pattern_extract(
     c = rebase(a, offset, window_len)
     cert = trace_extract(c, n, alpha - slack)
     srange = Window(offset, offset + window_len - n)
-    shifted = shift_set(cert.matches, offset)
+    shifted = cert.matches.shift(offset)
     floor_value = Fraction(cert.matches.count, window_len)
     checks: list[PrefixCheck] = []
     for j in range(1, len(cert.prefix) + 1):
@@ -398,7 +397,7 @@ def joint_extract(
         combine_shifts(a, [-(align + e) for e in cert.prefix], align_window),
         combine_shifts(b, [-e for e in cert.prefix], align_window),
     )
-    shifted = shift_set(cert.matches, off_b)
+    shifted = cert.matches.shift(off_b)
     if minus(shifted, inter):
         raise VerificationError("a match offset fails the joint alignment recount")
     if inter.count < cert.matches.count:
@@ -501,13 +500,12 @@ def chain_extract(
     for t in diffs:
         vals = []
         for s in sets:
-            inter = shift_intersection(s, t)
-            est = upper_banach_est(inter, min(first_n, inter.window.length))
-            if est.value <= 0:
+            value = shift_density(s, t, min(first_n, s.window.length - abs(t)))
+            if value <= 0:
                 raise VerificationError(
                     f"difference {t} of the final pattern is not a dense shift of every input"
                 )
-            vals.append(est.value)
+            vals.append(value)
         checks.append((t, vals))
     return ChainExtractResult(stages, prefix, gamma, nominal, floor_value, checks)
 

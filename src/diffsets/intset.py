@@ -36,7 +36,6 @@ __all__ = [
     "make_set",
     "full_set",
     "empty_set",
-    "shift_set",
     "difference_set",
     "sumset",
     "delta_set",
@@ -298,10 +297,6 @@ def empty_set(window: Window) -> IntSet:
     return IntSet(window, 0)
 
 
-def shift_set(a: IntSet, t: int) -> IntSet:
-    return a.shift(t)
-
-
 def _aligned(a: IntSet, lo: int, hi: int) -> int:
     """a's bits with bit 0 at integer lo, members below lo dropped; 0 when a's window
     misses [lo, hi], so no shift ever spans the distance between two windows."""
@@ -532,7 +527,8 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
     # every file the fast path does not take, one line at a time
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise InputError(f"{path}: empty set file needs an explicit window")
+        raise InputError(f"{path}: a list file with no number is refused, with or without a "
+                         "window; write the empty set in bits format")
     if lines[0].startswith("lo="):
         try:
             lo = int(lines[0][3:])

@@ -1,8 +1,9 @@
-"""The order-preserving map every shift sweep goes through.
+"""The order-preserving map the Banach shift sweep goes through.
 
 Items run one after another in the calling thread.  A thread pool was
-measured to lose on both shift sweeps: each item is a few short numpy calls
-that hold the GIL, so two workers ran the sweep slower than one.
+measured to lose on both shift sweeps, when both still ran through here: each
+item is a few short numpy calls that hold the GIL, so two workers ran the
+sweep slower than one.
 """
 
 from __future__ import annotations

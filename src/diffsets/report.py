@@ -24,17 +24,12 @@ MEMBER_LIST_CUTOFF = 4096
 
 __all__ = [
     "Report",
-    "frac_str",
     "parse_fraction",
     "set_to_json",
     "to_jsonable",
     "render",
     "write_csv",
 ]
-
-
-def frac_str(f: Fraction) -> str:
-    return str(f)
 
 
 def parse_fraction(text: str, name: str = "value") -> Fraction:
@@ -56,7 +51,7 @@ def set_to_json(a: IntSet) -> dict:
 def to_jsonable(obj):
     """Recursively convert library objects to JSON-ready structures."""
     if isinstance(obj, Fraction):
-        return frac_str(obj)
+        return str(obj)
     if isinstance(obj, IntSet):
         return set_to_json(obj)
     if isinstance(obj, Window):
@@ -97,9 +92,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
     except OSError as e:
         raise InputError(f"cannot write CSV to {path}: {e}") from e
     with fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh)  # csv writes a Fraction through str(), as "p/q"
         w.writerow(header)
-        for row in rows:
-            w.writerow(
-                [frac_str(v) if isinstance(v, Fraction) else v for v in row]
-            )
+        w.writerows(rows)

@@ -235,7 +235,8 @@ def read_list_file(text: str, path: str, window, cap: int):
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty set file needs an explicit window")
+        raise ValueError(f"{path}: a list file with no number is refused, with or without a "
+                         "window; write the empty set in bits format")
     members = []
     for ln in lines:
         try:

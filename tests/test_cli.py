@@ -710,6 +710,31 @@ def test_flag_values_are_refused_before_any_set_file_is_read(workdir, capsys, mo
     assert (code, out) == (2, "") and "--eps" in err
 
 
+PIPELINE_REQUIRED = ["pipeline", "--a", "a.set", "--b", "a.set", "--n", "4"]  # no --N or --nu
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--set", "a.set", "--gap", "2"], "--gap and --runlen must be given together"),
+    (["analyze", "--set", "a.set", "--runlen", "4"], "--gap and --runlen must be given together"),
+    (["embed", "--x", "a.set", "--y", "a.set", "--m", "3", "--dense"],
+     "--dense needs --n for the shift-set estimator"),
+    (BASE_ARGV["cover"] + ["--h", "3", "--upper"],
+     "--upper applies to the direct cover, not the quotient mode"),
+    (PIPELINE_REQUIRED + ["--chain", "a.set", "--jin"],
+     "--chain, --jin and --intersect are mutually exclusive"),
+    (PIPELINE_REQUIRED + ["--nu", "20"], "pipeline needs --N and --nu"),
+    (PIPELINE_REQUIRED + ["--N", "200"], "pipeline needs --N and --nu"),
+    (BASE_ARGV["pipeline"] + ["--jin"], "--jin needs --x candidates"),
+    (BASE_ARGV["pipeline"] + ["--intersect", "--x=-3..3"], "--intersect needs --eps"),
+    (BASE_ARGV["pipeline"] + ["--intersect", "--eps", "1/10"], "--intersect needs --x candidates"),
+    (["bohr", "--d", "a.set"], "direct mode needs --freqs (or use --search)"),
+])
+def test_flag_combinations_are_refused_before_any_set_file_is_read(capsys, monkeypatch, argv,
+                                                                     message):
+    monkeypatch.setattr("diffsets.cli.read_set_file", lambda *a: pytest.fail("read a set file"))
+    assert run(argv, capsys) == (2, "", f"diffsets: error: {message}\n")
+
+
 def test_exit_2_on_set_file_that_is_not_text(workdir, capsys):
     (workdir / "bin.set").write_bytes(b"\xff\xfe1\n")
     code, out, err = run(["analyze", "--set", "bin.set"], capsys)

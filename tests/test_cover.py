@@ -389,6 +389,21 @@ def test_cover_density_thick_cover():
     assert not rep.premise_ok  # evens alone contain no 10-interval
 
 
+@given(st.integers(-20, 20), st.integers(1, 40), st.data())
+def test_cover_density_thick_cover_matches_brute_sumset(lo, length, data):
+    """The premise and witness are those of S + F as brute.sumset builds it; the
+    normalization of F moves S by the opposite shift, so the sum does not move."""
+    s = IntSet(Window(lo, lo + length - 1), data.draw(st.integers(0, (1 << length) - 1)))
+    shifts = data.draw(st.lists(st.integers(-15, 15), min_size=1, max_size=5))
+    thick_len = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, min(thick_len, length)))
+    rep = cover_density_check(s, shifts, "thick_cover", n, thick_len=thick_len)
+    covered = brute.sumset(set(s.members()), shifts)
+    starts = [x for x in covered if all(x + i in covered for i in range(thick_len))]
+    want = min(starts, default=None)
+    assert (rep.premise_ok, rep.witness) == (want is not None, want)
+
+
 @pytest.mark.parametrize("mode, extra", [("full_cover", {"cover_range": Window(0, 50)}),
                                          ("thick_cover", {"thick_len": 10})])
 @pytest.mark.parametrize("n", [0, -3])

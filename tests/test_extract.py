@@ -1,7 +1,9 @@
 """Pigeonhole alignment, prefix-dense regions, and trace extraction."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import floor
 
 import pytest
@@ -12,12 +14,15 @@ from diffsets import (
     InfeasibleError,
     InputError,
     IntSet,
+    Pattern,
+    VerificationError,
     Window,
     block_walk_bound,
     chain_extract,
     dense_pattern_extract,
     difference_cover,
     fraction_floor,
+    greedy_shift_cover,
     intersect_delta_cover,
     joint_extract,
     make_set,
@@ -25,6 +30,7 @@ from diffsets import (
     prefix_dense_region,
     trace_extract,
     upper_banach_est,
+    verify_cover_certificate,
     verify_extraction,
 )
 
@@ -286,6 +292,40 @@ def test_verify_extraction_refills_its_recount_window(monkeypatch, span):
         forged = IntSet(m.window, m.bits | 1 << (theta - m.window.lo))
         with pytest.raises(VerificationError, match=f"offset {theta} "):
             verify_extraction(c, dataclasses.replace(cert, matches=forged))
+
+
+# One field of a real certificate changed per row, and the refusal it must draw.
+# Certificates on the mod-5 set {0, 1} of [1, 1000]: the extraction (n = 5,
+# gamma = 2/5) holds prefix (1, 2) and 199 match offsets on [0, 995]; the
+# cover of -50..50 at eps = 0 picks shifts [0, 2] and leaves nothing uncovered.
+TAMPER_TABLE = [
+    ("extraction", "prefix", lambda cert: Pattern((1, 2, 6)), "prefix pattern escapes [1, n]"),
+    ("extraction", "gamma", lambda cert: Fraction(1), "prefix counting function fails at i = 3"),
+    ("extraction", "matches", lambda cert: cert.matches.shift(1),
+     "match offsets live on the wrong window"),
+    ("extraction", "matches", lambda cert: IntSet(cert.matches.window, 0), "empty match class"),
+    ("extraction", "matches", lambda cert: make_set([cert.matches.min()], cert.matches.window),
+     "match class under the pigeonhole share"),
+    ("cover", "shifts", lambda cert: cert.shifts + cert.shifts[:1],
+     "duplicate shifts in certificate"),
+    ("cover", "covered", lambda cert: not cert.covered,
+     "covered flag inconsistent with uncovered list"),
+]
+
+
+@pytest.mark.parametrize("kind, field, forge, message", TAMPER_TABLE)
+def test_verifiers_refuse_each_tampered_field(kind, field, forge, message):
+    c = residues({0, 1}, 5, 1, 1000)
+    xs = list(range(-50, 51))
+    cert, verify = {
+        "extraction": (trace_extract(c, 5, Fraction(2, 5)), partial(verify_extraction, c)),
+        "cover": (greedy_shift_cover(c, xs, Fraction(0), 0),
+                  partial(verify_cover_certificate, c, xs)),
+    }[kind]
+    assert verify(cert)
+    with pytest.raises(VerificationError) as err:
+        verify(dataclasses.replace(cert, **{field: forge(cert)}))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

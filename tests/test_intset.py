@@ -468,6 +468,7 @@ LIST_CASES = [
     (b"3\n", (10**30, 10**30 + 5)),
     (b"3\n", (0, MAX_WINDOW_LENGTH)),
     (b"0\n10000000\n", None),  # a span one over the cap
+    (b"\n", (0, 10)),  # no number, refused whatever the window
 ]
 
 

@@ -23,12 +23,12 @@ from diffsets import (
     to_jsonable,
 )
 from diffsets.par import ordered_map
-from diffsets.report import MEMBER_LIST_CUTOFF, frac_str, set_to_json, write_csv
+from diffsets.report import MEMBER_LIST_CUTOFF, set_to_json, write_csv
 
 
 @given(st.fractions(max_denominator=10**6))
 def test_fraction_string_roundtrip(f):
-    assert parse_fraction(frac_str(f)) == f
+    assert parse_fraction(str(f)) == f
 
 
 def test_parse_fraction_rejects_garbage():
