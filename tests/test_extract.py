@@ -257,12 +257,8 @@ def test_trace_extract_guards():
 
 
 def test_verify_extraction_catches_tampering():
-    import dataclasses
-
     c = residues({0, 1}, 5, 1, 1000)
     cert = trace_extract(c, 5, Fraction(2, 5))
-    from diffsets import Pattern, VerificationError
-
     wrong_prefix = dataclasses.replace(cert, prefix=Pattern((1, 3)))
     with pytest.raises(VerificationError):
         verify_extraction(c, wrong_prefix)
@@ -278,9 +274,7 @@ def test_verify_extraction_catches_tampering():
 
 @pytest.mark.parametrize("span", [0, 1, 3, 7, 4096])
 def test_verify_extraction_refills_its_recount_window(monkeypatch, span):
-    import dataclasses
-
-    from diffsets import VerificationError, extract
+    from diffsets import extract
 
     monkeypatch.setattr(extract, "RECOUNT_SPAN", span)
     c = residues({0, 1}, 5, 1, 1000)
