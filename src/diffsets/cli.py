@@ -166,6 +166,13 @@ def _set_summary(path: str, a: IntSet) -> dict:
     return {"path": path, "window": a.window, "count": a.count}
 
 
+def _read_input(report: Report, key: str, path: str) -> IntSet:
+    """Read a set file and record its summary under inputs[key]."""
+    a = read_set_file(path)
+    report.inputs[key] = _set_summary(path, a)
+    return a
+
+
 def _emit(report: Report, out: str | None) -> None:
     text = render(report)
     if out is not None:
@@ -200,8 +207,7 @@ def _cmd_gen(args, report: Report) -> int:
 def _cmd_analyze(args, report: Report) -> int:
     if (args.gap is None) != (args.runlen is None):
         raise InputError("--gap and --runlen must be given together")
-    a = read_set_file(args.set)
-    report.inputs["set"] = _set_summary(args.set, a)
+    a = _read_input(report, "set", args.set)
     ns = args.n if args.n is not None else [a.window.length]
     anchored = a.window.lo == 1
     per_n = {}
@@ -240,9 +246,8 @@ def _cmd_analyze(args, report: Report) -> int:
 
 
 def _cmd_delta(args, report: Report) -> int:
-    a = read_set_file(args.set)
+    a = _read_input(report, "set", args.set)
     res = (eps_delta_upper if args.upper else eps_delta_banach)(a, args.eps, args.n, args.trange)
-    report.inputs["set"] = _set_summary(args.set, a)
     report.parameters.update(
         {"eps": args.eps, "n": args.n, "trange": args.trange, "estimator": res.kind}
     )
@@ -266,15 +271,13 @@ def _distinct_traces(x: IntSet, m: int, cap: int = 4096) -> list[Pattern]:
 def _cmd_embed(args, report: Report) -> int:
     if args.dense and args.n is None:
         raise InputError("--dense needs --n for the shift-set estimator")
-    x = read_set_file(args.x)
-    y = read_set_file(args.y)
+    x = _read_input(report, "x", args.x)
+    y = _read_input(report, "y", args.y)
     m, srange = args.m, args.srange
     if srange is None:
         if y.window.length < m:
             raise InputError(f"target window shorter than the trace length {m}")
         srange = Window(y.window.lo, y.window.hi - m + 1)
-    report.inputs["x"] = _set_summary(args.x, x)
-    report.inputs["y"] = _set_summary(args.y, y)
     report.parameters.update({"m": m, "srange": srange})
     report.results["window_embed"] = window_embeddable(x, y, m, srange)
     if args.dense:
@@ -296,9 +299,8 @@ def _cmd_embed(args, report: Report) -> int:
 def _cmd_cover(args, report: Report) -> int:
     if args.h is not None and args.upper:
         raise InputError("--upper applies to the direct cover, not the quotient mode")
-    a = read_set_file(args.set)
+    a = _read_input(report, "set", args.set)
     eps, candidates = args.eps, args.x
-    report.inputs["set"] = _set_summary(args.set, a)
     report.parameters.update(
         {"eps": eps, "n": args.n, "candidates": len(candidates), "mandated": args.mandate}
     )
@@ -343,10 +345,9 @@ def _cmd_cover(args, report: Report) -> int:
 
 
 def _cmd_extract(args, report: Report) -> int:
-    a = read_set_file(args.set)
+    a = _read_input(report, "set", args.set)
     window_len = args.window if args.window is not None else min(1024, a.window.length)
     res = dense_pattern_extract(a, args.n, args.slack, window_len)
-    report.inputs["set"] = _set_summary(args.set, a)
     report.parameters.update({"n": args.n, "slack": args.slack, "window_len": window_len})
     report.results["offset"] = res.offset
     report.results["alpha"] = res.alpha
@@ -369,14 +370,10 @@ def _cmd_pipeline(args, report: Report) -> int:
             raise InputError("--intersect needs --eps")
         if args.intersect and args.x is None:
             raise InputError("--intersect needs --x candidates")
-    a = read_set_file(args.a)
-    b = read_set_file(args.b)
-    report.inputs["a"] = _set_summary(args.a, a)
-    report.inputs["b"] = _set_summary(args.b, b)
+    a = _read_input(report, "a", args.a)
+    b = _read_input(report, "b", args.b)
     if args.chain is not None:
-        sets = [a, b] + [read_set_file(p) for p in args.chain]
-        for i, p in enumerate(args.chain):
-            report.inputs[f"chain_{i}"] = _set_summary(p, sets[2 + i])
+        sets = [a, b] + [_read_input(report, f"chain_{i}", p) for i, p in enumerate(args.chain)]
         res = chain_extract(sets, args.n, args.slack, window_len=args.N)
         report.parameters.update(
             {"n": args.n, "slack": args.slack, "window_len": args.N, "sets": len(sets)}
@@ -425,8 +422,7 @@ def _cmd_pipeline(args, report: Report) -> int:
 def _cmd_bohr(args, report: Report) -> int:
     if not args.search and args.freqs is None:
         raise InputError("direct mode needs --freqs (or use --search)")
-    d = read_set_file(args.d)
-    report.inputs["d"] = _set_summary(args.d, d)
+    d = _read_input(report, "d", args.d)
     if args.search:
         report.parameters.update(
             {"kmax": args.kmax, "lmin": args.lmin, "qmax": args.qmax,

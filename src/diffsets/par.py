@@ -1,9 +1,9 @@
-"""The order-preserving map the Banach shift sweep goes through.
+"""The order-preserving map the Banach shift values go through.
 
-Items run one after another in the calling thread.  A thread pool was
-measured to lose on both shift sweeps, when both still ran through here: each
-item is a few short numpy calls that hold the GIL, so two workers ran the
-sweep slower than one.
+``delta.shift_densities`` maps its scans here, for the delta sweep and the
+cover re-check.  Items run one after another in the calling thread.  A thread
+pool was measured to lose on both shift sweeps: each item is a few short numpy
+calls that hold the GIL, so two workers ran the sweep slower than one.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from diffsets import (
     verify_cover_certificate,
 )
 from diffsets.cover import ShiftCheck, certify_cover
+import diffsets.delta as delta_module
 from diffsets.delta import shift_density
 
 
@@ -319,8 +320,9 @@ def test_certify_cover_checks_equal_per_shift_evaluation(monkeypatch):
     """Each |t| is scanned once per ambient set, yet every used signed t still gets its
     own check, in ascending order, holding the per-shift value."""
     scans = []
-    monkeypatch.setattr("diffsets.cover.shift_density",
-                        lambda s, t, n, upper: scans.append((id(s), abs(t))) or shift_density(s, t, n, upper))
+    overlap = delta_module.shift_intersection
+    monkeypatch.setattr(delta_module, "shift_intersection",
+                        lambda s, t: scans.append((id(s), t)) or overlap(s, t))
     rng = random.Random(6)
     base = IntSet(Window(1, 400), rng.getrandbits(400))
     a = IntSet(Window(0, 2999), rng.getrandbits(3000))
@@ -332,6 +334,21 @@ def test_certify_cover_checks_equal_per_shift_evaluation(monkeypatch):
     assert sorted(scans) == sorted({(id(s), abs(t)) for s in (a, b) for t in used})
     for s, got in zip((a, b), checks):
         assert got == [ShiftCheck(t, shift_density(s, t, 300), True) for t in used]
+
+
+def test_certify_cover_upper_refuses_an_ambient_set_off_1():
+    """The anchored re-check reads the ambient set from 1; a window starting
+    elsewhere is refused rather than read on [1, n]."""
+    base = residues({0, 1}, 5, 1, 100)
+
+    def cover(ambient):
+        return certify_cover(range(-5, 6), Fraction(0), 0, lambda: (base, None),
+                             ambient=(ambient,), n=100, upper=True)
+
+    with pytest.raises(InputError, match="starting at 1"):
+        cover(residues({0, 1}, 5, 0, 299))
+    _, _, (checks,) = cover(residues({0, 1}, 5, 1, 300))
+    assert checks and all(ch.ok for ch in checks)
 
 
 def test_delta_cover_span_precondition():

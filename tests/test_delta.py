@@ -16,6 +16,7 @@ from diffsets import (
     eps_delta_banach,
     eps_delta_upper,
     make_set,
+    shift_densities,
     shift_intersection,
     upper_asymptotic_est,
     upper_asymptotic_shifts,
@@ -205,6 +206,51 @@ def test_upper_shift_sweep_refuses_unsafe_input():
         list(upper_asymptotic_shifts(residues({0}, 2, 0, 99), 10, range(-5, 5)))
     ests = list(upper_asymptotic_shifts(a, 90, range(-10, 11)))  # m + |t| = 100 at both ends
     assert ests[10] == upper_asymptotic_est(a, 90)
+
+
+@st.composite
+def shift_lists(draw, trange):
+    """Shifts from trange in any order, some of them repeated."""
+    ts = draw(st.lists(st.integers(trange.lo, trange.hi), min_size=1, max_size=12))
+    return ts + draw(st.lists(st.sampled_from(ts), max_size=4))
+
+
+@given(st.data())
+def test_shift_densities_match_brute(data):
+    """Both estimators over an unsorted list with repeats and both signs: brute-force
+    values, one key per distinct t in first-seen order."""
+    a, n, trange = data.draw(sets_with_trange())
+    ts = data.draw(shift_lists(trange))
+    got = shift_densities(a, ts, n)
+    assert list(got) == list(dict.fromkeys(ts))
+    mem = set(a.members())
+    for t, value in got.items():
+        wlo, whi = max(a.window.lo, a.window.lo - t), min(a.window.hi, a.window.hi - t)
+        assert value == brute.upper_banach(brute.shift_intersection(mem, t), wlo, whi, n)[0]
+    a, m, trange = data.draw(anchored_with_trange())
+    ts = data.draw(shift_lists(trange))
+    got = shift_densities(a, ts, m, upper=True)
+    assert list(got) == list(dict.fromkeys(ts))
+    assert got == {t: _upper_want(a, m, t)[0] for t in ts}
+
+
+def test_shift_densities_scan_each_magnitude_once(monkeypatch):
+    a = IntSet(Window(-5, 394), random.Random(4).getrandbits(400))
+    scans = []
+    overlap = delta_module.shift_intersection
+    monkeypatch.setattr(delta_module, "shift_intersection",
+                        lambda s, t: scans.append(t) or overlap(s, t))
+    ts = [9, -3, 0, 3, -9, 9, 17, -3, 2]
+    got = shift_densities(a, ts, 50)
+    assert sorted(scans) == [0, 2, 3, 9, 17]
+    assert got == {t: shift_density(a, t, 50) for t in ts}
+
+
+def test_shift_densities_name_the_first_unsafe_shift_of_largest_magnitude():
+    a = residues({0}, 2, 1, 20)
+    for upper in (False, True):
+        with pytest.raises(InputError, match=r"^shift t=-7 unsafe: n \+ \|t\| = 21 exceeds window length 20"):
+            shift_densities(a, [3, -7, 7], 14, upper)
 
 
 @given(st.data())
