@@ -209,14 +209,14 @@ def _cmd_analyze(args, report: Report) -> int:
         raise InputError("--gap and --runlen must be given together")
     a = _read_input(report, "set", args.set)
     ns = args.n if args.n is not None else [a.window.length]
-    anchored = a.window.lo == 1
+    at_one = a.window.lo == 1
     per_n = {}
     rows = []
     for n in ns:
         ub = upper_banach_est(a, n)
         lb = lower_banach_est(a, n)
         entry = {"upper_banach": ub, "lower_banach": lb}
-        if anchored:
+        if at_one:
             entry["upper_asymptotic"] = upper_asymptotic_est(a, n)
             entry["lower_asymptotic"] = lower_asymptotic_est(a, n)
             entry["schnirelmann"] = schnirelmann_est(a, n)
@@ -225,7 +225,7 @@ def _cmd_analyze(args, report: Report) -> int:
         per_n[str(n)] = entry
         rows.append([n, ub.value, ub.at, lb.value, lb.at, "" if tw is None else tw])
     report.parameters["n"] = ns
-    report.results["anchored"] = anchored
+    report.results["anchored"] = at_one
     report.results["per_n"] = per_n
     report.results["longest_run"] = longest_run(a)
     report.results["syndetic_gap"] = syndetic_gap(a) if a.count >= 2 else None
@@ -299,8 +299,11 @@ def _cmd_embed(args, report: Report) -> int:
 def _cmd_cover(args, report: Report) -> int:
     if args.h is not None and args.upper:
         raise InputError("--upper applies to the direct cover, not the quotient mode")
-    a = _read_input(report, "set", args.set)
     eps, candidates = args.eps, args.x
+    hull = Window(min(candidates), max(candidates))
+    if args.density_n is not None and args.density_n > hull.length:
+        raise InputError(f"--density-n {args.density_n} exceeds the --x hull length {hull.length}")
+    a = _read_input(report, "set", args.set)
     report.parameters.update(
         {"eps": eps, "n": args.n, "candidates": len(candidates), "mandated": args.mandate}
     )
@@ -335,7 +338,6 @@ def _cmd_cover(args, report: Report) -> int:
     }
     report.certificates["cover"] = res.cert
     report.certificates["shift_checks"] = res.checks
-    hull = Window(min(candidates), max(candidates))
     if res.cert.covered and len(set(candidates)) == hull.length:
         # full coverage of a contiguous range: attach the density consequence
         _, report.certificates["density"] = full_cover_density(

@@ -17,10 +17,10 @@ from math import floor
 import numpy as np
 
 from .delta import shift_densities
-from .density import DensityEstimate, lower_banach_est, thick_witness, upper_banach_est
+from .density import DensityEstimate, best_window, lower_banach_est, thick_witness, upper_banach_est
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, from_bit_vector,
-                     intersect, rebase, restrict, self_overlap)
+                     intersect, restrict, self_overlap)
 
 __all__ = [
     "CsInequality",
@@ -257,7 +257,7 @@ def verify_cover_certificate(c: IntSet, candidates, cert: CoverCertificate) -> b
     return True
 
 
-# -- cover on the best window of a larger set ---------------------------------
+# -- cover on the best window of a larger set (density.best_window) -----------
 
 
 @dataclass(frozen=True)
@@ -311,13 +311,6 @@ class DeltaCoverResult:
     base: IntSet = field(repr=False)
 
 
-def _rebase_best_window(a: IntSet, n: int, anchored: bool) -> tuple[IntSet, int]:
-    if anchored:
-        check_anchored(a, "set of the anchored variant")
-    offset = 0 if anchored else upper_banach_est(a, n).at
-    return rebase(a, offset, n), offset
-
-
 def delta_cover(
     a: IntSet,
     candidates,
@@ -334,9 +327,15 @@ def delta_cover(
     [1, n] replaces the best window and the asymptotic proxy estimator does
     the re-verification; that variant is reported as heuristic.
     """
+    def prepare() -> tuple[IntSet, int]:
+        if upper:
+            check_anchored(a, "set of the anchored variant")
+            return restrict(a, Window(1, n)), 0
+        est, c = best_window(a, n)
+        return c, est.at
+
     (c, offset), cert, (checks,) = certify_cover(
-        candidates, eps, mandated_x, lambda: _rebase_best_window(a, n, upper),
-        ambient=(a,), n=n, upper=upper,
+        candidates, eps, mandated_x, prepare, ambient=(a,), n=n, upper=upper,
     )
     return DeltaCoverResult(offset, n, cert, checks, upper, c)
 
@@ -474,11 +473,10 @@ def quotient_cover(
     """
     eps = Fraction(eps)
     if h == 0:
-        c, offset = _rebase_best_window(a, n, anchored=False)
-        gamma = Fraction(c.count, n)
-        if eps >= gamma * gamma:
-            raise InfeasibleError(f"eps = {eps} not below squared density {gamma * gamma}")
-        return QuotientCoverResult(0, True, offset, None, None, None, True, None)
+        est = upper_banach_est(a, n)
+        if eps >= est.value ** 2:
+            raise InfeasibleError(f"eps = {eps} not below squared density {est.value ** 2}")
+        return QuotientCoverResult(0, True, est.at, None, None, None, True, None)
 
     base = candidate_order(base_candidates)
     scaled = [h * x for x in base]

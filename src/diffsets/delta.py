@@ -71,10 +71,10 @@ def shift_intersection(a: IntSet, t: int) -> IntSet:
 
 def shift_density(a: IntSet, t: int, n: int, upper: bool = False) -> Fraction:
     """Best length-n window density of A ∩ (A - t), or its anchored upper proxy."""
-    s = shift_intersection(a, t)
-    if upper:  # re-anchor at 1 (the overlap may start above it); [1, n] is all it reads
-        return upper_asymptotic_est(restrict(s, Window(1, min(n, s.window.hi))), n).value
-    return upper_banach_est(s, n).value
+    if upper:  # re-anchor the overlap at 1 (it may start above it); [1, n] is all it reads
+        hi = check_anchored(a, "set") - max(t, 0)  # the overlap's hi
+        return upper_asymptotic_est(restrict(shift_intersection(a, t), Window(1, min(n, hi))), n).value
+    return upper_banach_est(shift_intersection(a, t), n).value
 
 
 def shift_densities(a: IntSet, ts: Iterable[int], n: int, upper: bool = False) -> dict[int, Fraction]:

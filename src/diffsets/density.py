@@ -52,6 +52,7 @@ __all__ = [
     "prefix_counts",
     "upper_banach_est",
     "lower_banach_est",
+    "best_window",
     "upper_asymptotic_est",
     "lower_asymptotic_est",
     "schnirelmann_est",
@@ -162,6 +163,12 @@ def upper_banach_est(a: IntSet, n: int) -> DensityEstimate:
 def lower_banach_est(a: IntSet, n: int) -> DensityEstimate:
     """Worst length-n sub-window density; ties to the least offset."""
     return _banach(a, n, maximize=False)
+
+
+def best_window(a: IntSet, n: int) -> tuple[DensityEstimate, IntSet]:
+    """upper_banach_est(a, n) and A ∩ [at + 1, at + n] moved down onto [1, n]."""
+    est = upper_banach_est(a, n)
+    return est, restrict(a, Window(est.at + 1, est.at + n)).shift(-est.at)
 
 
 def _least_extremum(p: np.ndarray, i: np.ndarray, maximize: bool) -> np.ndarray:

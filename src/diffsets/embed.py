@@ -55,6 +55,10 @@ class Pattern:
     def __iter__(self):
         return iter(self.elems)
 
+    def differences(self) -> list[int]:
+        """The positive differences x - y of the pattern, ascending and distinct."""
+        return sorted({x - y for x in self.elems for y in self.elems if x > y})
+
 
 @dataclass(frozen=True)
 class EmbedWitness:

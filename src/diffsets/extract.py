@@ -20,11 +20,11 @@ import numpy as np
 
 from .cover import CoverCertificate, ShiftCheck, candidate_order, certify_cover, dense_shift_count
 from .delta import shift_density
-from .density import longest_run, prefix_counts, upper_banach_est
+from .density import best_window, longest_run, prefix_counts, upper_banach_est
 from .embed import Pattern, shift_set_of, trace_classes, trace_pattern
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, convolve,
-                     difference_set, from_bit_vector, intersect, make_set, minus, rebase, restrict)
+                     difference_set, from_bit_vector, intersect, make_set, minus, restrict)
 
 __all__ = [
     "PigeonholeWitness",
@@ -306,11 +306,10 @@ def dense_pattern_extract(
     slack = Fraction(slack)
     if slack < 0:
         raise InputError("slack must be >= 0")
-    est = upper_banach_est(a, window_len)
+    est, c = best_window(a, window_len)
     alpha, offset = est.value, est.at
     if alpha <= slack:
         raise InfeasibleError(f"window density {alpha} does not exceed the slack {slack}")
-    c = rebase(a, offset, window_len)
     cert = trace_extract(c, n, alpha - slack)
     srange = Window(offset, offset + window_len - n)
     shifted = cert.matches.shift(offset)
@@ -371,12 +370,10 @@ def joint_extract(
             f"sub window {sub_len} too long for window {window_len} at ratio {MIN_RATIO}; "
             "the sub_len/window_len correction would dominate"
         )
-    ea = upper_banach_est(a, window_len)
-    eb = upper_banach_est(b, sub_len)
+    ea, c = best_window(a, window_len)
+    eb, d = best_window(b, sub_len)
     alpha, off_a = ea.value, ea.at
     beta, off_b = eb.value, eb.at
-    c = rebase(a, off_a, window_len)
-    d = rebase(b, off_b, sub_len)
     pig = pigeonhole_shift(c, d)
     zeta = pig.shift
     w = intersect(restrict(c.shift(-zeta), d.window), d)
@@ -400,8 +397,6 @@ def joint_extract(
     shifted = cert.matches.shift(off_b)
     if minus(shifted, inter):
         raise VerificationError("a match offset fails the joint alignment recount")
-    if inter.count < cert.matches.count:
-        raise VerificationError("alignment recount lost matches")
     return JointExtractResult(
         alpha=alpha,
         beta=beta,
@@ -495,9 +490,8 @@ def chain_extract(
         nominal *= res.alpha
     if gamma < floor_value:
         raise VerificationError("final stage density target under the product floor")
-    diffs = sorted({x - y for x in prefix for y in prefix if x > y})
     checks: list[tuple[int, list[Fraction]]] = []
-    for t in diffs:
+    for t in prefix.differences():
         vals = []
         for s in sets:
             value = shift_density(s, t, min(first_n, s.window.length - abs(t)))
@@ -577,7 +571,7 @@ def difference_cover(
     (_, res), cert, _ = certify_cover(candidates, Fraction(0), 0, overlap)
     expected_k = floor(1 / (res.alpha * res.beta))
     order = candidate_order(candidates)
-    for t in sorted({x - y for x in res.cert.prefix for y in res.cert.prefix if x > y}):
+    for t in res.cert.prefix.differences():
         if dense_shift_count(res.overlap, t) == 0:
             raise VerificationError(
                 f"pattern difference {t} missing from the overlap's dense shifts"

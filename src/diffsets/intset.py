@@ -45,7 +45,6 @@ __all__ = [
     "union",
     "complement_in",
     "restrict",
-    "rebase",
     "combine_shifts",
     "self_overlap",
     "minus",
@@ -314,11 +313,6 @@ def _slice_onto(a: IntSet, w: Window) -> int:
 def restrict(a: IntSet, w: Window) -> IntSet:
     """A ∩ w materialized on window w (explicit, documented clipping)."""
     return IntSet(w, _slice_onto(a, w))
-
-
-def rebase(a: IntSet, offset: int, n: int) -> IntSet:
-    """A ∩ [offset + 1, offset + n], moved down onto [1, n]."""
-    return restrict(a, Window(offset + 1, offset + n)).shift(-offset)
 
 
 def combine_shifts(a: IntSet, shifts: Iterable[int], w: Window, union: bool = False) -> IntSet:

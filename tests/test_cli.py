@@ -728,6 +728,10 @@ PIPELINE_REQUIRED = ["pipeline", "--a", "a.set", "--b", "a.set", "--n", "4"]  # 
     (BASE_ARGV["pipeline"] + ["--intersect", "--x=-3..3"], "--intersect needs --eps"),
     (BASE_ARGV["pipeline"] + ["--intersect", "--eps", "1/10"], "--intersect needs --x candidates"),
     (["bohr", "--d", "a.set"], "direct mode needs --freqs (or use --search)"),
+    (BASE_ARGV["cover"] + ["--density-n", "42"],
+     "--density-n 42 exceeds the --x hull length 41"),
+    (BASE_ARGV["cover"] + ["--x", "3,9,5", "--h", "2", "--density-n", "8"],
+     "--density-n 8 exceeds the --x hull length 7"),
 ])
 def test_flag_combinations_are_refused_before_any_set_file_is_read(capsys, monkeypatch, argv,
                                                                      message):

@@ -326,6 +326,21 @@ def test_upper_sweep_needs_anchor():
         eps_delta_upper(a, Fraction(0), 10, Window(-5, 5))
 
 
+def test_upper_shift_density_needs_anchor():
+    """The per-shift proxy refuses a window not starting at 1, as the list form does.
+
+    Read on [1, n] as if anchored, the multiples of 3 on [0, 399] gave 0 at t = 2.
+    """
+    a = residues({0}, 3, 0, 399)
+    message = r"set must live on a window starting at 1 \(got Window\(0, 399\)\)"
+    for t in (0, 2):
+        with pytest.raises(InputError, match=message):
+            shift_density(a, t, 100, upper=True)
+        with pytest.raises(InputError, match=message):
+            shift_densities(a, [t], 100, upper=True)
+    assert shift_density(a, 3, 100) == Fraction(34, 100)  # the Banach value needs no anchor
+
+
 def test_shift_safety_names_offender():
     a = residues({0}, 2, 0, 99)
     with pytest.raises(InputError, match="t=-70"):

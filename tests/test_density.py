@@ -12,6 +12,7 @@ from diffsets import (
     InputError,
     IntSet,
     Window,
+    best_window,
     longest_run,
     lower_asymptotic_est,
     lower_banach_est,
@@ -76,6 +77,18 @@ def test_banach_at_window_inside(a, data):
     assert a.window.lo <= est.at + 1
     assert est.at + n <= a.window.hi
     assert est.n == n and est.kind == "upper_banach"
+
+
+@given(small_sets(), st.data())
+def test_best_window_is_the_densest_window_moved_onto_one(a, data):
+    n = data.draw(st.integers(1, a.window.length))
+    est, c = best_window(a, n)
+    mem = set(a.members())
+    assert (est.value, est.at) == brute.upper_banach(mem, a.window.lo, a.window.hi, n)
+    assert est == upper_banach_est(a, n)
+    assert c.window == Window(1, n)
+    assert set(c.members()) == {x - est.at for x in mem if est.at < x <= est.at + n}
+    assert c.count == est.value * n
 
 
 def test_banach_frozen_examples():

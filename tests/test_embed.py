@@ -58,6 +58,13 @@ def test_pattern_validation():
     assert Pattern((0, 4, 9)).elems == (0, 4, 9)
 
 
+def test_pattern_differences_are_distinct_and_ascending():
+    # 0, 2, 4, 6 repeats 2 three times and 4 twice
+    assert Pattern((0, 2, 4, 6)).differences() == [2, 4, 6]
+    assert Pattern((-3, 1, 2)).differences() == [1, 4, 5]
+    assert Pattern((7,)).differences() == []
+
+
 @given(embed_instances())
 def test_shift_set_matches_brute(inst):
     f, y, srange = inst

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import diffsets
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "diffsets"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "diffsets"
 
 # the modules whose __all__ the package re-exports; cli, par and prng stay out
 LIBRARY = ("bohr", "cover", "delta", "density", "embed", "errors", "extract", "gen",
@@ -47,17 +48,23 @@ def _module_level_privates(tree):
         yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
 
 
+def _names_read(trees):
+    """Every name loaded as a bare name or as an attribute anywhere in trees."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
 def test_no_unreferenced_private_names():
     """Every module-level private name is read somewhere in the package, so dead helpers go."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in _modules()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _names_read(trees.values())
     dead = [f"{name}:{priv}" for name, tree in trees.items()
             for priv in _module_level_privates(tree) if priv not in read]
     assert not dead, dead
@@ -90,3 +97,12 @@ def test_package_exports_exactly_the_library_all_lists():
     public = {name for name, value in vars(diffsets).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(declared)
+
+
+def test_every_public_name_is_read():
+    """Every name in a library module's __all__ is read in src/, tests/ or bench/, so dead API goes."""
+    read = _names_read(ast.parse(path.read_text(), filename=str(path))
+                       for d in ("src", "tests", "bench") for path in (ROOT / d).rglob("*.py"))
+    unread = [f"{mod}.{name}" for mod in LIBRARY
+              for name in importlib.import_module(f"diffsets.{mod}").__all__ if name not in read]
+    assert not unread, unread
