@@ -128,8 +128,13 @@ def suggest_freqs(d: IntSet, k_max: int, q_max: int = 32) -> list[Fraction]:
         raise InputError("q_max must be >= 2")
     offsets = np.flatnonzero(bit_vector(d))  # from d.window.lo, which may sit beyond int64
     scored: list[tuple[float, int, int]] = []
-    for q in range(2, q_max + 1):
-        counts = np.bincount((offsets + d.window.lo % q) % q, minlength=q).astype(np.float64)
+    residues: dict[int, np.ndarray] = {}  # q -> residue counts mod q
+    for q in range(q_max, 1, -1):
+        if 2 * q > q_max:
+            residues[q] = np.bincount((offsets + d.window.lo % q) % q, minlength=q)
+        else:  # fold the counts mod 2q: residues r and r + q agree mod q
+            residues[q] = residues[2 * q].reshape(2, q).sum(axis=0)
+        counts = residues[q].astype(np.float64)
         angles = 2.0 * np.pi * np.arange(q) / q
         for p in range(1, q // 2 + 1):
             if gcd(p, q) != 1:

@@ -18,11 +18,21 @@ empty or malformed value exits 2 naming the flag, before any set file is
 read, also where the chosen mode ignores the flag.  Every subcommand except
 ``gen`` takes --out for the report destination (default stdout); ``gen``
 uses --out for the generated set file and always reports on stdout.
+
+``main(argv)`` may be called any number of times in one process.  The parser
+is built once, at the first call, and shared by every later one; that is
+safe because parsing never changes it: ``parse_args`` returns a fresh
+Namespace, the one ``action="append"`` flag (``analyze --n``) defaults to
+None, so no list outlives a call, and no handler calls ``set_defaults``.
+The flag parsers and handlers, all private to this module, are bound at that
+build; they look library functions up when they run, so a library name
+rebound in this module later (as a tracer does) is still seen.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -89,6 +99,11 @@ __all__ = ["main", "build_parser"]
 
 def _flag(parse, flag: str, *extra):
     return lambda text: parse(text, flag, *extra)
+
+
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    # looked up per call, so the shared parser holds no library function
+    return parse_fraction(text, flag)
 
 
 def _parse_path(text: str, flag: str) -> str:
@@ -624,7 +639,12 @@ def _report_flags(p: argparse.ArgumentParser, csv: bool = False) -> None:
                        help="also write per-row data as CSV")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built at the first call and shared by every later one.
+
+    Every caller gets the same object, so callers read it and never change it.
+    """
     parser = argparse.ArgumentParser(
         prog="diffsets",
         description="finite-window difference set and density workbench",
@@ -652,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="shifts whose self-intersection clears a density threshold")
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
-    p.add_argument("--eps", required=True, type=_flag(parse_fraction, "--eps"))
+    p.add_argument("--eps", required=True, type=_flag(_parse_fraction, "--eps"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trange", required=True, type=_flag(_parse_range, "--trange"),
                    help="shift range lo..hi")
@@ -674,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="greedy shift cover with certificates")
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
-    p.add_argument("--eps", required=True, type=_flag(parse_fraction, "--eps"))
+    p.add_argument("--eps", required=True, type=_flag(_parse_fraction, "--eps"))
     p.add_argument("--x", required=True, type=_flag(_parse_candidates, "--x"),
                    help="candidate shifts: lo..hi, JSON array, or comma list")
     p.add_argument("--n", type=int, required=True, help="base window length")
@@ -690,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="modal trace extraction with walk bound")
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
     p.add_argument("--n", type=int, required=True, help="trace length")
-    p.add_argument("--slack", required=True, type=_flag(parse_fraction, "--slack"),
+    p.add_argument("--slack", required=True, type=_flag(_parse_fraction, "--slack"),
                    help="density slack below the best window")
     p.add_argument("--window", type=_flag(_parse_positive, "--window"),
                    help="base window length (default min(1024, all))")
@@ -703,14 +723,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, help="window length for the first set")
     p.add_argument("--nu", type=int, help="window length for the second set")
     p.add_argument("--n", type=int, required=True, help="trace length")
-    p.add_argument("--slack", default="1/50", type=_flag(parse_fraction, "--slack"))
+    p.add_argument("--slack", default="1/50", type=_flag(_parse_fraction, "--slack"))
     p.add_argument("--chain", nargs="+", metavar="PATH", type=_flag(_parse_path, "--chain"),
                    help="fold further sets through the pipeline")
     p.add_argument("--jin", action="store_true",
                    help="cover candidates by dense shifts of the aligned overlap")
     p.add_argument("--intersect", action="store_true",
                    help="cover candidates by shifts eps-dense for both sets")
-    p.add_argument("--eps", type=_flag(parse_fraction, "--eps"), help="threshold for --intersect")
+    p.add_argument("--eps", type=_flag(_parse_fraction, "--eps"), help="threshold for --intersect")
     p.add_argument("--x", type=_flag(_parse_candidates, "--x"),
                    help="candidate shifts for --jin / --intersect")
     p.add_argument("--mandate", type=int, default=0)
@@ -722,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ambient set (usually a difference set)")
     p.add_argument("--freqs", type=_flag(_parse_list, "--freqs"),
                    help="comma list of rational frequencies")
-    p.add_argument("--eps", default="1/4", type=_flag(parse_fraction, "--eps"),
+    p.add_argument("--eps", default="1/4", type=_flag(_parse_fraction, "--eps"),
                    help="width threshold (default 1/4)")
     p.add_argument("--shift", type=int, default=0)
     p.add_argument("--interval", type=_flag(_parse_range, "--interval"),

@@ -149,7 +149,8 @@ def _banach(a: IntSet, n: int, maximize: bool) -> DensityEstimate:
     np.cumsum(step[:-1], dtype=acc, out=best[1:])
     best += packed >> 3  # ... plus the best prefix inside it
     g = int(np.argmax(best))  # first hit: least byte, and the table's least offset in it
-    base = restrict(a, Window(a.window.lo, a.window.lo + n - 1)).count
+    # members at offset 0: the first n bits, q whole bytes and r bits of the next
+    base = int(np.bitwise_count(full[:q]).sum()) + (int(full[q]) & (1 << r) - 1).bit_count()
     count = base + int(best[g]) if maximize else base - int(best[g])
     at = a.window.lo - 1 + 8 * g + int(packed[g] & 7)
     return DensityEstimate(Fraction(count, n), n, at, UPPER_BANACH if maximize else LOWER_BANACH)

@@ -9,7 +9,8 @@ Four more pin one branch each that nothing else reaches (BRANCH_GOLDENS):
 cover --h, pipeline --chain, the three-file thick_triple gen and analyze
 --gap/--runlen.  Comparison drops the timing block and nothing else.  The
 rest of the module walks every subcommand once and exercises each exit code
-path.
+path; its last tests pin that the parser, built once per process, carries
+nothing from one main() call to the next.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from diffsets import (VerificationError, Window, cli, gen, read_set_file, residue_set,
+from diffsets import (VerificationError, Window, cli, gen, read_set_file, report, residue_set,
                       spec_from_json)
 from diffsets.cli import build_parser, main
 from diffsets.density import prefix_counts
@@ -809,3 +810,44 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("diffsets ")
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_append_flag_starts_empty_on_every_call(workdir, capsys):
+    """--n is the one append flag: its values from one call never reach the next."""
+    argv = ["analyze", "--set", "a.set", "--n", "100", "--n", "1000"]
+    first, second = run(argv, capsys), run(argv, capsys)
+    assert first[0] == second[0] == 0
+    assert canon(first[1]) == canon(second[1])
+    assert canon(first[1])["parameters"]["n"] == [100, 1000]
+
+
+def test_refused_calls_leave_the_shared_parser_unchanged(workdir, capsys):
+    """A flag parser's refusal (exit 2) and argparse's own (SystemExit) change no later call."""
+    code, want, _ = run(BASE_ARGV["delta"], capsys)
+    assert code == 0
+    assert run(BASE_ARGV["delta"] + ["--eps=x"], capsys)[:2] == (2, "")
+    assert run_or_exit(BASE_ARGV["delta"] + ["--no-such-flag"], capsys)[:2] == (2, "")
+    code, got, _ = run(BASE_ARGV["delta"], capsys)
+    assert code == 0
+    assert canon(got) == canon(want)
+
+
+def test_shared_parser_sees_a_library_name_rebound_after_its_build(workdir, capsys, monkeypatch):
+    """The flag parsers look library functions up per call, so a later rebinding in cli holds."""
+    build_parser()
+    seen = []
+
+    def recording(text, flag):
+        seen.append(flag)
+        return report.parse_fraction(text, flag)
+
+    monkeypatch.setattr(cli, "parse_fraction", recording)
+    assert run(BASE_ARGV["delta"], capsys)[0] == 0
+    assert seen == ["--eps"]

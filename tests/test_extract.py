@@ -304,6 +304,15 @@ TAMPER_TABLE = [
      "duplicate shifts in certificate"),
     ("cover", "covered", lambda cert: not cert.covered,
      "covered flag inconsistent with uncovered list"),
+    ("extraction", "region_size", lambda cert: cert.matches.window.length + 1,
+     "region exceeds the offset range"),
+    ("extraction", "match_bound", lambda cert: cert.match_bound + 1,
+     "stored pigeonhole bound is inconsistent"),
+    ("cover", "shifts", lambda cert: [51] + cert.shifts[1:], "mandated shift not among candidates"),
+    ("cover", "shifts", lambda cert: cert.shifts[:1], "candidate 2 marked covered but is not"),
+    ("cover", "uncovered", lambda cert: cert.uncovered + [0],
+     "candidate 0 marked uncovered but is covered"),
+    ("cover", "witnesses", lambda cert: {}, "witness for candidate 0 does not verify"),
 ]
 
 
