@@ -290,8 +290,9 @@ def test_verify_extraction_refills_its_recount_window(monkeypatch, span):
 
 # One field of a real certificate changed per row, and the refusal it must draw.
 # Certificates on the mod-5 set {0, 1} of [1, 1000]: the extraction (n = 5,
-# gamma = 2/5) holds prefix (1, 2) and 199 match offsets on [0, 995]; the
-# cover of -50..50 at eps = 0 picks shifts [0, 2] and leaves nothing uncovered.
+# gamma = 2/5) holds prefix (1, 2) and 199 match offsets on [0, 995], the
+# least at 4; the cover of -50..50 at eps = 0 picks shifts [0, 2] and leaves
+# nothing uncovered.  The rows reach every refusal of both verifiers.
 TAMPER_TABLE = [
     ("extraction", "prefix", lambda cert: Pattern((1, 2, 6)), "prefix pattern escapes [1, n]"),
     ("extraction", "gamma", lambda cert: Fraction(1), "prefix counting function fails at i = 3"),
@@ -308,11 +309,14 @@ TAMPER_TABLE = [
      "region exceeds the offset range"),
     ("extraction", "match_bound", lambda cert: cert.match_bound + 1,
      "stored pigeonhole bound is inconsistent"),
-    ("cover", "shifts", lambda cert: [51] + cert.shifts[1:], "mandated shift not among candidates"),
+    ("cover", "shifts", lambda cert: [51] + cert.shifts[1:],
+     "mandated shift not among candidates"),
     ("cover", "shifts", lambda cert: cert.shifts[:1], "candidate 2 marked covered but is not"),
     ("cover", "uncovered", lambda cert: cert.uncovered + [0],
      "candidate 0 marked uncovered but is covered"),
     ("cover", "witnesses", lambda cert: {}, "witness for candidate 0 does not verify"),
+    ("extraction", "prefix", lambda cert: Pattern((1, 3)),
+     "offset 4 does not reproduce the prefix"),
 ]
 
 
