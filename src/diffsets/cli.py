@@ -18,21 +18,13 @@ empty or malformed value exits 2 naming the flag, before any set file is
 read, also where the chosen mode ignores the flag.  Every subcommand except
 ``gen`` takes --out for the report destination (default stdout); ``gen``
 uses --out for the generated set file and always reports on stdout.
-
-``main(argv)`` may be called any number of times in one process.  The parser
-is built once, at the first call, and shared by every later one; that is
-safe because parsing never changes it: ``parse_args`` returns a fresh
-Namespace, the one ``action="append"`` flag (``analyze --n``) defaults to
-None, so no list outlives a call, and no handler calls ``set_defaults``.
-The flag parsers and handlers, all private to this module, are bound at that
-build; they look library functions up when they run, so a library name
-rebound in this module later (as a tracer does) is still seen.
+``main(argv)`` returns the exit code and may be called any number of times
+in one process; each call builds a parser of its own.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -93,17 +85,12 @@ __all__ = ["main", "build_parser"]
 
 # -- flag parsing helpers -----------------------------------------------------
 #
-# Each parses (text, flag) or raises InputError naming the flag; build_parser
-# binds each to its flag's add_argument through _flag.
+# Each parses (text, flag) or raises InputError naming the flag; the
+# _<subcommand>_flags functions bind each to its flag's add_argument through _flag.
 
 
 def _flag(parse, flag: str, *extra):
     return lambda text: parse(text, flag, *extra)
-
-
-def _parse_fraction(text: str, flag: str) -> Fraction:
-    # looked up per call, so the shared parser holds no library function
-    return parse_fraction(text, flag)
 
 
 def _parse_path(text: str, flag: str) -> str:
@@ -639,20 +626,7 @@ def _report_flags(p: argparse.ArgumentParser, csv: bool = False) -> None:
                        help="also write per-row data as CSV")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built at the first call and shared by every later one.
-
-    Every caller gets the same object, so callers read it and never change it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="diffsets",
-        description="finite-window difference set and density workbench",
-    )
-    parser.add_argument("--version", action="version", version=f"diffsets {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("gen", help="materialize a generator spec into a set file")
+def _gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, type=_flag(_parse_spec, "--spec"),
                    help="GenSpec JSON, or @path to a JSON file")
     p.add_argument("--out", required=True, type=_flag(_parse_path, "--out"),
@@ -660,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fmt", choices=("bits", "list"), default="bits")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("analyze", help="density estimates and structure classifiers")
+
+def _analyze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
     p.add_argument("--n", type=int, action="append", help="window length, repeatable")
     p.add_argument("--gap", type=_flag(_parse_positive, "--gap"),
@@ -670,9 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     _report_flags(p, csv=True)
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("delta", help="shifts whose self-intersection clears a density threshold")
+
+def _delta_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
-    p.add_argument("--eps", required=True, type=_flag(_parse_fraction, "--eps"))
+    p.add_argument("--eps", required=True, type=_flag(parse_fraction, "--eps"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trange", required=True, type=_flag(_parse_range, "--trange"),
                    help="shift range lo..hi")
@@ -681,7 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
     _report_flags(p, csv=True)
     p.set_defaults(fn=_cmd_delta)
 
-    p = sub.add_parser("embed", help="window embeddability of X into Y")
+
+def _embed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", required=True, type=_flag(_parse_path, "--x"))
     p.add_argument("--y", required=True, type=_flag(_parse_path, "--y"))
     p.add_argument("--m", type=int, required=True, help="trace length")
@@ -692,9 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
     _report_flags(p)
     p.set_defaults(fn=_cmd_embed)
 
-    p = sub.add_parser("cover", help="greedy shift cover with certificates")
+
+def _cover_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
-    p.add_argument("--eps", required=True, type=_flag(_parse_fraction, "--eps"))
+    p.add_argument("--eps", required=True, type=_flag(parse_fraction, "--eps"))
     p.add_argument("--x", required=True, type=_flag(_parse_candidates, "--x"),
                    help="candidate shifts: lo..hi, JSON array, or comma list")
     p.add_argument("--n", type=int, required=True, help="base window length")
@@ -707,42 +685,45 @@ def build_parser() -> argparse.ArgumentParser:
     _report_flags(p)
     p.set_defaults(fn=_cmd_cover)
 
-    p = sub.add_parser("extract", help="modal trace extraction with walk bound")
+
+def _extract_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
     p.add_argument("--n", type=int, required=True, help="trace length")
-    p.add_argument("--slack", required=True, type=_flag(_parse_fraction, "--slack"),
+    p.add_argument("--slack", required=True, type=_flag(parse_fraction, "--slack"),
                    help="density slack below the best window")
     p.add_argument("--window", type=_flag(_parse_positive, "--window"),
                    help="base window length (default min(1024, all))")
     _report_flags(p)
     p.set_defaults(fn=_cmd_extract)
 
-    p = sub.add_parser("pipeline", help="two-set alignment and extraction pipelines")
+
+def _pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", required=True, type=_flag(_parse_path, "--a"))
     p.add_argument("--b", required=True, type=_flag(_parse_path, "--b"))
     p.add_argument("--N", type=int, help="window length for the first set")
     p.add_argument("--nu", type=int, help="window length for the second set")
     p.add_argument("--n", type=int, required=True, help="trace length")
-    p.add_argument("--slack", default="1/50", type=_flag(_parse_fraction, "--slack"))
+    p.add_argument("--slack", default="1/50", type=_flag(parse_fraction, "--slack"))
     p.add_argument("--chain", nargs="+", metavar="PATH", type=_flag(_parse_path, "--chain"),
                    help="fold further sets through the pipeline")
     p.add_argument("--jin", action="store_true",
                    help="cover candidates by dense shifts of the aligned overlap")
     p.add_argument("--intersect", action="store_true",
                    help="cover candidates by shifts eps-dense for both sets")
-    p.add_argument("--eps", type=_flag(_parse_fraction, "--eps"), help="threshold for --intersect")
+    p.add_argument("--eps", type=_flag(parse_fraction, "--eps"), help="threshold for --intersect")
     p.add_argument("--x", type=_flag(_parse_candidates, "--x"),
                    help="candidate shifts for --jin / --intersect")
     p.add_argument("--mandate", type=int, default=0)
     _report_flags(p)
     p.set_defaults(fn=_cmd_pipeline)
 
-    p = sub.add_parser("bohr", help="rational Bohr sets: generate, contain, search")
+
+def _bohr_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", required=True, type=_flag(_parse_path, "--d"),
                    help="ambient set (usually a difference set)")
     p.add_argument("--freqs", type=_flag(_parse_list, "--freqs"),
                    help="comma list of rational frequencies")
-    p.add_argument("--eps", default="1/4", type=_flag(_parse_fraction, "--eps"),
+    p.add_argument("--eps", default="1/4", type=_flag(parse_fraction, "--eps"),
                    help="width threshold (default 1/4)")
     p.add_argument("--shift", type=int, default=0)
     p.add_argument("--interval", type=_flag(_parse_range, "--interval"),
@@ -759,18 +740,55 @@ def build_parser() -> argparse.ArgumentParser:
     _report_flags(p)
     p.set_defaults(fn=_cmd_bohr)
 
-    p = sub.add_parser("selftest", help="randomized invariant suite")
+
+def _selftest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=_flag(_parse_positive, "--trials"), default=100)
     p.add_argument("--seed", type=int, default=1)
     _report_flags(p)
     p.set_defaults(fn=_cmd_selftest)
 
+
+_SUBCOMMANDS = (  # name, help, flags
+    ("gen", "materialize a generator spec into a set file", _gen_flags),
+    ("analyze", "density estimates and structure classifiers", _analyze_flags),
+    ("delta", "shifts whose self-intersection clears a density threshold", _delta_flags),
+    ("embed", "window embeddability of X into Y", _embed_flags),
+    ("cover", "greedy shift cover with certificates", _cover_flags),
+    ("extract", "modal trace extraction with walk bound", _extract_flags),
+    ("pipeline", "two-set alignment and extraction pipelines", _pipeline_flags),
+    ("bohr", "rational Bohr sets: generate, contain, search", _bohr_flags),
+    ("selftest", "randomized invariant suite", _selftest_flags),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser: every subcommand's flags, or only command's.
+
+    One call reads one subcommand, so main declares the flags of that one
+    alone.  The others are still listed, for -h and for argparse's message
+    on an invalid choice, but take no flags at all, not even -h.
+    """
+    parser = argparse.ArgumentParser(
+        prog="diffsets",
+        description="finite-window difference set and density workbench",
+    )
+    parser.add_argument("--version", action="version", version=f"diffsets {__version__}")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, summary, flags in _SUBCOMMANDS:
+        wanted = command in (None, name)
+        p = sub.add_parser(name, help=summary, add_help=wanted)
+        if wanted:
+            flags(p)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h and --version take no value, so the first word that is not a flag
+    # is the one argparse reads as the subcommand
+    command = next((word for word in argv if not word.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)  # the flag parsers raise InputError
+        args = build_parser(command).parse_args(argv)  # the flag parsers raise InputError
         report = Report(command=args.cmd, version=__version__)
         t0 = time.perf_counter()
         try:

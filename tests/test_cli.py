@@ -9,8 +9,8 @@ Four more pin one branch each that nothing else reaches (BRANCH_GOLDENS):
 cover --h, pipeline --chain, the three-file thick_triple gen and analyze
 --gap/--runlen.  Comparison drops the timing block and nothing else.  The
 rest of the module walks every subcommand once and exercises each exit code
-path; its last tests pin that the parser, built once per process, carries
-nothing from one main() call to the next.
+path; its last tests pin that main, which declares only the named
+subcommand's flags, reads every command line as the full parser does.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from diffsets import (VerificationError, Window, cli, gen, read_set_file, report, residue_set,
+from diffsets import (VerificationError, Window, cli, gen, read_set_file, residue_set,
                       spec_from_json)
 from diffsets.cli import build_parser, main
 from diffsets.density import prefix_counts
@@ -812,11 +812,7 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("diffsets ")
 
 
-# -- one parser per process ---------------------------------------------------
-
-
-def test_build_parser_is_built_once():
-    assert build_parser() is build_parser()
+# -- one subcommand's flags per call -------------------------------------------
 
 
 def test_repeated_append_flag_starts_empty_on_every_call(workdir, capsys):
@@ -828,26 +824,39 @@ def test_repeated_append_flag_starts_empty_on_every_call(workdir, capsys):
     assert canon(first[1])["parameters"]["n"] == [100, 1000]
 
 
-def test_refused_calls_leave_the_shared_parser_unchanged(workdir, capsys):
-    """A flag parser's refusal (exit 2) and argparse's own (SystemExit) change no later call."""
-    code, want, _ = run(BASE_ARGV["delta"], capsys)
-    assert code == 0
-    assert run(BASE_ARGV["delta"] + ["--eps=x"], capsys)[:2] == (2, "")
-    assert run_or_exit(BASE_ARGV["delta"] + ["--no-such-flag"], capsys)[:2] == (2, "")
-    code, got, _ = run(BASE_ARGV["delta"], capsys)
-    assert code == 0
-    assert canon(got) == canon(want)
+@pytest.mark.parametrize("cmd", sorted(BASE_ARGV))
+def test_parser_for_one_subcommand_declares_its_flags_alone(cmd):
+    full = _subcommands()
+    sub = next(a for a in build_parser(cmd)._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(full)
+    for name, p in sub.choices.items():
+        want = [a.option_strings for a in full[name]._actions] if name == cmd else []
+        assert [a.option_strings for a in p._actions] == want, name
 
 
-def test_shared_parser_sees_a_library_name_rebound_after_its_build(workdir, capsys, monkeypatch):
-    """The flag parsers look library functions up per call, so a later rebinding in cli holds."""
-    build_parser()
-    seen = []
+# argvs whose subcommand is missing, unknown, or not the first word
+EDGE_ARGV = [
+    [], ["-h"], ["--version"], ["nosuch"], ["delta"], ["delta", "-h"], ["-h", "delta"],
+    ["--no-such-flag", *BASE_ARGV["delta"]], ["-5", *BASE_ARGV["delta"]],
+    ["--", *BASE_ARGV["delta"]], [*BASE_ARGV["delta"], "analyze"], ["-", "delta"],
+]
 
-    def recording(text, flag):
-        seen.append(flag)
-        return report.parse_fraction(text, flag)
 
-    monkeypatch.setattr(cli, "parse_fraction", recording)
-    assert run(BASE_ARGV["delta"], capsys)[0] == 0
-    assert seen == ["--eps"]
+@pytest.mark.parametrize("argv", [*BASE_ARGV.values(), *EDGE_ARGV])
+def test_main_reads_every_argv_as_the_full_parser_does(workdir, capsys, monkeypatch, argv):
+    """main declares only the named subcommand's flags; exit code, report and stderr
+    are what the parser of every subcommand gives."""
+
+    def outcome():
+        code, out, err = run_or_exit(argv, capsys)
+        try:
+            out = canon(out)
+        except ValueError:  # help text, or nothing
+            pass
+        return code, out, err
+
+    got = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == outcome()
