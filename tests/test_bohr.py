@@ -328,5 +328,5 @@ def test_piecewise_search_raises_when_the_recount_fails(monkeypatch):
 
     monkeypatch.setattr(bohr, "bohr_contained", violated)
     d = residues({0, 1, 6}, 7, 0, 349)
-    with pytest.raises(VerificationError, match="recount"):
+    with pytest.raises(VerificationError, match="^piecewise witness failed its own recount$"):
         piecewise_bohr_search(d, 2, [Fraction(1, 4)], 100)

@@ -16,12 +16,13 @@ subcommand's flags, reads every command line as the full parser does.
 import argparse
 import ast
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from diffsets import (VerificationError, Window, cli, gen, read_set_file, residue_set,
-                      spec_from_json)
+from diffsets import (InfeasibleError, PigeonholeWitness, VerificationError, Window, cli, gen,
+                      read_set_file, residue_set, spec_from_json)
 from diffsets.cli import build_parser, main
 from diffsets.density import prefix_counts
 from diffsets.intset import MAX_WINDOW_LENGTH
@@ -486,6 +487,9 @@ def test_exit_2_on_bad_input(workdir, capsys):
         ('{"kind":"bernoulli","window":[1,50],"seed":"abc"}', "seed"),
         ('{"kind":"residues","window":[1,50],"modulus":5,"classes":["q"]}', "classes"),
         ('{"kind":"blocks","window":[1,50],"scale":"z"}', "scale"),
+        # JSON booleans and floats are not integers
+        ('{"kind":"bernoulli","window":[1,50],"seed":true}', "seed"),
+        ('{"kind":"bernoulli","window":[1.9,100.5]}', "window"),
         ("[1,2]", "spec"),
         # list fields must be JSON arrays, not numbers or strings
         ('{"kind":"residues","window":[1,50],"modulus":5,"classes":5}', "classes"),
@@ -505,13 +509,21 @@ def test_exit_2_on_bad_input(workdir, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, ""), argv
         assert flag in err and "lo <= hi" in err and "empty window" not in err, argv
-    # a sub-window length below 1 is named on both delta estimators, before any restrict
+    # a sub-window length below 1 is refused by its flag on both delta estimators
     for n in ("0", "-5"):
         for upper in ([], ["--upper"]):
             argv = ["delta", "--set", "a.set", "--eps", "1/4", "--n", n, "--trange=-10..10"]
             code, out, err = run(argv + upper, capsys)
             assert (code, out) == (2, ""), argv + upper
-            assert f"sub-window length {n} not in [1, 2100]" in err, argv + upper
+            assert err == f"diffsets: error: --n must be >= 1, got {n}\n", argv + upper
+    # refusals that need the set files read first
+    (workdir / "s.set").write_text("1\n5\n")
+    for argv, message in [
+        (["embed", "--x", "a.set", "--y", "s.set", "--m", "6"],
+         "target window shorter than the trace length 6"),
+        (BASE_ARGV["pipeline"] + ["--slack=-1/50"], "slack must be >= 0"),
+    ]:
+        assert run(argv, capsys) == (2, "", f"diffsets: error: {message}\n"), argv
     # a selftest that would run nothing is refused
     for trials in ("0", "-5"):
         code, out, err = run(["selftest", "--trials", trials], capsys)
@@ -709,6 +721,69 @@ def test_flag_values_are_refused_before_any_set_file_is_read(workdir, capsys, mo
     monkeypatch.setattr("diffsets.cli.read_set_file", lambda *a: pytest.fail("read a set file"))
     code, out, err = run(BASE_ARGV["delta"] + ["--eps=x"], capsys)
     assert (code, out) == (2, "") and "--eps" in err
+    # every count flag names itself below its least value
+    dense = BASE_ARGV["embed"] + ["--dense"]
+    search = ["bohr", "--d", "a.set", "--search"]
+    for argv, flag, least in [
+        (BASE_ARGV["analyze"], "--n", 1), (BASE_ARGV["delta"], "--n", 1),
+        (BASE_ARGV["embed"], "--m", 1), (dense, "--n", 1), (BASE_ARGV["cover"], "--n", 1),
+        (BASE_ARGV["extract"], "--n", 1), (BASE_ARGV["pipeline"], "--N", 1),
+        (BASE_ARGV["pipeline"], "--nu", 1), (BASE_ARGV["pipeline"], "--n", 1),
+        (search, "--kmax", 1), (search, "--Lmin", 1), (search, "--qmax", 2),
+    ]:
+        for value in (least - 1, -5):
+            assert run(argv + [f"{flag}={value}"], capsys) == (
+                2, "", f"diffsets: error: {flag} must be >= {least}, got {value}\n"), (argv, flag)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("[true,false]", "candidate JSON must be a nonempty array of integers"),
+    ("[1.5]", "candidate JSON must be a nonempty array of integers"),
+    ("[]", "candidate JSON must be a nonempty array of integers"),
+    ('["1"]', "candidate JSON must be a nonempty array of integers"),
+    ("[1,", "bad candidate JSON: Expecting value: line 1 column 4 (char 3)"),
+])
+def test_malformed_candidate_json_exits_2_naming_x(capsys, monkeypatch, value, message):
+    monkeypatch.setattr("diffsets.cli.read_set_file", lambda *a: pytest.fail("read a set file"))
+    assert run(BASE_ARGV["cover"] + [f"--x={value}"], capsys) == (
+        2, "", f"diffsets: error: --x: {message}\n")
+
+
+def test_every_fraction_list_value_goes_through_parse_fraction(workdir, capsys, monkeypatch):
+    """Each value is parsed by the parse_fraction cli holds when main runs: two --freqs
+    items, one --eps and the four items of the --eps-grid default."""
+    real, calls = cli.parse_fraction, []
+
+    def counted(text, flag):
+        calls.append(flag)
+        return real(text, flag)
+
+    monkeypatch.setattr(cli, "parse_fraction", counted)
+    assert run(["bohr", "--d", "a.set", "--freqs", "1/5,2/7", "--eps", "1/3"], capsys)[0] == 0
+    assert sorted(calls) == ["--eps"] + ["--eps-grid"] * 4 + ["--freqs"] * 2
+
+
+def test_selftest_reads_infeasible_as_skipped_and_failures_as_violations(capsys, monkeypatch):
+    """Trial 0 runs the pigeonhole check; each outcome is counted under its name."""
+    def infeasible(c, d):
+        raise InfeasibleError("planted")
+
+    def self_check(c, d):
+        raise VerificationError("planted self-check")
+
+    def under_bound(c, d):
+        return PigeonholeWitness(1, Fraction(0), Fraction(1), 1, 1)
+
+    for fault, code, skipped, violations in [
+        (infeasible, 0, 1, []),
+        (self_check, 3, 0, ["pigeonhole_bound trial 0: planted self-check"]),
+        (under_bound, 3, 0, ["pigeonhole_bound trial 0: assertion failed"]),
+    ]:
+        monkeypatch.setattr(cli, "pigeonhole_shift", fault)
+        got, out, _ = run(["selftest", "--trials", "1"], capsys)
+        rep = json.loads(out)
+        assert (got, rep["results"]["skipped"]["pigeonhole_bound"], rep["violations"]) == (
+            code, skipped, violations), fault.__name__
 
 
 PIPELINE_REQUIRED = ["pipeline", "--a", "a.set", "--b", "a.set", "--n", "4"]  # no --N or --nu

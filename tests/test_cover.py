@@ -244,6 +244,8 @@ def test_greedy_input_errors():
     c = residues({0}, 3, 1, 99)
     with pytest.raises(InputError):
         greedy_shift_cover(c, [], Fraction(0), 0)
+    with pytest.raises(InputError, match="^no candidates$"):  # before the span is taken
+        delta_cover(c, [], Fraction(0), 10)
     with pytest.raises(InputError):
         greedy_shift_cover(c, [1, 2], Fraction(0), 0)  # mandated not a candidate
     with pytest.raises(InputError):

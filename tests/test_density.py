@@ -453,6 +453,10 @@ def test_piecewise_syndetic_frozen():
     for length in (0, -5):  # an empty interval is refused, as in thick_witness
         with pytest.raises(InputError, match="interval length must be >= 1"):
             piecewise_syndetic_witness(evens, 2, length)
+        with pytest.raises(InputError, match="interval length must be >= 1"):
+            thick_witness(evens, length)
+        with pytest.raises(InputError, match="gap bound must be >= 1"):
+            piecewise_syndetic_witness(evens, length, 4)
 
 
 # ---------------------------------------------------------------------------

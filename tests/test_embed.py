@@ -287,6 +287,9 @@ def test_find_ap_frozen():
     # lexicographic tie rule: least start wins before least difference
     a = make_set([0, 2, 3, 4, 6], Window(0, 6))
     assert find_ap(a, 3) == (0, 2)
+    assert find_ap(a, 1) == (0, 1)  # one term: the least member, difference 1
+    with pytest.raises(InputError, match="^k must be >= 1$"):
+        find_ap(a, 0)
 
 
 def test_ap_shift_density_frozen():

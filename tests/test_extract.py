@@ -254,6 +254,10 @@ def test_trace_extract_guards():
         trace_extract(c, 20, Fraction(1, 2))
     with pytest.raises(InfeasibleError):
         trace_extract(c, 2, Fraction(1))  # no two consecutive members
+    short = residues({0}, 2, 1, 10)
+    for n in (0, 10):  # refused by prefix_dense_region, which reads the same range of n
+        with pytest.raises(InputError, match="^need 1 <= n < N$"):
+            trace_extract(short, n, Fraction(1, 2))
 
 
 def test_verify_extraction_catches_tampering():
@@ -442,6 +446,13 @@ def test_chain_extract_two_stages():
     assert res.delta_checks
     for _, vals in res.delta_checks:
         assert len(vals) == 2 and all(v > 0 for v in vals)
+
+
+def test_chain_extract_window_defaults_to_the_shortest_input():
+    a = residues({0, 1, 2, 3}, 5, 1, 3000)
+    b = residues({0, 1, 2, 3, 4}, 6, 1, 600)
+    got = chain_extract([a, b], 3, Fraction(1, 25))
+    assert got == chain_extract([a, b], 3, Fraction(1, 25), window_len=600)
 
 
 def test_chain_extract_guards():

@@ -275,7 +275,38 @@ def test_residue_modulus_is_capped(monkeypatch):
     assert set(residue_set(Window(1, 50), 2000, [7]).members()) == {7}  # exactly at the cap
 
 
+_NEED = thick_triple_bounds(1, 2)
+_NESTED_TRIPLE = {"kind": "thick_triple", "window": [_NEED.lo, _NEED.hi], "scale": 1, "blocks": 2}
+
+SPEC_ERRORS = [  # (JSON spec, the refusal's message)
+    ({"kind": "bernoulli", "window": [1, 50], "p": "abc"}, "cannot parse p = 'abc' as a rational"),
+    ({"kind": "ap_union", "window": [1, 50]}, "ap_union needs aps"),
+    ({"kind": "chain_in_thick", "window": [1, 50]}, "chain_in_thick needs count"),
+    ({"kind": "chain_in_thick", "window": [1, 50], "count": 2, "thick": _NESTED_TRIPLE},
+     "nested thick spec must yield a single set"),
+    # JSON booleans and floats are not integers, wherever an integer is read
+    ({"kind": "bernoulli", "window": [1, 50], "seed": True}, "cannot parse seed = True as an integer"),
+    ({"kind": "bernoulli", "window": [1.9, 100.5]}, "cannot parse window = 1.9 as an integer"),
+    ({"kind": "bernoulli", "window": [1, 100.0]}, "cannot parse window = 100.0 as an integer"),
+    ({"kind": "ap_union", "window": [1, 50], "aps": [[1.5, 3]]},
+     "cannot parse aps = 1.5 as an integer"),
+    ({"kind": "ap_union", "window": [1, 50], "aps": [[1, True]]},
+     "cannot parse aps = True as an integer"),
+    ({"kind": "residues", "window": [1, 50], "modulus": 5, "classes": [False]},
+     "cannot parse classes = False as an integer"),
+    ({"kind": "residues", "window": [1, 50], "modulus": 5.0, "classes": [0]},
+     "cannot parse modulus = 5.0 as an integer"),
+    ({"kind": "blocks", "window": [1, 50], "scale": True}, "cannot parse scale = True as an integer"),
+    ({"kind": "chain_in_thick", "window": [1, 50], "count": 2.5},
+     "cannot parse count = 2.5 as an integer"),
+]
+
+
 def test_gen_rejects_bad_specs():
+    for data, message in SPEC_ERRORS:
+        with pytest.raises(InputError) as exc:
+            gen(spec_from_json(data))
+        assert str(exc.value) == message, data
     with pytest.raises(InputError):
         GenSpec("fibonacci", Window(0, 9))
     with pytest.raises(InputError):

@@ -106,3 +106,23 @@ def test_every_public_name_is_read():
     unread = [f"{mod}.{name}" for mod in LIBRARY
               for name in importlib.import_module(f"diffsets.{mod}").__all__ if name not in read]
     assert not unread, unread
+
+
+def _self_check_messages(tree):
+    """The literal text of each VerificationError(...) message; an f-string's first literal."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "VerificationError"
+                and node.args):
+            msg = node.args[0]
+            if isinstance(msg, ast.JoinedStr):
+                msg = next(v for v in msg.values if isinstance(v, ast.Constant))
+            yield node.lineno, msg.value
+
+
+def test_every_self_check_message_is_named_by_a_test():
+    """A self-check no test names has never been seen to fire: reach it or delete it."""
+    tests = "".join(path.read_text() for path in (ROOT / "tests").glob("*.py"))
+    unnamed = [f"{path.name}:{line} {text!r}" for path in _modules()
+               for line, text in _self_check_messages(ast.parse(path.read_text()))
+               if text not in tests]
+    assert not unnamed, unnamed

@@ -514,6 +514,29 @@ def test_read_bits_refuses_rows_off_zero_one(tmp_path, row):
         read_set_file(p)
 
 
+def test_empty_set_has_no_min_or_max():
+    e = empty_set(Window(3, 9))
+    with pytest.raises(InputError, match="^empty set has no min$"):
+        e.min()
+    with pytest.raises(InputError, match="^empty set has no max$"):
+        e.max()
+    assert repr(make_set([4, 6], Window(3, 9))) == "IntSet(Window(3, 9), count=2)"
+
+
+def test_set_file_refusals_name_the_file(tmp_path):
+    bad = tmp_path / "h.set"
+    bad.write_text("lo=x\n0101\n")
+    with pytest.raises(InputError, match=f"^{bad}: bad bits header 'lo=x'$"):
+        read_set_file(bad)
+    a = make_set([2], Window(1, 3))
+    with pytest.raises(InputError, match="^unknown set file format 'xml'$"):
+        write_set_file(a, tmp_path / "a.set", "xml")
+    missing = tmp_path / "no-dir" / "a.set"
+    with pytest.raises(InputError, match=f"^cannot write set file {missing}: "):
+        write_set_file(a, missing)
+    assert not (tmp_path / "a.set").exists()
+
+
 def test_read_bits_cap_refuses_before_the_row_is_read(tmp_path, monkeypatch):
     p = tmp_path / "long.set"
     p.write_text("lo=1\n" + "01" * 10 + "1\n")
