@@ -25,7 +25,6 @@ in one process; each call builds a parser of its own.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -78,7 +77,7 @@ from .intset import (
     write_set_file,
 )
 from .prng import Stream, stream_block, stream_value
-from .report import Report, parse_fraction, render, write_csv
+from .report import Report, load_json, parse_fraction, render, write_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -137,8 +136,8 @@ def _parse_candidates(text: str, flag: str) -> list[int]:
     t = text.strip()
     if t.startswith("["):
         try:
-            vals = json.loads(t)
-        except json.JSONDecodeError as e:
+            vals = load_json(t, flag)
+        except ValueError as e:  # also an integer literal past Python's 4300-digit cap
             raise InputError(f"{flag}: bad candidate JSON: {e}") from None
         if not isinstance(vals, list) or not vals or not all(type(v) is int for v in vals):
             raise InputError(f"{flag}: candidate JSON must be a nonempty array of integers")
@@ -158,8 +157,8 @@ def _parse_spec(text: str, flag: str) -> GenSpec:
         except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"{flag}: cannot read spec file {p}: {e}") from e
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
+        data = load_json(text, flag)
+    except ValueError as e:  # also an integer literal past Python's 4300-digit cap
         raise InputError(f"{flag} is not valid JSON: {e}") from None
     return spec_from_json(data)
 
@@ -340,8 +339,8 @@ def _cmd_cover(args, report: Report) -> int:
     }
     report.certificates["cover"] = res.cert
     report.certificates["shift_checks"] = res.checks
-    if res.cert.covered and len(set(candidates)) == hull.length:
-        # full coverage of a contiguous range: attach the density consequence
+    if len(set(candidates)) == hull.length:
+        # every cover is full, so a contiguous range is covered: attach the density consequence
         _, report.certificates["density"] = full_cover_density(
             res.base, 1, hull, eps, list(res.cert.shifts), args.density_n
         )
@@ -476,8 +475,7 @@ def _st_pigeonhole(rng: Stream) -> None:
     c = _st_set(rng, w)
     nu = rng.randint(1, min(64, w.hi))
     d = _st_set(rng, Window(1, nu))
-    wit = pigeonhole_shift(c, d)
-    assert wit.ratio >= wit.bound
+    pigeonhole_shift(c, d)  # raises when the ratio is under the averaging bound
 
 
 def _st_cs(rng: Stream) -> None:
@@ -544,8 +542,7 @@ def _st_trace(rng: Stream) -> None:
     w = _st_window(rng)
     c = _st_set(rng, w, denom=2)
     n = rng.randint(2, 6)
-    cert = trace_extract(c, n, Fraction(1, 4))
-    assert cert.matches.count >= cert.match_bound
+    trace_extract(c, n, Fraction(1, 4))  # its verify_extraction refuses a class under the share
 
 
 def _st_embed(rng: Stream) -> None:

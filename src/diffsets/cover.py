@@ -134,10 +134,14 @@ class CoverCertificate:
     """Greedy cover of candidates by translates of the dense-shift set of C.
 
     shifts are in pick order, first one mandated by the caller.  witnesses maps
-    each covered candidate x to the shift x_i used, so x - x_i passed the
+    each candidate x to the shift x_i that covers it, so x - x_i passed the
     threshold.  k_bound is floor((g - eps) / (g^2 - eps)) for g = |C|/N, the
     size the greedy cannot exceed when edge losses vanish; margin = max |x|/N
     measures those losses.
+
+    The greedy stops only when no candidate is left uncovered, so every
+    certificate covers all its candidates: covered and uncovered are constants
+    of the type, not fields a caller sets, and stay only as report keys.
     """
 
     shifts: list[int]
@@ -145,8 +149,8 @@ class CoverCertificate:
     gamma_hat: Fraction
     k_bound: int
     margin: Fraction
-    covered: bool
-    uncovered: list[int]
+    covered: bool = field(default=True, init=False)
+    uncovered: list[int] = field(default_factory=list, init=False)
     base_size: int
     witnesses: dict[int, int] = field(repr=False)
 
@@ -204,8 +208,6 @@ def greedy_shift_cover(
         gamma_hat=gamma,
         k_bound=k_bound,
         margin=margin,
-        covered=not uncovered,
-        uncovered=uncovered,
         base_size=n,
         witnesses=witnesses,
     )
@@ -238,19 +240,12 @@ def verify_cover_certificate(c: IntSet, candidates, cert: CoverCertificate) -> b
         raise VerificationError("mandated shift not among candidates")
     if len(set(cert.shifts)) != len(cert.shifts):
         raise VerificationError("duplicate shifts in certificate")
-    uncovered_set = set(cert.uncovered)
     for x in order:
-        hit = next((xi for xi in cert.shifts if member(x - xi)), None)
-        if hit is None and x not in uncovered_set:
+        if not any(member(x - xi) for xi in cert.shifts):
             raise VerificationError(f"candidate {x} marked covered but is not")
-        if hit is not None and x in uncovered_set:
-            raise VerificationError(f"candidate {x} marked uncovered but is covered")
-        if hit is not None:
-            wx = cert.witnesses.get(x)
-            if wx is None or wx not in cert.shifts or not member(x - wx):
-                raise VerificationError(f"witness for candidate {x} does not verify")
-    if cert.covered != (not cert.uncovered):
-        raise VerificationError("covered flag inconsistent with uncovered list")
+        wx = cert.witnesses.get(x)
+        if wx is None or wx not in cert.shifts or not member(x - wx):
+            raise VerificationError(f"witness for candidate {x} does not verify")
     return True
 
 
@@ -263,7 +258,7 @@ class ShiftCheck:
 
     t: int
     value: Fraction
-    ok: bool
+    ok: bool = field(default=True, init=False)  # certify_cover raises on a failing shift
 
 
 def certify_cover(candidates, eps: Fraction, mandated_x: int, prepare, ambient=(), n=0, upper=False):
@@ -291,7 +286,7 @@ def certify_cover(candidates, eps: Fraction, mandated_x: int, prepare, ambient=(
     for t in used:
         if any(v[t] <= eps for v in per_set):
             raise VerificationError(f"used shift {t} passed on the base but not on the full set")
-    checks = [[ShiftCheck(t, v[t], True) for t in used] for v in per_set]
+    checks = [[ShiftCheck(t, v[t]) for t in used] for v in per_set]
     verify_cover_certificate(base, order, cert)
     return (base, context), cert, checks
 
@@ -350,7 +345,9 @@ class CoverDensityReport:
     by (S+c) + (F-c)); in that normal form the bound is provable: any length-n
     window J of the range contains (J + f_max) ∩ (J + f_min + n-span), an
     interval I of length n - span with I - f ⊆ J for every f, so each of its
-    covered points pulls back into S ∩ J, at most k landing on one point.
+    covered points pulls back into S ∩ J, at most k landing on one point.  So
+    when the premise holds a density under the floor raises VerificationError,
+    and ok is premise_ok.
 
     thick_cover mode: premise is an interval of length L inside S + F; the
     assertion is max-window-count(n) * ceil(L/n) >= ceil(L/k), the exact
@@ -400,8 +397,10 @@ def cover_density_check(
         span = max(norm) - min(norm)
         threshold = nominal - Fraction(k * span, n)
         est = lower_banach_est(restrict(s_norm, cover_range), n)
-        ok = premise_ok and est.value >= threshold
-        return CoverDensityReport(mode, premise_ok, c, threshold, nominal, est, None, ok)
+        if premise_ok and est.value < threshold:
+            raise VerificationError(
+                f"covering set density {est.value} under the proven floor {threshold}")
+        return CoverDensityReport(mode, premise_ok, c, threshold, nominal, est, None, premise_ok)
 
     if mode == "thick_cover":
         if thick_len is None:
@@ -442,7 +441,12 @@ def full_cover_density(
 
 @dataclass(frozen=True)
 class QuotientCoverResult:
-    """Cover of a base candidate list by the h-quotient of the dense-shift set."""
+    """Cover of a base candidate list by the h-quotient of the dense-shift set.
+
+    cover_ok is a constant: the quotient is read through the same
+    dense_shift_member the greedy used on h*(x - f), over a reach holding
+    every x - f, and verify_cover_certificate recounts each witness.
+    """
 
     h: int
     full_range: bool
@@ -450,7 +454,7 @@ class QuotientCoverResult:
     cert: CoverCertificate | None
     base_shifts: list[int] | None
     quotient_members: IntSet | None
-    cover_ok: bool
+    cover_ok: bool = field(default=True, init=False)
     density: CoverDensityReport | None
 
 
@@ -473,7 +477,7 @@ def quotient_cover(
         est = upper_banach_est(a, n)
         if eps >= est.value ** 2:
             raise InfeasibleError(f"eps = {eps} not below squared density {est.value ** 2}")
-        return QuotientCoverResult(0, True, est.at, None, None, None, True, None)
+        return QuotientCoverResult(0, True, est.at, None, None, None, None)
 
     base = candidate_order(base_candidates)
     scaled = [h * x for x in base]
@@ -482,8 +486,6 @@ def quotient_cover(
 
     hull = Window(min(base), max(base))
     q, density = full_cover_density(res.base, h, hull, eps, base_shifts, density_n)
-    covered = combine_shifts(q, base_shifts, hull, union=True)
-    cover_ok = all(x in covered for x in base)
     return QuotientCoverResult(
-        h, False, res.offset, res.cert, base_shifts, restrict(q, hull), cover_ok, density
+        h, False, res.offset, res.cert, base_shifts, restrict(q, hull), density
     )

@@ -12,7 +12,7 @@ is wrong, not the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 
@@ -276,7 +276,7 @@ class PrefixCheck:
     length: int
     est_value: Fraction
     floor: Fraction
-    ok: bool
+    ok: bool = field(default=True, init=False)  # dense_pattern_extract raises on a failing prefix
 
 
 @dataclass(frozen=True)
@@ -319,10 +319,9 @@ def dense_pattern_extract(
         if minus(shifted, s):
             raise VerificationError(f"a match offset fails to embed the length-{j} prefix")
         value = upper_banach_est(s, srange.length).value
-        ok = value >= floor_value
-        if not ok:
+        if value < floor_value:
             raise VerificationError(f"shift-set density {value} under the match share {floor_value}")
-        checks.append(PrefixCheck(j, value, floor_value, ok))
+        checks.append(PrefixCheck(j, value, floor_value))
     walk = _walk_report(c, n, cert.gamma, cert.region_size)
     return DensePatternResult(offset, window_len, alpha, cert, checks, walk)
 

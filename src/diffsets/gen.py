@@ -36,6 +36,7 @@ from .intset import (
     restrict,
 )
 from .prng import stream_block
+from .report import parse_fraction
 
 __all__ = [
     "GenSpec",
@@ -110,10 +111,7 @@ def _rational(value, name: str) -> Fraction:
     """Exact rational from an int or a 'p/q' / decimal string; floats refused."""
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(f"{name} must be an exact rational string like '3/10', not a float")
-    try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise InputError(f"cannot parse {name} = {value!r} as a rational") from None
+    return parse_fraction(value, name)
 
 
 def _take(params: dict, allowed: dict, kind: str) -> dict:

@@ -14,7 +14,7 @@ a numpy 0/1 vector, crossing only by ``bit_vector`` and ``from_bit_vector``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -124,13 +124,13 @@ _MEMBER_CHUNK = 1 << 12  # members() holds one list this long at a time, however
 class IntSet:
     """Integers inside ``window``; bit i of ``bits`` is element window.lo + i.
 
-    ``count`` is the cached population count; construction re-counts, so the
-    cache can never drift from the bits.
+    ``count`` is the cached population count; construction counts it from the
+    bits, and no caller can pass one, so the cache can never drift from them.
     """
 
     window: Window
     bits: int
-    count: int = -1
+    count: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.bits < 0 or self.bits >> self.window.length:

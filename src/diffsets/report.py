@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
@@ -21,9 +22,14 @@ from .errors import InputError
 from .intset import IntSet, Window
 
 MEMBER_LIST_CUTOFF = 4096
+MAX_DIGITS = 4300  # Python's cap on the digits of an int read from or written as text
+_DIGIT_BOUND = 10**MAX_DIGITS
+# json.loads, gen and to_jsonable recurse on each level of a spec, and Python stops at 1000 frames
+MAX_JSON_DEPTH = 100
 
 __all__ = [
     "Report",
+    "load_json",
     "parse_fraction",
     "set_to_json",
     "to_jsonable",
@@ -32,11 +38,56 @@ __all__ = [
 ]
 
 
-def parse_fraction(text: str, name: str = "value") -> Fraction:
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"(\s*:)?|[][{}]', re.S)
+
+
+def parse_fraction(text, name: str = "value") -> Fraction:
+    """An exact rational from 'p/q', an integer or a decimal string.
+
+    Text over 4 * MAX_DIGITS characters, or with a decimal exponent over
+    MAX_DIGITS in magnitude, is refused before Fraction reads it, as Fraction
+    would build 10**exponent (or 10**digits after the point); so is a value
+    whose numerator or denominator has more digits than a report can print.
+    """
     try:
-        return Fraction(str(text).strip())
+        s = str(text).strip()
+        if len(s) > 4 * MAX_DIGITS:
+            raise InputError(f"{name} is {len(s)} characters long, over the cap of {4 * MAX_DIGITS}")
+        exp = _EXPONENT.search(s)
+        digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+        if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
+            raise InputError(f"{name} = {text!r} has a decimal exponent over {MAX_DIGITS} "
+                             "in magnitude")
+        f = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse {name} = {text!r} as a rational") from None
+    if abs(f.numerator) >= _DIGIT_BOUND or f.denominator >= _DIGIT_BOUND:
+        raise InputError(f"{name} = {text!r} has a numerator or denominator of over "
+                         f"{MAX_DIGITS} digits")
+    return f
+
+
+def load_json(text: str, name: str):
+    """json.loads, with nesting past MAX_JSON_DEPTH refused before the decoder recurses.
+
+    The refusal is an InputError naming ``name`` and the outermost field on
+    the path to the cap, such as a generator spec's nested "thick" field.
+    Text json.loads refuses raises its ValueError, for the caller to word.
+    """
+    depth, keys = 0, {}  # keys[d]: the last key read in the open object at depth d
+    for tok in _JSON_TOKEN.finditer(text):
+        if tok[0] in ("[", "{"):
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                where = f" under field {keys[min(keys)]}" if keys else ""
+                raise InputError(f"{name} nests deeper than {MAX_JSON_DEPTH} levels{where}")
+        elif tok[0] in ("]", "}"):
+            keys.pop(depth, None)
+            depth -= 1
+        elif tok[1]:
+            keys[depth] = tok[0][: tok[0].rindex('"') + 1]
+    return json.loads(text)
 
 
 def set_to_json(a: IntSet) -> dict:

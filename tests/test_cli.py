@@ -16,12 +16,12 @@ subcommand's flags, reads every command line as the full parser does.
 import argparse
 import ast
 import json
-from fractions import Fraction
+import time
 from pathlib import Path
 
 import pytest
 
-from diffsets import (InfeasibleError, PigeonholeWitness, VerificationError, Window, cli, gen,
+from diffsets import (InfeasibleError, VerificationError, Window, cli, gen,
                       read_set_file, residue_set, spec_from_json)
 from diffsets.cli import build_parser, main
 from diffsets.density import prefix_counts
@@ -581,6 +581,54 @@ def test_gen_thick_triple_over_the_cap_names_field(workdir, capsys, field, scale
     assert not (workdir / "t.set").exists()
 
 
+def _thick_chain(levels):
+    """A chain_in_thick spec whose thick set is itself a chain, levels deep."""
+    spec = {"kind": "blocks", "window": [1, 50]}
+    for _ in range(levels):
+        spec = {"kind": "chain_in_thick", "window": [1, 50], "count": 2, "thick": spec}
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--spec", "@deep.json", "--out", "g.set"], "--spec nests deeper than 100 levels"),
+    (["cover", "--set", "a.set", "--eps", "0", "--n", "500", "--x", "[" * 5000 + "1" + "]" * 5000],
+     "--x nests deeper than 100 levels"),
+    (["gen", "--spec", _thick_chain(900), "--out", "g.set"],
+     '--spec nests deeper than 100 levels under field "thick"'),
+], ids=["spec", "x", "thick"])
+def test_deep_json_exits_2_before_anything_runs(workdir, capsys, monkeypatch, argv, message):
+    """json.loads, gen and the report recurse per level; nesting past the cap is refused while
+    the flag is read, before any spec is generated or set file read."""
+    (workdir / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    monkeypatch.setattr("diffsets.cli.gen", lambda spec: pytest.fail("generated a spec"))
+    monkeypatch.setattr("diffsets.cli.read_set_file", lambda *a: pytest.fail("read a set file"))
+    t0 = time.perf_counter()
+    assert run(argv, capsys) == (2, "", f"diffsets: error: {message}\n")
+    assert time.perf_counter() - t0 < 1
+
+
+def test_thick_chain_at_the_depth_cap_runs(workdir, capsys):
+    code, out, _ = run(["gen", "--spec", _thick_chain(98), "--out", "g.set"], capsys)
+    assert code == 0 and json.loads(out)["results"]["set"]["count"] == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["cover", "--set", "a.set", "--eps", "1e999999999999", "--x=-5..5", "--n", "500"], "--eps"),
+    (["extract", "--set", "a.set", "--n", "4", "--slack", "1e-999999999999"], "--slack"),
+    (["bohr", "--d", "a.set", "--freqs", "1/5,1e999999999999"], "--freqs"),
+    (["bohr", "--d", "a.set", "--search", "--eps-grid", "1/3,1e-999999999999"], "--eps-grid"),
+    (["gen", "--spec", '{"kind":"bernoulli","window":[1,50],"p":"1e-999999999999"}',
+      "--out", "g.set"], "p"),
+])
+def test_huge_decimal_exponent_exits_2_at_once(workdir, capsys, argv, name):
+    """Fraction would build 10**exponent; the exponent is refused before it is read."""
+    t0 = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"diffsets: error: {name} = '1e") and "decimal exponent over 4300" in err
+
+
 def test_gen_list_refuses_empty_set(workdir, capsys):
     """A list file infers its window from its members, so an empty set has none."""
     spec = '{"kind":"bernoulli","window":[1,50],"seed":3,"p":"0"}'
@@ -771,13 +819,13 @@ def test_selftest_reads_infeasible_as_skipped_and_failures_as_violations(capsys,
     def self_check(c, d):
         raise VerificationError("planted self-check")
 
-    def under_bound(c, d):
-        return PigeonholeWitness(1, Fraction(0), Fraction(1), 1, 1)
+    def bare_assert(c, d):
+        raise AssertionError
 
     for fault, code, skipped, violations in [
         (infeasible, 0, 1, []),
         (self_check, 3, 0, ["pigeonhole_bound trial 0: planted self-check"]),
-        (under_bound, 3, 0, ["pigeonhole_bound trial 0: assertion failed"]),
+        (bare_assert, 3, 0, ["pigeonhole_bound trial 0: assertion failed"]),
     ]:
         monkeypatch.setattr(cli, "pigeonhole_shift", fault)
         got, out, _ = run(["selftest", "--trials", "1"], capsys)

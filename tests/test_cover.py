@@ -32,6 +32,8 @@ from diffsets import (
 from diffsets.cover import ShiftCheck, certify_cover
 import diffsets.delta as delta_module
 from diffsets.delta import shift_density
+from diffsets.density import best_window
+from diffsets.extract import PrefixCheck
 
 
 def residues(classes, modulus, lo, hi):
@@ -259,6 +261,20 @@ def test_greedy_input_errors():
         greedy_shift_cover(residues({0}, 3, 0, 99), [0], Fraction(0), 0)
 
 
+def test_cover_flags_are_constants_of_their_types():
+    """The greedy always covers and the checks are built only after they pass, so these
+    fields take one value and no constructor or replace() can set another."""
+    cert = greedy_shift_cover(residues({0, 1}, 5, 1, 1000), range(-50, 51), Fraction(0), 0)
+    res = quotient_cover(residues({0}, 4, 0, 2099), 2, range(-20, 21), Fraction(0), 1000)
+    rows = [(cert, "covered", True, False), (cert, "uncovered", [], [2]),
+            (res, "cover_ok", True, False), (ShiftCheck(3, Fraction(1, 2)), "ok", True, False),
+            (PrefixCheck(1, Fraction(1), Fraction(1, 2)), "ok", True, False)]
+    for obj, name, constant, forged in rows:
+        assert getattr(obj, name) == constant
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(obj, **{name: forged})
+
+
 def test_verifier_rejects_tampering():
     c = residues({0, 1}, 5, 1, 1000)
     xs = list(range(-50, 51))
@@ -267,10 +283,6 @@ def test_verifier_rejects_tampering():
     chopped = dataclasses.replace(cert, shifts=[0])
     with pytest.raises(VerificationError):
         verify_cover_certificate(c, xs, chopped)
-
-    lied = dataclasses.replace(cert, uncovered=[2], covered=False)
-    with pytest.raises(VerificationError):
-        verify_cover_certificate(c, xs, lied)
 
     # witness whose difference fails the threshold: 0 - 2 = -2 is not a
     # difference of the mod-5 base
@@ -335,7 +347,7 @@ def test_certify_cover_checks_equal_per_shift_evaluation(monkeypatch):
     assert any(t > 0 and -t in used for t in used)  # the mirror is exercised
     assert sorted(scans) == sorted({(id(s), abs(t)) for s in (a, b) for t in used})
     for s, got in zip((a, b), checks):
-        assert got == [ShiftCheck(t, shift_density(s, t, 300), True) for t in used]
+        assert got == [ShiftCheck(t, shift_density(s, t, 300)) for t in used]
 
 
 def test_certify_cover_upper_refuses_an_ambient_set_off_1():
@@ -508,5 +520,13 @@ def test_quotient_cover_ok_agrees_with_the_certificate(data):
     eps = data.draw(st.sampled_from([Fraction(0), Fraction(1, 16)]))
     assume(eps < gamma * gamma)
     res = quotient_cover(a, h, base, eps, n, mandated_x=data.draw(st.sampled_from(base)))
-    assert res.cover_ok == res.cert.covered
+    # cover_ok is a constant of the type: recount the cover it stands for from plain membership
+    mem = set(best_window(a, n)[1].members())
+
+    def member(t):
+        return len(brute.shift_intersection(mem, h * t)) * eps.denominator > eps.numerator * n
+
+    assert all(any(member(x - f) for f in res.base_shifts) for x in base)
     assert res.quotient_members.window == Window(min(base), max(base))
+    assert set(res.quotient_members.members()) == {t for t in range(min(base), max(base) + 1)
+                                                   if member(t)}

@@ -570,3 +570,11 @@ def test_intset_rejects_bits_outside_window():
         IntSet(Window(0, 2), 0b1000)
     with pytest.raises(InputError):
         IntSet(Window(0, 2), -1)
+
+
+def test_intset_count_is_not_a_parameter():
+    assert IntSet(Window(0, 2), 0b101).count == 2
+    with pytest.raises(TypeError):
+        IntSet(Window(0, 2), 0b101, 99)
+    with pytest.raises(TypeError):
+        IntSet(Window(0, 2), 0b101, count=99)

@@ -106,6 +106,10 @@ FAULTS = [
     ("diffsets.cover.shift_densities",
      lambda real: lambda s, ts, n, upper=False: dict.fromkeys(ts, Fraction(0)), COVER,
      "used shift -10 passed on the base but not on the full set"),
+    # the cover of -10..10 uses one shift, so the proven floor 1/k - k*span/n is 1
+    ("diffsets.cover.lower_banach_est",
+     lambda real: lambda s, n: dataclasses.replace(real(s, n), value=Fraction(0)), COVER,
+     "covering set density 0 under the proven floor 1"),
     ("diffsets.bohr.bohr_contained",
      lambda real: lambda s, a, interval: BohrContainment(False, 1, 1, [interval.lo]), BOHR,
      "piecewise witness failed its own recount"),
