@@ -17,7 +17,7 @@ from math import floor
 import numpy as np
 
 from .delta import shift_densities
-from .density import DensityEstimate, best_window, lower_banach_est, thick_witness, upper_banach_est
+from .density import DensityEstimate, best_window, lower_banach_est, upper_banach_est
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, from_bit_vector,
                      intersect, restrict, self_overlap)
@@ -337,9 +337,9 @@ def delta_cover(
 
 @dataclass(frozen=True)
 class CoverDensityReport:
-    """If S + F covers a range (or is thick), S itself must be dense.
+    """If S + F covers a range, S itself must be dense.
 
-    full_cover mode: premise is cover_range ⊆ S + F; the assertion is
+    The premise is cover_range ⊆ S + F; the assertion is
     lower_banach_est(S ∩ cover_range, n) >= 1/k - k*span(F)/n.  Shifts are
     normalized first so the hull of F contains 0 (cover by S + F equals cover
     by (S+c) + (F-c)); in that normal form the bound is provable: any length-n
@@ -347,20 +347,17 @@ class CoverDensityReport:
     interval I of length n - span with I - f ⊆ J for every f, so each of its
     covered points pulls back into S ∩ J, at most k landing on one point.  So
     when the premise holds a density under the floor raises VerificationError,
-    and ok is premise_ok.
-
-    thick_cover mode: premise is an interval of length L inside S + F; the
-    assertion is max-window-count(n) * ceil(L/n) >= ceil(L/k), the exact
-    pigeonhole form of upper_banach_est(S, n) >= 1/k for n | L.
+    and ok is premise_ok.  mode and witness are constants of the type, kept
+    as report keys.
     """
 
-    mode: str
+    mode: str = field(default="full_cover", init=False)
     premise_ok: bool
     normalize_shift: int
     threshold: Fraction
     nominal: Fraction
-    estimate: DensityEstimate | None
-    witness: int | None
+    estimate: DensityEstimate
+    witness: None = field(default=None, init=False)
     ok: bool
 
 
@@ -370,55 +367,26 @@ def _normalize_shifts(shifts: list[int]) -> tuple[list[int], int]:
     return [f - c for f in shifts], c
 
 
-def cover_density_check(
-    s: IntSet,
-    shifts,
-    mode: str,
-    n: int,
-    cover_range: Window | None = None,
-    thick_len: int | None = None,
-) -> CoverDensityReport:
-    """Check the density consequence of a shift cover (modes: full_cover, thick_cover)."""
+def cover_density_check(s: IntSet, shifts, n: int, cover_range: Window) -> CoverDensityReport:
+    """Check the density consequence of a cover of cover_range by S + shifts."""
     shifts = list(dict.fromkeys(shifts))
     if not shifts:
         raise InputError("empty shift list")
-    if n < 1:  # both thresholds divide by n
+    if n < 1:  # the threshold divides by n
         raise InputError(f"window length n = {n} must be >= 1")
     k = len(shifts)
     norm, c = _normalize_shifts(shifts)
     s_norm = s.shift(c)
+    covered = combine_shifts(s_norm, norm, cover_range, union=True)
+    premise_ok = covered.count == cover_range.length
+    span = max(norm) - min(norm)
     nominal = Fraction(1, k)
-
-    if mode == "full_cover":
-        if cover_range is None:
-            raise InputError("full_cover needs cover_range")
-        covered = combine_shifts(s_norm, norm, cover_range, union=True)
-        premise_ok = covered.count == cover_range.length
-        span = max(norm) - min(norm)
-        threshold = nominal - Fraction(k * span, n)
-        est = lower_banach_est(restrict(s_norm, cover_range), n)
-        if premise_ok and est.value < threshold:
-            raise VerificationError(
-                f"covering set density {est.value} under the proven floor {threshold}")
-        return CoverDensityReport(mode, premise_ok, c, threshold, nominal, est, None, premise_ok)
-
-    if mode == "thick_cover":
-        if thick_len is None:
-            raise InputError("thick_cover needs thick_len")
-        if n > thick_len:
-            raise InputError("n must not exceed the thick interval length")
-        hull = Window(s_norm.window.lo + min(norm), s_norm.window.hi + max(norm))
-        covered = combine_shifts(s_norm, norm, hull, union=True)
-        w = thick_witness(covered, thick_len)
-        premise_ok = w is not None
-        blocks = -(-thick_len // n)  # ceil(L / n)
-        need = -(-thick_len // k)  # ceil(L / k)
-        threshold = Fraction(need, n * blocks)
-        est = upper_banach_est(s, n)
-        ok = premise_ok and est.value >= threshold
-        return CoverDensityReport(mode, premise_ok, c, threshold, nominal, est, w, ok)
-
-    raise InputError(f"unknown mode {mode!r}")
+    threshold = nominal - Fraction(k * span, n)
+    est = lower_banach_est(restrict(s_norm, cover_range), n)
+    if premise_ok and est.value < threshold:
+        raise VerificationError(
+            f"covering set density {est.value} under the proven floor {threshold}")
+    return CoverDensityReport(premise_ok, c, threshold, nominal, est, premise_ok)
 
 
 def full_cover_density(
@@ -433,7 +401,7 @@ def full_cover_density(
     reach = Window(min(hull.lo, hull.lo - max(shifts)), max(hull.hi, hull.hi - min(shifts)))
     q = dense_shift_set(c, h, reach, eps)
     n = n if n is not None else max(1, hull.length // 4)
-    return q, cover_density_check(q, shifts, "full_cover", n, cover_range=hull)
+    return q, cover_density_check(q, shifts, n, hull)
 
 
 # -- quotient cover -----------------------------------------------------------

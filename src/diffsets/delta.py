@@ -36,8 +36,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import par
-from .density import (check_sub_window, syndetic_gap, upper_asymptotic_est, upper_asymptotic_shifts,
-                      upper_banach_est)
+from .density import check_sub_window, upper_asymptotic_est, upper_asymptotic_shifts, upper_banach_est
 from .errors import InputError
 from .intset import IntSet, Window, check_anchored, make_set, restrict, self_overlap
 
@@ -48,7 +47,6 @@ __all__ = [
     "shift_densities",
     "eps_delta_banach",
     "eps_delta_upper",
-    "delta_syndetic_check",
 ]
 
 
@@ -121,16 +119,3 @@ def eps_delta_upper(a: IntSet, eps: Fraction, m: int, trange: Window) -> EpsDelt
     """Same sweep with the upper asymptotic proxy (window anchored at 1)."""
     return _sweep(a, eps, m, trange, upper=True)
 
-
-def delta_syndetic_check(a: IntSet, n: int, g: int, trange: Window) -> dict:
-    """Does the 0-threshold delta set over trange have gaps <= g?"""
-    if upper_banach_est(a, n).value <= 0:
-        raise InputError("set has no members in any sub-window; delta set is trivial")
-    res = eps_delta_banach(a, Fraction(0), n, trange)
-    gap = syndetic_gap(res.members) if res.members.count >= 2 else None
-    return {
-        "members": res.members,
-        "gap": gap,
-        "bound": g,
-        "ok": gap is not None and gap <= g,
-    }

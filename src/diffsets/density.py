@@ -25,13 +25,12 @@ so its absolute value is at most n <= intset.MAX_WINDOW_LENGTH = 10^7 < 2^31,
 and it is accumulated exactly in int32 (in int64 for an n of 2^31 or more,
 which only a library caller past the parsers' cap can pass).
 
-The anchored estimators read only [1, m] of the window, and only at member
-candidates: P[i]/i falls across a gap, so the maximum sits at lo_i or at a
-member, and the minimum at lo_i, hi_i or just before a member.  The maximum
-is ``upper_asymptotic_shifts`` at t = 0.  One verdict serves it and the
-minima: a float ratio may nominate the extremum, but the decision is an int64
-cross-multiplication, which is exact for every window length the parsers
-admit, and ties go to the least i.
+The anchored estimators read only [1, m] of the window, and only at the
+member candidates of one block pass over shifts (``_anchored_rows``, which
+states the gap argument); each is its t = 0 row.  One verdict serves the
+maxima and the minima: a float ratio may nominate the extremum, but the
+decision is an int64 cross-multiplication, which is exact for every window
+length the parsers admit, and ties go to the least i.
 """
 
 from __future__ import annotations
@@ -198,23 +197,60 @@ def _least_extremum(p: np.ndarray, i: np.ndarray, maximize: bool) -> np.ndarray:
     return (diff == 0).argmax(axis=1)  # the first column that ties the extremum
 
 
-def _anchored_scan(a: IntSet, lo_i: int, hi_i: int, kind: str) -> DensityEstimate:
-    """Exact min of P[i]/i over i in [lo_i, hi_i], least i on ties (window at 1).
+# Cells (shifts x members) per block of _anchored_rows.  On the sweep bench's
+# delta --upper (about 3000 members, 2001 shifts) 2^13 took 0.11 s, 2^14 0.056 s,
+# 2^16 0.047 s and 2^17 0.065 s, while the peak Python heap grew from 0.78 MiB
+# at 2^14 to 2.6 MiB at 2^17.  A row longer than this runs alone, so a block
+# never outgrows one shift's arrays.
+_SHIFT_LANES = 1 << 14
 
-    Only [1, hi_i] is read, and only at member candidates.  P is flat across
-    a gap while i grows, so P[i]/i falls strictly across a gap when P > 0 and
-    stays 0 when P = 0.  The least minimiser is therefore lo_i, x - 1 for a
-    member x > lo_i, or hi_i; P there is P[lo_i], then one less than at each
-    such member, then P[hi_i].
+
+def _anchored_rows(a: IntSet, lo_i: int, hi_i: int, ts: Sequence[int],
+                   kind: str) -> Iterator[DensityEstimate]:
+    """Yield, for each t in ts in order, the extremum of P_t[i]/i over i in [lo_i, hi_i],
+    least i on ties, where P_t[i] = |A ∩ (A - t) ∩ [1, i]|: the maximum for
+    UPPER_ASYMPTOTIC, the minimum for the other kinds.
+
+    The window must start at 1 and hold hi_i + |t| for every t (checked when
+    iteration starts).  Yielding, not listing, keeps one estimate alive at a
+    time, so memory does not grow with the number of shifts.
+
+    The gap argument: P_t is flat between members of A ∩ (A - t) ⊆ A, so
+    across a gap P_t[i]/i falls strictly while P_t > 0 and stays 0 while
+    P_t = 0.  The least maximiser is therefore lo_i or a member of A past it,
+    and the least minimiser lo_i, x - 1 for a member x of A past lo_i, or
+    hi_i.  Those are the columns, each a genuine point (P_t[i], i), so
+    ``_least_extremum`` over them is exact.  With x_1 < ... < x_c the members
+    of A in [1, hi_i], the running count of the x_j + t in A is P_t at x_j,
+    and the count before it P_t at x_j - 1: one gather from A's bits on
+    [1 - r, hi_i + r], r = max |t| (zero below 1), and one int32 row cumsum
+    give every column for a block of shifts at once.
     """
-    check_anchored(a, "set")
+    hi = check_anchored(a, "set")
     check_sub_window(a, hi_i)
-    xs = np.flatnonzero(bit_vector(restrict(a, Window(1, hi_i)))) + 1
-    base = int(np.searchsorted(xs, lo_i, side="right"))  # P[lo_i]
-    p = np.concatenate(([base], np.arange(base, len(xs) + 1)))
-    i = np.concatenate(([lo_i], xs[base:] - 1, [hi_i]))
-    k = int(_least_extremum(p[None, :], i, maximize=False)[0])
-    return DensityEstimate(Fraction(int(p[k]), int(i[k])), hi_i, int(i[k]), kind)
+    t = np.asarray(ts, dtype=np.int64)
+    reach = int(np.abs(t).max(initial=0))
+    if hi_i + reach > hi:
+        raise InputError(f"m + |t| = {hi_i + reach} exceeds window length {hi}")
+    maximize = kind == UPPER_ASYMPTOTIC
+    bits = bit_vector(restrict(a, Window(1, hi_i + reach)))
+    padded = np.concatenate((np.zeros(reach, dtype=np.uint8), bits))  # index of y: y - 1 + reach
+    xs = np.flatnonzero(bits[:hi_i])  # x_j - 1
+    base = int(np.searchsorted(xs, lo_i - 1, side="right"))  # members up to lo_i
+    past = xs[base:]  # x - 1 for each member x past lo_i
+    i = np.concatenate(([lo_i], past + 1) if maximize else ([lo_i], past, [hi_i]))
+    rows = max(1, _SHIFT_LANES // max(1, len(xs)))
+    for start in range(0, len(t), rows):
+        tb = t[start:start + rows]
+        hit = padded[xs + reach + tb[:, None]]  # x_j + t in A
+        counts = np.zeros((len(tb), len(xs) + 1), dtype=np.int32)
+        np.cumsum(hit, axis=1, dtype=np.int32, out=counts[:, 1:])
+        p = counts[:, base:]  # P_t at lo_i, then at each member past it, or just before it
+        if not maximize:  # ... and P_t[hi_i] is the last of them
+            p = np.concatenate((p[:, :1], p), axis=1)
+        k = _least_extremum(p, i, maximize)
+        for c, d in zip(p[np.arange(len(tb)), k].tolist(), i[k].tolist()):
+            yield DensityEstimate(Fraction(c, d), hi_i, d, kind)
 
 
 def upper_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
@@ -224,58 +260,17 @@ def upper_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
 
 def lower_asymptotic_est(a: IntSet, m: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over i in [ceil(m/2), m] (window anchored at 1)."""
-    return _anchored_scan(a, (m + 1) // 2, m, LOWER_ASYMPTOTIC)
+    return next(_anchored_rows(a, (m + 1) // 2, m, (0,), LOWER_ASYMPTOTIC))
 
 
 def schnirelmann_est(a: IntSet, n: int) -> DensityEstimate:
     """min of |A ∩ [1, i]| / i over 1 <= i <= n (window anchored at 1)."""
-    return _anchored_scan(a, 1, n, SCHNIRELMANN)
-
-
-# Cells (shifts x members) per block of upper_asymptotic_shifts.  On the sweep
-# bench's delta --upper (about 3000 members, 2001 shifts) 2^13 took 0.11 s, 2^14
-# 0.056 s, 2^16 0.047 s and 2^17 0.065 s, while the peak Python heap grew from
-# 0.78 MiB at 2^14 to 2.6 MiB at 2^17.  A row longer than this runs alone, so a
-# block never outgrows one shift's arrays.
-_SHIFT_LANES = 1 << 14
+    return next(_anchored_rows(a, 1, n, (0,), SCHNIRELMANN))
 
 
 def upper_asymptotic_shifts(a: IntSet, m: int, ts: Sequence[int]) -> Iterator[DensityEstimate]:
-    """Yield upper_asymptotic_est(A ∩ (A - t) on [1, m], m) for each t in ts, in order.
-
-    The window must start at 1 and hold m + |t| for every t (checked when
-    iteration starts).  Yielding, not listing, keeps one estimate alive at a
-    time, so memory does not grow with the number of shifts.  With x_1 < ... <
-    x_c the members of A in [1, m], P_t at x_j is the running count of the
-    x_j + t in A, so one gather from A's bits on [1 - r, m + r], r = max |t|
-    (zero below 1), and one int32 row cumsum give P_t at every member, for a
-    block of shifts at once.  The candidates are lo_i and the members past it:
-    each is a genuine point (P_t[i], i), and P_t[i]/i falls across a gap of
-    A ∩ (A - t), so the least maximiser sits at lo_i or at a member of
-    A ∩ (A - t) ⊆ A, and ``_least_extremum`` over them is exact.
-    """
-    hi = check_anchored(a, "set")
-    check_sub_window(a, m)
-    t = np.asarray(ts, dtype=np.int64)
-    reach = int(np.abs(t).max(initial=0))
-    if m + reach > hi:
-        raise InputError(f"m + |t| = {m + reach} exceeds window length {hi}")
-    lo_i = (m + 1) // 2
-    bits = bit_vector(restrict(a, Window(1, m + reach)))
-    padded = np.concatenate((np.zeros(reach, dtype=np.uint8), bits))  # index of y: y - 1 + reach
-    xs = np.flatnonzero(bits[:m])  # x_j - 1
-    base = int(np.searchsorted(xs, lo_i - 1, side="right"))  # members up to lo_i
-    i = np.concatenate(([lo_i], xs[base:] + 1))
-    rows = max(1, _SHIFT_LANES // max(1, len(xs)))
-    for start in range(0, len(t), rows):
-        tb = t[start:start + rows]
-        hit = padded[xs + reach + tb[:, None]]  # x_j + t in A
-        counts = np.zeros((len(tb), len(xs) + 1), dtype=np.int32)
-        np.cumsum(hit, axis=1, dtype=np.int32, out=counts[:, 1:])
-        p = counts[:, base:]  # P_t at lo_i, then at each member past it
-        k = _least_extremum(p, i, maximize=True)
-        for c, d in zip(p[np.arange(len(tb)), k].tolist(), i[k].tolist()):
-            yield DensityEstimate(Fraction(c, d), m, d, UPPER_ASYMPTOTIC)
+    """Yield upper_asymptotic_est(A ∩ (A - t) on [1, m], m) for each t in ts, in order."""
+    return _anchored_rows(a, (m + 1) // 2, m, ts, UPPER_ASYMPTOTIC)
 
 
 def _runs_at_least(runs: IntSet, length: int) -> IntSet:

@@ -30,7 +30,6 @@ __all__ = [
     "distinct_traces",
     "window_embeddable",
     "find_ap",
-    "ap_shift_density",
 ]
 
 
@@ -190,13 +189,3 @@ def find_ap(a: IntSet, k: int) -> tuple[int, int] | None:
               for d in range(1, max_d + 1))  # the starts of the progressions of difference d
     return min(((s.min(), d) for s, d in starts if s), default=None)
 
-
-def ap_shift_density(y: IntSet, d: int, k: int, n: int) -> DensityEstimate:
-    """Density of starting points of k-term APs with difference d inside Y."""
-    if k < 1 or d == 0:
-        raise InputError("need k >= 1 and d != 0")
-    span = (k - 1) * d
-    if abs(span) >= y.window.length:  # before the empty window of starts is built
-        raise InputError(f"window {y.window} too short for this progression (span {abs(span)})")
-    w = y.window.intersect(y.window.shift(-span))  # the starts x with x and x + span in the window
-    return upper_banach_est(combine_shifts(y, [-j * d for j in range(k)], w), n)

@@ -2,8 +2,8 @@
 
 An IntSet is an immutable set of integers inside a closed window [lo, hi].
 Bit i of ``bits`` is element ``lo + i``, so shifts, intersections and unions
-are single big-int operations; difference and sum sets are the supports of
-one exact convolution (``convolve``).  Only this module knows that layout;
+are single big-int operations; the difference set is the support of one
+exact convolution (``convolve``).  Only this module knows that layout;
 the others use its set algebra (the report's ``bits_hex`` only serializes
 ``bits``).  Operations never silently clip members: every result window is
 the exact window implied by the operation, and explicit restriction is
@@ -37,10 +37,6 @@ __all__ = [
     "full_set",
     "empty_set",
     "difference_set",
-    "sumset",
-    "delta_set",
-    "dilate",
-    "quotient",
     "intersect",
     "union",
     "complement_in",
@@ -375,58 +371,11 @@ def difference_set(a: IntSet, b: IntSet) -> IntSet:
     return from_bit_vector(convolve(bit_vector(a), bit_vector(b)[::-1]), w)
 
 
-def sumset(a: IntSet, b: IntSet) -> IntSet:
-    """{x + y : x in A, y in B} on window [A.lo + B.lo, A.hi + B.hi]: the support of A * B."""
-    w = Window(a.window.lo + b.window.lo, a.window.hi + b.window.hi)
-    return from_bit_vector(convolve(bit_vector(a), bit_vector(b)), w)
-
-
-def delta_set(a: IntSet) -> IntSet:
-    """Difference set A - A (always symmetric, contains 0 iff A nonempty)."""
-    return difference_set(a, a)
-
-
-def dilate(b: IntSet, h: int) -> IntSet:
-    """h·B = {h*x : x in B}; h must be nonzero."""
-    if h == 0:
-        raise InputError("dilate requires h != 0")
-    if h > 0:
-        w = Window(b.window.lo * h, b.window.hi * h)
-    else:
-        w = Window(b.window.hi * h, b.window.lo * h)
-    out = np.zeros(w.length, dtype=np.uint8)
-    out[:: abs(h)] = bit_vector(b)[:: 1 if h > 0 else -1]  # h < 0 reverses the order
-    return from_bit_vector(out, w)
-
-
-def quotient(b: IntSet, h: int) -> IntSet:
-    """B/h = {x : h*x in B} on the scaled window.
-
-    h = 0 is the degenerate fibre: every integer satisfies 0*x in B exactly
-    when 0 is a member, so the result is the full (or empty) set on B's own
-    window.  For h != 0 a scaled window with no integer points collapses to a
-    single-point empty result.
-    """
-    if h == 0:
-        return full_set(b.window) if 0 in b else empty_set(b.window)
-    lo, hi = b.window.lo, b.window.hi
-    if h > 0:
-        qlo, qhi = -((-lo) // h), hi // h
-    else:
-        qlo, qhi = -((-hi) // h), lo // h  # order flips under negative division
-    if qlo > qhi:
-        return empty_set(Window(qlo, qlo))
-    # x in [qlo, qhi] is a member iff bit h*x - lo of B is set
-    picks = (h * qlo - lo) + h * np.arange(qhi - qlo + 1, dtype=np.int64)
-    return from_bit_vector(bit_vector(b)[picks], Window(qlo, qhi))
-
-
 # -- file formats -----------------------------------------------------------
 #
 # "list": one integer per line, as int() reads the line stripped of
 #         whitespace; blank lines are skipped.  The window is inferred as
-#         [min, max] unless overridden by the caller, so an empty set has no
-#         list file.
+#         [min, max], so an empty set has no list file.
 # "bits": first line "lo=<integer>", second line a string of '0'/'1' where
 #         character i is membership of lo + i.  Lossless (keeps the window).
 #
@@ -504,7 +453,7 @@ def _scan_list(text: str) -> np.ndarray | None:
     return members if len(members) else None  # no number at all: the per-line reader refuses it
 
 
-def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
+def read_set_file(path: str | Path) -> IntSet:
     """Parse a set file, autodetecting the format by its first line."""
     try:
         text = Path(path).read_text()
@@ -515,14 +464,13 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
     members = _scan_list(text)
     if members is not None:
         del text  # free the file's text before make_set allocates its arrays
-        if window is None:
-            window = Window(int(members.min()), int(members.max()))
+        window = Window(int(members.min()), int(members.max()))
         return make_set(members, check_window_length(window, str(path)))
     # every file the fast path does not take, one line at a time
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise InputError(f"{path}: a list file with no number is refused, with or without a "
-                         "window; write the empty set in bits format")
+        raise InputError(f"{path}: a list file with no number is refused; write the empty set "
+                         "in bits format")
     if lines[0].startswith("lo="):
         try:
             lo = int(lines[0][3:])
@@ -538,20 +486,13 @@ def read_set_file(path: str | Path, window: Window | None = None) -> IntSet:
         vec -= ord("0")  # a byte below "0" wraps past 1
         if vec.max() > 1:
             raise InputError(bad_row)
-        s = from_bit_vector(vec, w)
-        if window is not None:
-            check_window_length(window, str(path))
-            if window.lo > w.lo or window.hi < w.hi:
-                raise InputError(f"{path}: override window {window} smaller than stored {w}")
-            return restrict(s, window) if window != w else s
-        return s
+        return from_bit_vector(vec, w)
     try:
         members = [int(ln) for ln in lines]
     except ValueError as e:
         raise InputError(f"{path}: not a set file") from e
     del text, lines  # free the file's lines before make_set allocates its arrays
-    if window is None:
-        window = Window(min(members), max(members))
+    window = Window(min(members), max(members))
     return make_set(members, check_window_length(window, str(path)))
 
 

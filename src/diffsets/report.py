@@ -22,7 +22,10 @@ from .errors import InputError
 from .intset import IntSet, Window
 
 MEMBER_LIST_CUTOFF = 4096
-MAX_DIGITS = 4300  # Python's cap on the digits of an int read from or written as text
+# Digits of a parsed rational's numerator or denominator: 300 under Python's cap of 4300
+# on the digits of an int written as text, so every value a report derives from one
+# prints too (see parse_fraction)
+MAX_DIGITS = 4000
 _DIGIT_BOUND = 10**MAX_DIGITS
 # json.loads, gen and to_jsonable recurse on each level of a spec, and Python stops at 1000 frames
 MAX_JSON_DEPTH = 100
@@ -48,7 +51,18 @@ def parse_fraction(text, name: str = "value") -> Fraction:
     Text over 4 * MAX_DIGITS characters, or with a decimal exponent over
     MAX_DIGITS in magnitude, is refused before Fraction reads it, as Fraction
     would build 10**exponent (or 10**digits after the point); so is a value
-    whose numerator or denominator has more digits than a report can print.
+    whose numerator or denominator has over MAX_DIGITS digits.
+
+    Every value a report derives from one stays under 4300 digits.  Where a
+    command derives a value from eps or slack it has refused them unless below
+    1, and a density's denominator is a window length <= 10^7.  So with D the
+    digits of the parsed denominator: γ = α - slack has a denominator of at
+    most D + 7 digits, and α·β - slack - sub/N one of D + 14; a chain floor
+    α_i·floor - slack - n/N over at most TRACE_CAP = 16 stages is under 32 in
+    magnitude, its denominator dividing den(slack)·N^16, so at most D + 114
+    digits; a cover bound floor((g - eps)/(g² - eps)) is under
+    1/(g² - eps) <= den(g²)·den(eps), at most D + 28 digits.  With
+    D <= MAX_DIGITS = 4000, all of them have at most 4114.
     """
     try:
         s = str(text).strip()

@@ -226,29 +226,25 @@ def list_file(members) -> str:
     return "".join(f"{x}\n" for x in sorted(members))
 
 
-def read_list_file(text: str, path: str, window, cap: int):
+def read_list_file(text: str, path: str, cap: int):
     """(lo, hi, sorted members) of a list file's text, one int() per stripped line.
 
-    ``window`` is None or an override (lo, hi); ``cap`` is the longest window
-    admitted.  A refused file raises ValueError carrying the message the reader
-    gives for it.
+    ``cap`` is the longest window admitted.  A refused file raises ValueError
+    carrying the message the reader gives for it.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: a list file with no number is refused, with or without a "
-                         "window; write the empty set in bits format")
+        raise ValueError(f"{path}: a list file with no number is refused; write the empty set "
+                         "in bits format")
     members = []
     for ln in lines:
         try:
             members.append(int(ln))
         except ValueError:
             raise ValueError(f"{path}: not a set file") from None
-    lo, hi = window if window is not None else (min(members), max(members))
+    lo, hi = min(members), max(members)
     if hi - lo + 1 > cap:
         raise ValueError(
             f"{path}: window Window({lo}, {hi}) has length {hi - lo + 1}, over the cap of {cap}"
         )
-    for x in members:
-        if not lo <= x <= hi:
-            raise ValueError(f"member {x} outside window Window({lo}, {hi})")
     return lo, hi, sorted(set(members))

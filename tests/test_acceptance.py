@@ -507,7 +507,7 @@ def _member_set_wide(base, shifts, hull, eps):
 
 def _density_entry(s, shifts, hull, exact):
     """Run the covering-density consequence and recheck its own threshold."""
-    d = cover_density_check(s, list(shifts), "full_cover", hull.length, cover_range=hull)
+    d = cover_density_check(s, list(shifts), hull.length, hull)
     k = len(shifts)
     span = max(shifts) - min(shifts)
     want = Fraction(1, k) - Fraction(k * span, hull.length)

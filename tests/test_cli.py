@@ -16,11 +16,13 @@ subcommand's flags, reads every command line as the full parser does.
 import argparse
 import ast
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
+import brute
 from diffsets import (InfeasibleError, VerificationError, Window, cli, gen,
                       read_set_file, residue_set, spec_from_json)
 from diffsets.cli import build_parser, main
@@ -322,6 +324,44 @@ def test_cover_density_reads_the_quotient_past_the_candidates(workdir, capsys):
     assert rep["results"]["quotient"]["cover_ok"]
     assert rep["certificates"]["density"]["premise_ok"]
     assert rep["results"]["quotient_members"]["window"] == [50, 400]
+
+
+def test_cover_h0_reports_the_full_range(workdir, capsys):
+    """h = 0: 0*t = 0 is an eps-dense shift for every t while eps is under the squared
+    density (2/5)^2, so the quotient is every integer and no cover is built."""
+    cover = ["cover", "--set", "a.set", "--x=-20..20", "--n", "500", "--h", "0"]
+    code, out, _ = run(cover + ["--eps", "1/10"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["results"]["quotient"] == {
+        "full_range": True, "offset": 0, "base_shifts": None, "cover_ok": True}
+    assert "quotient_members" not in rep["results"] and rep["certificates"] == {}
+    for eps in ("4/25", "1/5"):
+        code, out, err = run(cover + ["--eps", eps], capsys)
+        assert (code, out) == (4, "")
+        assert err == f"diffsets: infeasible: eps = {eps} not below squared density 4/25\n"
+
+
+def test_pipeline_chain_checks_each_difference_of_the_final_pattern(workdir, capsys):
+    """Sets of density 7/10 leave a final pattern of three elements, so each of its
+    differences is checked as a dense shift of every input at the first-stage length."""
+    for seed in (5, 6, 7):
+        _gen(f'{{"kind":"bernoulli","window":[1,2000],"seed":{seed},"p":"7/10"}}',
+             f"c{seed}.set", capsys)
+    code, out, _ = run(["pipeline", "--a", "c5.set", "--b", "c6.set", "--chain", "c7.set",
+                        "--n", "3", "--slack", "1/20", "--N", "1000"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    prefix = rep["results"]["final_prefix"]
+    assert len(prefix) >= 2
+    checks = rep["certificates"]["chain"]["delta_checks"]
+    assert [t for t, _ in checks] == sorted({y - x for x in prefix for y in prefix if y > x})
+    sets = [set(read_set_file(f"c{seed}.set")) for seed in (5, 6, 7)]
+    first_n = 3 + len(sets) - 1
+    for t, values in checks:
+        want = [brute.upper_banach(brute.shift_intersection(s, t), max(1, 1 - t),
+                                   min(2000, 2000 - t), first_n)[0] for s in sets]
+        assert values == [str(v) for v in want] and min(want) > 0
 
 
 def test_pipeline_jin_on_a_far_window(workdir, capsys):
@@ -626,7 +666,27 @@ def test_huge_decimal_exponent_exits_2_at_once(workdir, capsys, argv, name):
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
-    assert err.startswith(f"diffsets: error: {name} = '1e") and "decimal exponent over 4300" in err
+    assert err.startswith(f"diffsets: error: {name} = '1e") and "decimal exponent over 4000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--set", "c5.set", "--n", "4"],
+    ["pipeline", "--a", "c5.set", "--b", "c6.set", "--chain", "c7.set", "--n", "3", "--N", "1000"],
+])
+def test_slack_at_the_digit_cap_prints_and_past_it_exits_2(workdir, capsys, argv):
+    """A slack with a 3999-digit denominator reaches a report whose γ and chain floors
+    have more digits; one with 4300 digits is refused naming --slack, not left to fail
+    when γ is printed."""
+    for seed in (5, 6, 7):
+        _gen(f'{{"kind":"bernoulli","window":[1,2000],"seed":{seed},"p":"1/2"}}',
+             f"c{seed}.set", capsys)
+    code, out, err = run(argv + ["--slack", "1/" + "9" * 3999], capsys)
+    assert code == 0, err
+    denominators = re.findall(r'"-?[0-9]+/([0-9]+)"', out)
+    assert max(map(len, denominators)) > 4000  # γ = α - slack, and the chain's floors
+    code, out, err = run(argv + ["--slack", "1/" + "9" * 4300], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("diffsets: error: --slack = '1/999") and "over 4000 digits" in err
 
 
 def test_gen_list_refuses_empty_set(workdir, capsys):

@@ -268,7 +268,8 @@ def test_cover_flags_are_constants_of_their_types():
     res = quotient_cover(residues({0}, 4, 0, 2099), 2, range(-20, 21), Fraction(0), 1000)
     rows = [(cert, "covered", True, False), (cert, "uncovered", [], [2]),
             (res, "cover_ok", True, False), (ShiftCheck(3, Fraction(1, 2)), "ok", True, False),
-            (PrefixCheck(1, Fraction(1), Fraction(1, 2)), "ok", True, False)]
+            (PrefixCheck(1, Fraction(1), Fraction(1, 2)), "ok", True, False),
+            (res.density, "mode", "full_cover", "thick_cover"), (res.density, "witness", None, 7)]
     for obj, name, constant, forged in rows:
         assert getattr(obj, name) == constant
         with pytest.raises(ValueError, match="init=False"):
@@ -388,7 +389,7 @@ def test_delta_cover_upper_variant():
 
 def test_cover_density_full_cover_frozen():
     s = residues({0}, 3, 0, 299)
-    rep = cover_density_check(s, [0, 1, 2], "full_cover", 30, cover_range=Window(0, 289))
+    rep = cover_density_check(s, [0, 1, 2], 30, Window(0, 289))
     assert rep.premise_ok
     assert rep.nominal == Fraction(1, 3)
     assert rep.threshold == Fraction(1, 3) - Fraction(3 * 2, 30)
@@ -396,66 +397,43 @@ def test_cover_density_full_cover_frozen():
     assert rep.ok
 
     # dropping a shift breaks the premise but must not raise
-    rep = cover_density_check(s, [0, 1], "full_cover", 30, cover_range=Window(0, 289))
+    rep = cover_density_check(s, [0, 1], 30, Window(0, 289))
     assert not rep.premise_ok and not rep.ok
 
 
 def test_cover_density_normalization():
     s = residues({0}, 2, 0, 99)
-    rep = cover_density_check(s, [4, 5], "full_cover", 20, cover_range=Window(10, 80))
+    rep = cover_density_check(s, [4, 5], 20, Window(10, 80))
     assert rep.normalize_shift == 4
     assert rep.premise_ok and rep.ok
 
 
-def test_cover_density_thick_cover():
-    s = residues({0}, 2, 0, 99)
-    rep = cover_density_check(s, [0, 1], "thick_cover", 10, thick_len=50)
-    assert rep.premise_ok
-    assert rep.witness is not None
-    assert rep.threshold == Fraction(25, 50)
-    assert rep.estimate.value == Fraction(1, 2)
-    assert rep.ok
-
-    rep = cover_density_check(s, [0], "thick_cover", 10, thick_len=10)
-    assert not rep.premise_ok  # evens alone contain no 10-interval
-
-
 @given(st.integers(-20, 20), st.integers(1, 40), st.data())
-def test_cover_density_thick_cover_matches_brute_sumset(lo, length, data):
-    """The premise and witness are those of S + F as brute.sumset builds it; the
-    normalization of F moves S by the opposite shift, so the sum does not move."""
+def test_cover_density_premise_matches_brute_sumset(lo, length, data):
+    """The premise is cover_range ⊆ S + F as brute.sumset builds it; the normalization
+    of F moves S by the opposite shift, so the sum does not move."""
     s = IntSet(Window(lo, lo + length - 1), data.draw(st.integers(0, (1 << length) - 1)))
     shifts = data.draw(st.lists(st.integers(-15, 15), min_size=1, max_size=5))
-    thick_len = data.draw(st.integers(1, 12))
-    n = data.draw(st.integers(1, min(thick_len, length)))
-    rep = cover_density_check(s, shifts, "thick_cover", n, thick_len=thick_len)
+    start = data.draw(st.integers(lo - 15, lo + length + 15))
+    cover_range = Window(start, start + data.draw(st.integers(0, 20)))
+    n = data.draw(st.integers(1, cover_range.length))
+    rep = cover_density_check(s, shifts, n, cover_range)
     covered = brute.sumset(set(s.members()), shifts)
-    starts = [x for x in covered if all(x + i in covered for i in range(thick_len))]
-    want = min(starts, default=None)
-    assert (rep.premise_ok, rep.witness) == (want is not None, want)
+    assert rep.premise_ok == all(x in covered for x in range(cover_range.lo, cover_range.hi + 1))
+    assert rep.ok == rep.premise_ok
 
 
-@pytest.mark.parametrize("mode, extra", [("full_cover", {"cover_range": Window(0, 50)}),
-                                         ("thick_cover", {"thick_len": 10})])
 @pytest.mark.parametrize("n", [0, -3])
-def test_cover_density_refuses_n_below_one(mode, extra, n):
+def test_cover_density_refuses_n_below_one(n):
     s = residues({0}, 2, 0, 99)
     with pytest.raises(InputError, match=f"n = {n} must be >= 1"):
-        cover_density_check(s, [0, 1], mode, n, **extra)
+        cover_density_check(s, [0, 1], n, Window(0, 50))
 
 
 def test_cover_density_input_errors():
     s = residues({0}, 2, 0, 99)
     with pytest.raises(InputError):
-        cover_density_check(s, [], "full_cover", 10, cover_range=Window(0, 50))
-    with pytest.raises(InputError):
-        cover_density_check(s, [0], "full_cover", 10)
-    with pytest.raises(InputError):
-        cover_density_check(s, [0], "thick_cover", 10)
-    with pytest.raises(InputError):
-        cover_density_check(s, [0], "thick_cover", 20, thick_len=10)
-    with pytest.raises(InputError):
-        cover_density_check(s, [0], "sideways", 10, cover_range=Window(0, 50))
+        cover_density_check(s, [], 10, Window(0, 50))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from diffsets import (
     InputError,
     IntSet,
     Window,
-    delta_syndetic_check,
     difference_set,
     eps_delta_banach,
     eps_delta_upper,
@@ -358,21 +357,3 @@ def test_negative_eps_rejected():
     evens = residues({0}, 2, 1, 100)
     with pytest.raises(InputError):
         eps_delta_upper(evens, Fraction(-1, 2), 10, Window(-5, 5))
-
-
-def test_syndetic_check_frozen():
-    a = residues({0}, 4, 0, 999)
-    rep = delta_syndetic_check(a, 100, 4, Window(-60, 60))
-    assert rep["gap"] == 4 and rep["ok"]
-    rep = delta_syndetic_check(a, 100, 3, Window(-60, 60))
-    assert rep["gap"] == 4 and not rep["ok"]
-
-    full = IntSet(Window(0, 499), (1 << 500) - 1)
-    rep = delta_syndetic_check(full, 50, 1, Window(-100, 100))
-    assert rep["gap"] == 1 and rep["ok"]
-
-
-def test_syndetic_check_needs_positive_density():
-    empty = IntSet(Window(0, 99), 0)
-    with pytest.raises(InputError):
-        delta_syndetic_check(empty, 10, 4, Window(-5, 5))

@@ -13,10 +13,9 @@ from diffsets import (
     IntSet,
     Pattern,
     Window,
-    ap_shift_density,
     bernoulli_set,
-    delta_set,
     dense_embed_est,
+    difference_set,
     embed_witness,
     find_ap,
     make_set,
@@ -248,8 +247,8 @@ def test_delta_monotone_under_pair_embedding(data):
     rep = window_embeddable(x, y, m, srange)
     if not rep.ok:
         return
-    dx = set(delta_set(x).members())
-    dy = set(delta_set(y).members())
+    dx = set(difference_set(x, x).members())
+    dy = set(difference_set(y, y).members())
     small = {d for d in dx if 0 < d < m}
     assert small <= dy
 
@@ -291,26 +290,6 @@ def test_find_ap_frozen():
     with pytest.raises(InputError, match="^k must be >= 1$"):
         find_ap(a, 0)
 
-
-def test_ap_shift_density_frozen():
-    y = residues({0, 1}, 5, 0, 4999)
-    assert ap_shift_density(y, 5, 3, 500).value == Fraction(2, 5)
-    evens = residues({0}, 2, 0, 999)
-    assert ap_shift_density(evens, 1, 2, 100).value == 0
-    full = IntSet(Window(0, 99), (1 << 100) - 1)
-    assert ap_shift_density(full, 3, 4, 10).value == 1
-    with pytest.raises(InputError):
-        ap_shift_density(evens, 0, 3, 10)
-
-
-def test_ap_shift_density_refuses_a_progression_longer_than_the_window():
-    evens = make_set(range(0, 100, 2), Window(0, 99))
-    for d, k in [(200, 3), (-200, 3), (50, 3), (-1, 101)]:  # spans 400, 400, 100, 100 > 99
-        with pytest.raises(InputError, match="too short for this progression"):
-            ap_shift_density(evens, d, k, 1)
-    full = make_set(range(100), Window(0, 99))
-    assert ap_shift_density(full, 33, 4, 1).value == 1  # span 99: one start, 0
-    assert ap_shift_density(full, -33, 4, 1).at == 98  # its mirror: the start 99
 
 
 def test_ap_preserved_by_embedding():

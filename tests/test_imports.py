@@ -49,14 +49,22 @@ def _module_level_privates(tree):
 
 
 def _names_read(trees):
-    """Every name loaded as a bare name or as an attribute anywhere in trees."""
+    """Every name loaded as a bare name or as an attribute in trees, outside a def of that
+    name: a function that only calls itself is not read."""
     read = set()
+
+    def visit(node, defs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs = defs | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defs:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defs)
+
     for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        visit(tree, frozenset())
     return read
 
 
@@ -106,6 +114,19 @@ def test_every_public_name_is_read():
     unread = [f"{mod}.{name}" for mod in LIBRARY
               for name in importlib.import_module(f"diffsets.{mod}").__all__ if name not in read]
     assert not unread, unread
+
+
+def test_every_public_function_is_reached_outside_unit_tests():
+    """Every public function of a library module is read in src/ outside its own def, in
+    bench/ or in the acceptance criteria: one read only by unit tests serves no subcommand,
+    criterion or benchmark, so it goes."""
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    read = _names_read(ast.parse(path.read_text(), filename=str(path)) for path in paths)
+    modules = {mod: importlib.import_module(f"diffsets.{mod}") for mod in LIBRARY}
+    unreached = [f"{mod}.{name}" for mod, module in modules.items() for name in module.__all__
+                 if inspect.isfunction(getattr(module, name)) and name not in read]
+    assert not unreached, unreached
 
 
 def _self_check_messages(tree):

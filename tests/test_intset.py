@@ -13,17 +13,13 @@ from diffsets import (
     IntSet,
     Window,
     complement_in,
-    delta_set,
     difference_set,
-    dilate,
     empty_set,
     full_set,
     intersect,
     make_set,
-    quotient,
     read_set_file,
     restrict,
-    sumset,
     union,
     write_set_file,
 )
@@ -333,16 +329,9 @@ def test_difference_set_matches_brute(a, b):
     assert d.window == Window(a.window.lo - b.window.hi, a.window.hi - b.window.lo)
 
 
-@given(intsets() | populous(), intsets() | populous())
-def test_sumset_matches_brute(a, b):
-    s = sumset(a, b)
-    assert set(s) == brute.sumset(set(a), set(b))
-    assert s.window == Window(a.window.lo + b.window.lo, a.window.hi + b.window.hi)
-
-
 @given(intsets())
 def test_delta_set_symmetric_with_zero(a):
-    d = delta_set(a)
+    d = difference_set(a, a)
     assert set(d) == {x - y for x in a for y in a}
     if a:
         assert 0 in d
@@ -353,31 +342,6 @@ def test_difference_set_small_example():
     a = make_set([0, 1, 5], Window(0, 5))
     b = make_set([2, 3], Window(2, 3))
     assert sorted(difference_set(a, b)) == [-3, -2, -1, 2, 3]
-
-
-@given(intsets(), st.integers(-3, 3).filter(lambda h: h != 0))
-def test_dilate_matches_brute(a, h):
-    assert set(dilate(a, h)) == {h * x for x in a}
-
-
-def test_dilate_zero_raises():
-    with pytest.raises(InputError):
-        dilate(make_set([1], Window(0, 2)), 0)
-
-
-@given(intsets(), st.integers(-4, 4))
-def test_quotient_matches_brute(a, h):
-    q = quotient(a, h)
-    if h == 0:
-        # degenerate fibre: everything or nothing depending on 0 in A
-        expect_full = 0 in a
-        assert (set(q) == set(range(a.window.lo, a.window.hi + 1))) == expect_full
-        if not expect_full:
-            assert not q
-        return
-    lo, hi = a.window.lo, a.window.hi
-    want = {x for x in range(-200, 201) if lo <= h * x <= hi and h * x in a}
-    assert set(q) == want
 
 
 @given(intsets())
@@ -422,25 +386,25 @@ def test_list_round_trip_matches_reference(tmp_path_factory, a, block, chunk):
     ):
         write_set_file(a, path, "list")
         assert path.read_bytes() == brute.list_file(a.members()).encode("ascii")
-        assert read_set_file(path, a.window) == a
         back = read_set_file(path)
     assert back.window == Window(a.min(), a.max()) and list(back) == list(a)
 
 
-def _read_both(path, window):
+def _read_both(path):
     """(library result, reference result) of reading path: (lo, hi, members) or the message."""
     try:
-        s = read_set_file(path, None if window is None else Window(*window))
+        s = read_set_file(path)
         got = (s.window.lo, s.window.hi, list(s))
     except InputError as e:
         got = str(e)
     try:
-        want = brute.read_list_file(path.read_text(), str(path), window, MAX_WINDOW_LENGTH)
+        want = brute.read_list_file(path.read_text(), str(path), MAX_WINDOW_LENGTH)
     except ValueError as e:
         want = str(e)
     return got, want
 
 
+# (file bytes, the reader's _TEXT_CHUNK or None for its default)
 LIST_CASES = [
     (b"\n\n3\n\n 5\n\n", None),  # blank lines
     (b"3\r\n\r\n-2\r\n \r\n7\r\n", None),  # CRLF
@@ -463,33 +427,30 @@ LIST_CASES = [
     (b"5\nx\n", None),
     (b"", None),
     (b" \n\t\n", None),
-    (b"3\n5\n", (0, 10)),  # window overrides
-    (b"3\n50\n", (0, 10)),
-    (b"3\n", (10**30, 10**30 + 5)),
-    (b"3\n", (0, MAX_WINDOW_LENGTH)),
+    (b"3\n50\n-7\n", 3),  # chunks cut between lines
+    (b"12345\n6\n", 3),  # a line longer than a chunk
     (b"0\n10000000\n", None),  # a span one over the cap
-    (b"\n", (0, 10)),  # no number, refused whatever the window
 ]
 
 
-@pytest.mark.parametrize("raw, window", LIST_CASES)
-def test_list_reader_matches_reference(tmp_path, raw, window):
+@pytest.mark.parametrize("raw, chunk", LIST_CASES)
+def test_list_reader_matches_reference(tmp_path, raw, chunk):
     path = tmp_path / "a.set"
     path.write_bytes(raw)
-    got, want = _read_both(path, window)
+    with mock.patch.object(intset, "_TEXT_CHUNK", chunk or intset._TEXT_CHUNK):
+        got, want = _read_both(path)
     assert got == want
 
 
 @given(
     st.text(alphabet="0123456789+- \t\r\n_x", max_size=40),
-    st.sampled_from([None, (-20, 20)]),
     st.sampled_from([4, 1 << 18]),
 )
-def test_list_reader_matches_reference_on_any_text(tmp_path_factory, text, window, chunk):
+def test_list_reader_matches_reference_on_any_text(tmp_path_factory, text, chunk):
     path = tmp_path_factory.mktemp("texts") / "a.set"
     path.write_bytes(text.encode("ascii"))
     with mock.patch.object(intset, "_TEXT_CHUNK", chunk):
-        got, want = _read_both(path, window)
+        got, want = _read_both(path)
     assert got == want
 
 
@@ -553,16 +514,6 @@ def test_read_bits_round_trips_a_negative_start(tmp_path):
     assert p.read_text() == "lo=-30\n11010000000000000000000000000110\n"
     back = read_set_file(p)
     assert back.window == a.window and back.bits == a.bits
-
-
-def test_read_bits_window_override(tmp_path):
-    a = make_set([2, 4], Window(1, 5))
-    p = tmp_path / "a.set"
-    write_set_file(a, p, "bits")
-    wider = read_set_file(p, Window(0, 9))
-    assert wider.window == Window(0, 9) and sorted(wider) == [2, 4]
-    with pytest.raises(InputError):
-        read_set_file(p, Window(2, 4))
 
 
 def test_intset_rejects_bits_outside_window():
