@@ -216,9 +216,10 @@ def greedy_shift_cover(
 def verify_cover_certificate(c: IntSet, candidates, cert: CoverCertificate) -> bool:
     """Recheck a cover certificate with an independent counting path.
 
-    Counts come from numpy bit vectors rather than big-int popcounts; coverage
-    of every candidate is re-derived from scratch.  Raises VerificationError
-    on any mismatch.
+    Counts come from numpy bit vectors rather than big-int popcounts; the
+    stored base size, density, size bound and margin are recomputed from C
+    and the candidates, and coverage of every candidate is re-derived from
+    scratch.  Raises VerificationError on any mismatch.
     """
     n = check_anchored(c, "base set")
     arr = bit_vector(c).astype(bool)
@@ -240,6 +241,15 @@ def verify_cover_certificate(c: IntSet, candidates, cert: CoverCertificate) -> b
         raise VerificationError("mandated shift not among candidates")
     if len(set(cert.shifts)) != len(cert.shifts):
         raise VerificationError("duplicate shifts in certificate")
+    if cert.base_size != n:
+        raise VerificationError("stored base size does not match the base set")
+    gamma = Fraction(int(np.count_nonzero(arr)), n)
+    if cert.gamma_hat != gamma:
+        raise VerificationError("stored base density does not match the base set")
+    if not 0 <= eps < gamma * gamma or cert.k_bound != floor((gamma - eps) / (gamma * gamma - eps)):
+        raise VerificationError("stored size bound does not match eps and the base density")
+    if cert.margin != Fraction(max(abs(x) for x in order), n):
+        raise VerificationError("stored margin does not match the candidates")
     for x in order:
         if not any(member(x - xi) for xi in cert.shifts):
             raise VerificationError(f"candidate {x} marked covered but is not")

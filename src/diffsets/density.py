@@ -27,10 +27,15 @@ which only a library caller past the parsers' cap can pass).
 
 The anchored estimators read only [1, m] of the window, and only at the
 member candidates of one block pass over shifts (``_anchored_rows``, which
-states the gap argument); each is its t = 0 row.  One verdict serves the
-maxima and the minima: a float ratio may nominate the extremum, but the
-decision is an int64 cross-multiplication, which is exact for every window
-length the parsers admit, and ties go to the least i.
+states the gap argument); each is its t = 0 row.  A row's extremum is the
+first argmax (argmin) of its columns' float64 ratios p / i, and that is exact:
+a column is a point (P, i) with 0 <= P <= i <= hi_i, so two different ratios
+differ by at least 1/(i_1 i_2), while integers below 2^53 convert exactly and
+float64 division is correctly rounded, within 2^-53 on a value <= 1.  So for
+hi_i < 2^26 the float order is the exact order, equal ratios give equal floats,
+and the first hit is the least i, as the columns ascend in i.  A horizon over
+intset.MAX_WINDOW_LENGTH = 10^7 < 2^26 is refused; under it two different
+ratios differ by 10^-14 or more.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
-from .intset import (IntSet, Window, bit_bytes, bit_vector, check_anchored, combine_shifts,
-                     restrict, self_overlap)
+from .intset import (MAX_WINDOW_LENGTH, IntSet, Window, bit_bytes, bit_vector, check_anchored,
+                     combine_shifts, restrict, self_overlap)
 
 __all__ = [
     "DensityEstimate",
@@ -171,32 +176,6 @@ def best_window(a: IntSet, n: int) -> tuple[DensityEstimate, IntSet]:
     return est, restrict(a, Window(est.at + 1, est.at + n)).shift(-est.at)
 
 
-def _least_extremum(p: np.ndarray, i: np.ndarray, maximize: bool) -> np.ndarray:
-    """For each row of p, the least column whose p/i is the row's exact max (or min).
-
-    i holds the positions of the columns, shared by every row and ascending,
-    so the least column is the least i.  The float ratio nominates a column
-    c; the sign of p*i[c] - p[c]*i then decides, in int64, which columns beat
-    it or tie with it.  Every factor is a count or position of at most the
-    window length, which the parsers cap at intset.MAX_WINDOW_LENGTH = 10^7:
-    every product is at most 10^14 < 2^63, so exact (int64 would stay exact
-    up to lengths of 3*10^9).  A row whose nominee lost retries among the
-    winners, which ends: each retry strictly improves the row's nominee.
-    """
-    sign = 1 if maximize else -1
-    pick = np.argmax if maximize else np.argmin
-    ratio = p / i
-    c = pick(ratio, axis=1)
-    diff = p * i[c][:, None]
-    diff -= p[np.arange(len(p)), c][:, None] * i
-    diff *= sign  # > 0: the column beats c
-    for r in np.flatnonzero((diff > 0).any(axis=1)):  # the float nominee lost this row
-        while (won := np.flatnonzero(diff[r] > 0)).size:
-            c = won[pick(ratio[r, won])]
-            diff[r] = sign * (p[r] * i[c] - p[r, c] * i)
-    return (diff == 0).argmax(axis=1)  # the first column that ties the extremum
-
-
 # Cells (shifts x members) per block of _anchored_rows.  On the sweep bench's
 # delta --upper (about 3000 members, 2001 shifts) 2^13 took 0.11 s, 2^14 0.056 s,
 # 2^16 0.047 s and 2^17 0.065 s, while the peak Python heap grew from 0.78 MiB
@@ -219,15 +198,18 @@ def _anchored_rows(a: IntSet, lo_i: int, hi_i: int, ts: Sequence[int],
     across a gap P_t[i]/i falls strictly while P_t > 0 and stays 0 while
     P_t = 0.  The least maximiser is therefore lo_i or a member of A past it,
     and the least minimiser lo_i, x - 1 for a member x of A past lo_i, or
-    hi_i.  Those are the columns, each a genuine point (P_t[i], i), so
-    ``_least_extremum`` over them is exact.  With x_1 < ... < x_c the members
-    of A in [1, hi_i], the running count of the x_j + t in A is P_t at x_j,
-    and the count before it P_t at x_j - 1: one gather from A's bits on
+    hi_i.  Those are the columns, each a genuine point (P_t[i], i), ascending
+    in i, so the first argmax (argmin) of their float ratios is exact (see the
+    module docstring).  With x_1 < ... < x_c the members of A in [1, hi_i],
+    the running count of the x_j + t in A is P_t at x_j, and the count
+    before it P_t at x_j - 1: one gather from A's bits on
     [1 - r, hi_i + r], r = max |t| (zero below 1), and one int32 row cumsum
     give every column for a block of shifts at once.
     """
     hi = check_anchored(a, "set")
     check_sub_window(a, hi_i)
+    if hi_i > MAX_WINDOW_LENGTH:  # before anything that long is built
+        raise InputError(f"horizon {hi_i} is over the window length cap of {MAX_WINDOW_LENGTH}")
     t = np.asarray(ts, dtype=np.int64)
     reach = int(np.abs(t).max(initial=0))
     if hi_i + reach > hi:
@@ -248,7 +230,7 @@ def _anchored_rows(a: IntSet, lo_i: int, hi_i: int, ts: Sequence[int],
         p = counts[:, base:]  # P_t at lo_i, then at each member past it, or just before it
         if not maximize:  # ... and P_t[hi_i] is the last of them
             p = np.concatenate((p[:, :1], p), axis=1)
-        k = _least_extremum(p, i, maximize)
+        k = (np.argmax if maximize else np.argmin)(p / i, axis=1)
         for c, d in zip(p[np.arange(len(tb)), k].tolist(), i[k].tolist()):
             yield DensityEstimate(Fraction(c, d), hi_i, d, kind)
 

@@ -172,22 +172,30 @@ class ExtractionCertificate:
     prefix is (C - theta) ∩ [1, n] for every theta in matches; its counting
     function dominates gamma * i at every i <= n; and matches collects at
     least a 2^-n share of the region (pigeonhole over the possible traces),
-    recorded as match_bound = region_size / 2^n <= |matches|.
+    recorded as match_bound = region_size / 2^n <= |matches|.  gamma_floor
+    (fraction_floor(gamma, n)) and match_bound are computed from the other
+    fields, so neither a constructor nor ``dataclasses.replace`` sets them.
     """
 
     n: int
     gamma: Fraction
-    gamma_floor: Fraction
+    gamma_floor: Fraction = field(init=False)
     prefix: Pattern
     region_size: int
     matches: IntSet
-    match_bound: Fraction
+    match_bound: Fraction = field(init=False)
     base_size: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gamma_floor", fraction_floor(self.gamma, self.n))
+        object.__setattr__(self, "match_bound", Fraction(self.region_size, 1 << self.n))
 
 
 def verify_extraction(c: IntSet, cert: ExtractionCertificate) -> bool:
     """Recheck every certificate invariant through plain Python sets."""
     big = check_anchored(c, "base set")
+    if cert.base_size != big:
+        raise VerificationError("stored base size does not match the base set")
     n = cert.n
     elems = cert.prefix.elems
     if elems[0] < 1 or elems[-1] > n:
@@ -219,8 +227,6 @@ def verify_extraction(c: IntSet, cert: ExtractionCertificate) -> bool:
         raise VerificationError("region exceeds the offset range")
     if cert.matches.count * (1 << n) < cert.region_size:
         raise VerificationError("match class under the pigeonhole share")
-    if cert.match_bound != Fraction(cert.region_size, 1 << n):
-        raise VerificationError("stored pigeonhole bound is inconsistent")
     return True
 
 
@@ -255,11 +261,9 @@ def trace_extract(c: IntSet, n: int, gamma: Fraction) -> ExtractionCertificate:
     cert = ExtractionCertificate(
         n=n,
         gamma=gamma,
-        gamma_floor=fraction_floor(gamma, n),
         prefix=prefix,
         region_size=region.count,
         matches=matches,
-        match_bound=Fraction(region.count, 1 << n),
         base_size=big,
     )
     verify_extraction(c, cert)

@@ -183,9 +183,8 @@ def test_upper_sweep_spans_many_blocks():
     assert [(e.value, e.at) for e in ests] == want
 
 
-def test_upper_sweep_ignores_a_wrong_nominee(first_nominee):
-    """A float nominee that is always the first column still yields the exact
-    maximum at the least i on every shift."""
+def test_upper_sweep_matches_brute_on_periodic_and_random_sets():
+    """The exact maximum at the least i on every shift, ties included."""
     rng = random.Random(7)
     cases = [(residues({0, 1}, 5, 1, 400), 199), (residues({1}, 2, 1, 400), 200)]
     for length in (7, 60, 400):

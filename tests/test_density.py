@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,10 +24,11 @@ from diffsets import (
     syndetic_gap,
     thick_witness,
     upper_asymptotic_est,
+    upper_asymptotic_shifts,
     upper_banach_est,
 )
 from diffsets.density import prefix_counts
-from diffsets.intset import bit_vector
+from diffsets.intset import MAX_WINDOW_LENGTH, bit_vector
 
 
 def residues(classes, modulus, lo, hi):
@@ -269,9 +272,8 @@ def test_anchored_ties_take_least_i():
         assert _est(schnirelmann_est(a, m)) == _anchored_want(a, 1, m)[1]
 
 
-def test_anchored_verdict_ignores_a_wrong_nominee(first_nominee):
-    """The float ratio only nominates: a nominee that is always the first i still
-    yields the exact extremum at the least i."""
+def test_anchored_estimators_match_brute_on_periodic_and_random_sets():
+    """The exact extremum at the least i, on sets with many tied ratios."""
     rng = random.Random(5)
     cases = [(residues({0, 1}, 5, 1, 2000), 999), (residues({1}, 2, 1, 2000), 1000)]
     for length in (7, 60, 500, 2000):
@@ -281,6 +283,51 @@ def test_anchored_verdict_ignores_a_wrong_nominee(first_nominee):
         assert _est(upper_asymptotic_est(a, m)) == want_up
         assert _est(lower_asymptotic_est(a, m)) == want_lo
         assert _est(schnirelmann_est(a, m)) == _anchored_want(a, 1, m)[1]
+
+
+def _ratios(p, i):
+    """p / i as the anchored estimators compute it: int32 counts over int64 positions."""
+    return np.asarray(p, dtype=np.int32) / np.asarray(i, dtype=np.int64)
+
+
+def test_float_ratios_keep_the_exact_order_up_to_the_cap():
+    """The premise of picking the anchored extrema by float64 p / i.
+
+    Farey neighbours p1/i1 > p2/i2 (p1*i2 - p2*i1 = 1) are the closest pairs
+    of different ratios; with every i <= MAX_WINDOW_LENGTH their quotients keep
+    that order.  A ratio scaled by k rounds to the same float, so ties stay ties.
+    """
+    cap = MAX_WINDOW_LENGTH
+    rng = random.Random(3)
+    pairs = [(1, cap, 0, 1), (1, cap - 1, 1, cap), (cap - 1, cap, cap - 2, cap - 1)]
+    while len(pairs) < 20_000:
+        i2 = rng.randint(cap // 2, cap)
+        p2 = rng.randint(1, i2 - 1)
+        if gcd(p2, i2) == 1:
+            i1 = -pow(p2, -1, i2) % i2  # p2*i1 = -1 mod i2
+            pairs.append(((1 + p2 * i1) // i2, i1, p2, i2))
+    p1, i1, p2, i2 = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    assert (p1 * i2 - p2 * i1 == 1).all() and (p1 <= i1).all() and (i1 <= cap).all()
+    assert (_ratios(p1, i1) > _ratios(p2, i2)).all()
+
+    i = np.array([rng.randint(1, cap // 2) for _ in range(20_000)], dtype=np.int64)
+    p = np.array([rng.randint(0, x) for x in i.tolist()], dtype=np.int64)
+    k = np.array([rng.randint(2, cap // x) for x in i.tolist()], dtype=np.int64)
+    assert (_ratios(k * p, k * i) == _ratios(p, i)).all()
+
+
+def test_anchored_estimators_refuse_a_horizon_over_the_cap(monkeypatch):
+    cap = MAX_WINDOW_LENGTH
+    a = IntSet(Window(1, cap + 1), 1)
+    ests = (upper_asymptotic_est, lower_asymptotic_est, schnirelmann_est,
+            lambda a, m: next(upper_asymptotic_shifts(a, m, (0,))))
+    refusal = f"^horizon {cap + 1} is over the window length cap of {cap}$"
+    with monkeypatch.context() as patch:  # refused before anything of that length is built
+        patch.setattr("diffsets.density.bit_vector", None)
+        for est in ests:
+            with pytest.raises(InputError, match=refusal):
+                est(a, cap + 1)
+    assert _est(schnirelmann_est(a, cap)) == (Fraction(1, cap), cap)
 
 
 def test_anchored_empty_prefix_and_full_set():

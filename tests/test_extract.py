@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 
 import brute
 from diffsets import (
+    CoverCertificate,
+    ExtractionCertificate,
     InfeasibleError,
     InputError,
     IntSet,
@@ -268,12 +270,14 @@ def test_verify_extraction_catches_tampering():
         verify_extraction(c, wrong_prefix)
 
     inflated = dataclasses.replace(cert, region_size=cert.region_size * 40)
+    assert inflated.match_bound == Fraction(inflated.region_size, 32)
     with pytest.raises(VerificationError):
         verify_extraction(c, inflated)
 
-    drifted = dataclasses.replace(cert, match_bound=cert.match_bound + 1)
-    with pytest.raises(VerificationError):
-        verify_extraction(c, drifted)
+    # the derived fields follow the others and cannot be forged on their own
+    for name, value in (("gamma_floor", Fraction(99, 100)), ("match_bound", Fraction(0))):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(cert, **{name: value})
 
 
 @pytest.mark.parametrize("span", [0, 1, 3, 7, 4096])
@@ -295,13 +299,18 @@ def test_verify_extraction_refills_its_recount_window(monkeypatch, span):
 # One field of a real certificate changed per row, and the refusal it must draw.
 # Certificates on the mod-5 set {0, 1} of [1, 1000]: the extraction (n = 5,
 # gamma = 2/5) holds prefix (1, 2) and 199 match offsets on [0, 995], the
-# least at 4; the cover of -50..50 at eps = 0 picks shifts [0, 2].  The rows
-# reach every refusal of both verifiers.
+# least at 4; the cover of -50..50 at eps = 0 picks shifts [0, 2] with
+# gamma_hat = 2/5, k_bound = 2 and margin = 1/20.  The rows reach every
+# refusal of both verifiers and forge every field a constructor sets
+# (test_tamper_table_forges_every_certificate_field).
 TAMPER_TABLE = [
+    ("extraction", "base_size", lambda cert: cert.base_size + 1,
+     "stored base size does not match the base set"),
     ("extraction", "prefix", lambda cert: Pattern((1, 2, 6)), "prefix pattern escapes [1, n]"),
     ("extraction", "gamma", lambda cert: Fraction(1), "prefix counting function fails at i = 3"),
     ("extraction", "matches", lambda cert: cert.matches.shift(1),
      "match offsets live on the wrong window"),
+    ("extraction", "n", lambda cert: cert.n - 1, "match offsets live on the wrong window"),
     ("extraction", "matches", lambda cert: IntSet(cert.matches.window, 0), "empty match class"),
     ("extraction", "matches", lambda cert: make_set([cert.matches.min()], cert.matches.window),
      "match class under the pigeonhole share"),
@@ -309,10 +318,18 @@ TAMPER_TABLE = [
      "duplicate shifts in certificate"),
     ("extraction", "region_size", lambda cert: cert.matches.window.length + 1,
      "region exceeds the offset range"),
-    ("extraction", "match_bound", lambda cert: cert.match_bound + 1,
-     "stored pigeonhole bound is inconsistent"),
     ("cover", "shifts", lambda cert: [51] + cert.shifts[1:],
      "mandated shift not among candidates"),
+    ("cover", "base_size", lambda cert: cert.base_size + 1,
+     "stored base size does not match the base set"),
+    ("cover", "gamma_hat", lambda cert: cert.gamma_hat + Fraction(1, 1000),
+     "stored base density does not match the base set"),
+    ("cover", "k_bound", lambda cert: cert.k_bound + 1,
+     "stored size bound does not match eps and the base density"),
+    ("cover", "eps", lambda cert: Fraction(1, 10),
+     "stored size bound does not match eps and the base density"),
+    ("cover", "margin", lambda cert: cert.margin + 1,
+     "stored margin does not match the candidates"),
     ("cover", "shifts", lambda cert: cert.shifts[:1], "candidate 2 marked covered but is not"),
     ("cover", "witnesses", lambda cert: {}, "witness for candidate 0 does not verify"),
     ("extraction", "prefix", lambda cert: Pattern((1, 3)),
@@ -333,6 +350,15 @@ def test_verifiers_refuse_each_tampered_field(kind, field, forge, message):
     with pytest.raises(VerificationError) as err:
         verify(dataclasses.replace(cert, **{field: forge(cert)}))
     assert str(err.value) == message
+
+
+def test_tamper_table_forges_every_certificate_field():
+    """A certificate field a constructor sets is stored, so some row must forge it."""
+    forged = {(kind, field) for kind, field, _, _ in TAMPER_TABLE}
+    types = {"extraction": ExtractionCertificate, "cover": CoverCertificate}
+    unforged = [(kind, f.name) for kind, cls in types.items()
+                for f in dataclasses.fields(cls) if f.init and (kind, f.name) not in forged]
+    assert unforged == []
 
 
 # ---------------------------------------------------------------------------
