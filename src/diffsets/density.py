@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import InputError
 from .intset import (MAX_WINDOW_LENGTH, IntSet, Window, bit_bytes, bit_vector, check_anchored,
-                     combine_shifts, restrict, self_overlap)
+                     combine_shifts, complement_in, intersect, restrict, self_overlap)
 
 __all__ = [
     "DensityEstimate",
@@ -203,8 +203,8 @@ def _anchored_rows(a: IntSet, lo_i: int, hi_i: int, ts: Sequence[int],
     module docstring).  With x_1 < ... < x_c the members of A in [1, hi_i],
     the running count of the x_j + t in A is P_t at x_j, and the count
     before it P_t at x_j - 1: one gather from A's bits on
-    [1 - r, hi_i + r], r = max |t| (zero below 1), and one int32 row cumsum
-    give every column for a block of shifts at once.
+    [1 - r, hi_i + r], r = max |t| (zero below 1), a row sum up to lo_i and
+    an int32 row cumsum past it give every column for a block of shifts at once.
     """
     hi = check_anchored(a, "set")
     check_sub_window(a, hi_i)
@@ -217,7 +217,7 @@ def _anchored_rows(a: IntSet, lo_i: int, hi_i: int, ts: Sequence[int],
     maximize = kind == UPPER_ASYMPTOTIC
     bits = bit_vector(restrict(a, Window(1, hi_i + reach)))
     padded = np.concatenate((np.zeros(reach, dtype=np.uint8), bits))  # index of y: y - 1 + reach
-    xs = np.flatnonzero(bits[:hi_i])  # x_j - 1
+    xs = np.flatnonzero(bits[:hi_i].view(bool))  # x_j - 1 (nonzero is fastest on bool)
     base = int(np.searchsorted(xs, lo_i - 1, side="right"))  # members up to lo_i
     past = xs[base:]  # x - 1 for each member x past lo_i
     i = np.concatenate(([lo_i], past + 1) if maximize else ([lo_i], past, [hi_i]))
@@ -225,9 +225,10 @@ def _anchored_rows(a: IntSet, lo_i: int, hi_i: int, ts: Sequence[int],
     for start in range(0, len(t), rows):
         tb = t[start:start + rows]
         hit = padded[xs + reach + tb[:, None]]  # x_j + t in A
-        counts = np.zeros((len(tb), len(xs) + 1), dtype=np.int32)
-        np.cumsum(hit, axis=1, dtype=np.int32, out=counts[:, 1:])
-        p = counts[:, base:]  # P_t at lo_i, then at each member past it, or just before it
+        p = np.empty((len(tb), len(past) + 1), dtype=np.int32)
+        p[:, 0] = hit[:, :base].sum(axis=1, dtype=np.int32)  # P_t at lo_i
+        p[:, 1:] = hit[:, base:]
+        np.cumsum(p, axis=1, out=p)  # ... then at each member past it, or just before it
         if not maximize:  # ... and P_t[hi_i] is the last of them
             p = np.concatenate((p[:, :1], p), axis=1)
         k = (np.argmax if maximize else np.argmin)(p / i, axis=1)
@@ -255,16 +256,28 @@ def upper_asymptotic_shifts(a: IntSet, m: int, ts: Sequence[int]) -> Iterator[De
     return _anchored_rows(a, (m + 1) // 2, m, ts, UPPER_ASYMPTOTIC)
 
 
-def _runs_at_least(runs: IntSet, length: int) -> IntSet:
-    """The x with x .. x+length-1 all in the set (length at most its window length)."""
-    need = length - 1
-    shift = 1
-    while need > 0 and runs:
-        s = min(shift, need)
-        runs = self_overlap(runs, s)
-        need -= s
-        shift <<= 1
-    return runs
+def _doublings(a: IntSet) -> Iterator[tuple[int, IntSet]]:
+    """Yield (2^j, the x with x .. x + 2^j - 1 all in A) for j = 0, 1, ... while nonempty.
+
+    Each set is the last one overlapped with itself at 2^(j-1): one big-int
+    shift and AND, and the window shrinks by 2^(j-1).
+    """
+    size, runs = 1, a
+    while runs:
+        yield size, runs
+        if size >= runs.window.length:  # no run of 2 * size fits the window
+            return
+        runs, size = self_overlap(runs, size), 2 * size
+
+
+def _least_start(a: IntSet, length: int) -> int | None:
+    """Least x with x .. x+length-1 all in A, or None (length at most its window length)."""
+    for size, runs in _doublings(a):
+        if 2 * size > length:
+            if length > size:
+                runs = self_overlap(runs, length - size)
+            return runs.min() if runs else None
+    return None
 
 
 def thick_witness(a: IntSet, length: int) -> int | None:
@@ -273,28 +286,44 @@ def thick_witness(a: IntSet, length: int) -> int | None:
         raise InputError("interval length must be >= 1")
     if length > a.window.length:
         return None
-    runs = _runs_at_least(a, length)
-    return runs.min() if runs else None
+    return _least_start(a, length)
 
 
 def longest_run(a: IntSet) -> tuple[int, int] | None:
-    """(start, length) of the longest interval inside A; least start on ties."""
-    if a.count == 0:
+    """(start, length) of the longest interval inside A; least start on ties.
+
+    From big-int doubling alone, with no pass over the window's positions:
+    the starts of runs of 2^j for j up to the last nonempty one J fix
+    2^J <= L < 2^(J+1), and a greedy descent adds 2^j for j = J-1 .. 0
+    whenever a run of the longer length still starts somewhere.  Every step is
+    one shift and AND of big ints, about 2 log2(L) of them, and at most
+    log2(L) + 1 big ints of the window's size are alive at once.  The last
+    starts are exactly those of runs of length L, which no run extends, so the
+    least of them is the least start of a longest run.
+    """
+    levels = list(_doublings(a))
+    if not levels:
         return None
-    arr = bit_vector(a)
-    edges = np.diff(np.concatenate(([0], arr, [0])).astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    i = int(np.argmax(ends - starts))
-    return a.window.lo + int(starts[i]), int(ends[i] - starts[i])
+    length, starts = levels.pop()
+    for size, runs in reversed(levels):
+        ahead = runs.shift(-length)  # x with x + length .. x + length + size - 1 in A
+        if starts.window.overlaps(ahead.window):
+            longer = intersect(starts, ahead)
+            if longer:
+                length, starts = length + size, longer
+    return starts.min(), length
 
 
 def syndetic_gap(a: IntSet) -> int:
-    """Maximum gap between consecutive members (interior only; needs >= 2 members)."""
+    """Maximum gap between consecutive members (interior only; needs >= 2 members).
+
+    One more than the longest run of non-members between the least and the
+    greatest member, or 1 when there is none (see longest_run).
+    """
     if a.count < 2:
         raise InputError("syndetic_gap needs at least 2 members")
-    idx = np.flatnonzero(bit_vector(a))
-    return int(np.diff(idx).max())
+    holes = longest_run(complement_in(a, Window(a.min(), a.max())))
+    return 1 + (holes[1] if holes else 0)
 
 
 def piecewise_syndetic_witness(a: IntSet, g: int, length: int) -> Window | None:
@@ -310,8 +339,5 @@ def piecewise_syndetic_witness(a: IntSet, g: int, length: int) -> Window | None:
     if length > a.window.length:
         return None
     spread = range(min(g, a.window.length))  # a shift past the window length adds nothing
-    runs = _runs_at_least(combine_shifts(a, spread, a.window, union=True), length)
-    if not runs:
-        return None
-    x = runs.min()
-    return Window(x, x + length - 1)
+    x = _least_start(combine_shifts(a, spread, a.window, union=True), length)
+    return None if x is None else Window(x, x + length - 1)

@@ -204,7 +204,8 @@ def from_bit_vector(arr, window: Window) -> IntSet:
 
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Overflow])
-_LANE_BUDGET = 1 << 18  # input lanes per decimal product: bounds every product's memory
+_LANE_BUDGET = 1 << 18  # input lanes per decimal product: bounds every product's memory ...
+_LANE_CAP = 1 << 21  # ... unless both vectors are long, when it grows with the output up to this
 _LANE_CHUNK = 1 << 14  # product lanes read off at once
 
 
@@ -243,23 +244,31 @@ def _tile(n: int, most: int) -> int:
 def convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """c[k] = sum_i u[i] * v[k - i] of two nonempty uint8 0/1 arrays, exact, as int64.
 
-    Each decimal product multiplies a tile of u by a tile of v, at most
-    _LANE_BUDGET = 2^18 positions between them: tiles of the shorter vector
-    of at most half the budget and equal tiles of the longer one that fill
-    the rest (so both whole vectors when they fit).  So every product holds
-    a bounded amount of digit text and libmpdec buffers (a few MiB), whatever
-    the lengths up to the window cap.  A tile becomes one decimal with a
-    w-digit lane per position, w the digits of the tile pair's smaller count
-    of ones, which bounds every coefficient of their product: lanes never
-    carry.  The int64 sums over tiles stay below the window cap.  libmpdec
-    multiplies exactly (number-theoretic transform), 2^18 lanes of at most 6
-    digits stay far below MAX_PREC, and Inexact and Overflow are trapped: a
-    count is never rounded.
+    Each decimal product multiplies a tile of u by a tile of v, at most a
+    budget of positions between them: tiles of the shorter vector of at most
+    half the budget and equal tiles of the longer one that fill the rest (so
+    both whole vectors when they fit).  The budget is _LANE_BUDGET = 2^18, and
+    when the shorter vector is longer than half of that, the output length up
+    to _LANE_CAP = 2^21: each doubling of the budget cuts the product count
+    about 4x.  Two Bernoulli 1/2 vectors of 10^6 take one product, 0.9 s and a
+    36 MiB traced peak (15 MiB of it the output), not some 60 products and
+    6 s; two of 2*10^6 take four, 2.7 s; two at the window cap about a
+    hundred (2-vCPU x86 box).  So every product holds a bounded amount of
+    digit text and libmpdec buffers, whatever the lengths.  A tile becomes one
+    decimal with a w-digit lane per position, w the digits of the tile pair's
+    smaller count of ones, which bounds every coefficient of their product:
+    lanes never carry.  The int64 sums over tiles stay below the window cap.
+    libmpdec multiplies exactly (number-theoretic transform), 2^21 lanes of at
+    most 7 digits stay far below MAX_PREC, and Inexact and Overflow are
+    trapped: a count is never rounded.
     """
     u, v = sorted((u, v), key=len, reverse=True)  # v is the shorter
     out = np.zeros(len(u) + len(v) - 1, dtype=np.int64)
-    v_step = _tile(len(v), _LANE_BUDGET // 2)
-    u_step = _tile(len(u), _LANE_BUDGET - v_step)
+    budget = _LANE_BUDGET
+    if 2 * len(v) > budget:  # two long vectors: fewer, larger products
+        budget = min(len(out), _LANE_CAP)  # len(out) >= 2 * len(v) - 1 >= the base
+    v_step = _tile(len(v), budget // 2)
+    u_step = _tile(len(u), budget - v_step)
     for i in range(0, len(u), u_step):
         for j in range(0, len(v), v_step):
             a, b = u[i : i + u_step], v[j : j + v_step]
@@ -362,11 +371,11 @@ def difference_set(a: IntSet, b: IntSet) -> IntSet:
     """{x - y : x in A, y in B} on window [A.lo - B.hi, A.hi - B.lo].
 
     The support of A convolved with B reversed, exact: ``convolve`` multiplies
-    tiles of at most 2^18 positions between them, with lanes as wide as the
-    digits of the tile pair's smaller count of ones, so they never carry;
-    each product stays far below MAX_PREC and holds a few MiB at most, at any
-    window length up to the cap; and Inexact and Overflow are trapped.  Empty
-    inputs give the empty set.
+    tiles of at most 2^18 positions between them (up to 2^21 when both are
+    long), with lanes as wide as the digits of the tile pair's smaller count
+    of ones, so they never carry; each product stays far below MAX_PREC and
+    holds some tens of MiB at most, at any window length up to the cap; and
+    Inexact and Overflow are trapped.  Empty inputs give the empty set.
     """
     w = Window(a.window.lo - b.window.hi, a.window.hi - b.window.lo)
     return from_bit_vector(convolve(bit_vector(a), bit_vector(b)[::-1]), w)
@@ -416,16 +425,24 @@ def _scan_lines(raw: np.ndarray) -> np.ndarray | None:
     signed = cls[starts] == _SIGN
     ndig = ends - starts - signed
     between = ends[:-1]  # from each number's end to the next number's end
+    # a newline between each two numbers: most often the byte right after the first
+    lines = (cls[between] == _NEWLINE).all() or np.logical_or.reduceat(
+        cls[: ends[-1]] == _NEWLINE, between).all()
     if (
-        (len(between) and not np.logical_or.reduceat(cls[: ends[-1]] == _NEWLINE, between).all())
+        not lines
         or np.count_nonzero(cls == _SIGN) != np.count_nonzero(signed)  # a sign inside a number
         or ndig.min() < 1
         or ndig.max() > _DIGITS
     ):
         return None
     vals = np.zeros(len(starts), dtype=np.int64)
+    last, shortest = ends - 1, int(ndig.min())
     for j in range(int(ndig.max())):  # digit j from the right of every number
-        vals += np.where(ndig > j, raw[ends - 1 - j] - ord("0"), 0) * _POW10[j]
+        digit = np.take(raw, last - j, mode="clip")  # an index below 0 clips; zeroed below
+        digit -= ord("0")
+        if j >= shortest:  # some numbers have no digit j
+            digit[ndig <= j] = 0
+        vals += digit * _POW10[j]
     np.negative(vals, out=vals, where=raw[starts] == ord("-"))
     return vals
 
@@ -497,19 +514,39 @@ def read_set_file(path: str | Path) -> IntSet:
     return make_set(members, check_window_length(window, str(path)))
 
 
+# Where the digit count or the sign changes along ascending int64s: the least
+# negative of each digit count k < 18, zero, and the least positive of k + 1 digits.
+_RUN_CUTS = np.concatenate((1 - _POW10[:0:-1], [0], _POW10[1:]))
+
+
 def _digit_lines(xs: np.ndarray) -> bytes:
-    """``"".join(f"{x}\\n" for x in xs)`` in ASCII, for int64 xs below 10^18 in magnitude."""
-    neg = xs < 0
-    mag = np.abs(xs)
-    ndig = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
-    width = int(ndig.max(initial=1)) + 2  # sign, digits, newline: right-aligned rows
-    rows = np.empty((len(xs), width), dtype=np.uint8)
-    for j in range(width - 2):
-        rows[:, width - 2 - j] = mag // _POW10[j] % 10 + ord("0")
-    rows[:, width - 1] = ord("\n")
-    rows[np.flatnonzero(neg), (width - 2 - ndig)[neg]] = ord("-")
-    keep = np.arange(width) >= (width - 1 - ndig - neg)[:, None]
-    return rows[keep].tobytes()
+    """``"".join(f"{x}\\n" for x in xs)`` in ASCII, for ascending int64 xs of at most 18 digits.
+
+    Ascending, the xs fall into at most 36 runs of one sign and one digit
+    count, cut by one searchsorted.  Each run is written as fixed-width rows
+    (sign, d digits, newline), digit by digit from the right, so the bytes of
+    the rows are the lines themselves.
+    """
+    cuts = np.searchsorted(xs, _RUN_CUTS).tolist()
+    out = []
+    for k, (start, end) in enumerate(zip([0] + cuts, cuts + [len(xs)])):
+        if start == end:
+            continue
+        neg = k < _DIGITS  # runs 0 .. 17: 18 down to 1 digits, negative
+        d = _DIGITS - k if neg else k - _DIGITS + 1
+        rows = np.empty((end - start, neg + d + 1), dtype=np.uint8)
+        m = -xs[start:end] if neg else xs[start:end]
+        if d < 10:  # below 10^9: int32 divides about twice as fast
+            m = m.astype(np.int32)
+        for col in range(neg + d - 1, neg - 1, -1):
+            q = m // 10
+            rows[:, col] = m - 10 * q + ord("0")
+            m = q
+        if neg:
+            rows[:, 0] = ord("-")
+        rows[:, -1] = ord("\n")
+        out.append(rows.tobytes())
+    return b"".join(out)
 
 
 def _list_blocks(a: IntSet) -> Iterator[bytes]:
@@ -517,7 +554,7 @@ def _list_blocks(a: IntSet) -> Iterator[bytes]:
     vec, lo = bit_vector(a), a.window.lo
     narrow = max(abs(lo), abs(a.window.hi)) < 10**_DIGITS
     for start in range(0, len(vec), _LIST_BLOCK):
-        offsets = np.flatnonzero(vec[start : start + _LIST_BLOCK])
+        offsets = np.flatnonzero(vec[start : start + _LIST_BLOCK].view(bool))  # fastest on bool
         if narrow:
             yield _digit_lines(offsets + (lo + start))
         else:  # members of 19 digits or more: Python ints

@@ -401,6 +401,81 @@ def test_longest_run_matches_scan(a):
     assert got == want
 
 
+def _runs_set(lo, length, runs):
+    """The set on [lo, lo + length - 1] holding the intervals (offset, run length)."""
+    return make_set([lo + o + j for o, n in runs for j in range(n)], Window(lo, lo + length - 1))
+
+
+def _brute_gap(a):
+    mem = sorted(a.members())
+    return max(y - x for x, y in zip(mem, mem[1:]))
+
+
+@st.composite
+def long_run_sets(draw):
+    """Sets on windows of 10^4 to 3*10^4 positions at lo -37, 0 or 2^70: random runs
+    and gaps whose lengths straddle powers of two, or Bernoulli bits of density p."""
+    lo = draw(st.sampled_from([-37, 0, 2**70]))
+    length = draw(st.integers(10**4, 3 * 10**4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([0.5, 0.9, 0.99]))
+        bits = sum(1 << i for i in range(length) if rng.random() < p)
+        return IntSet(Window(lo, lo + length - 1), bits)
+    runs, at = [], rng.randrange(3)
+    sizes = [2**j + e for j in range(1, 12) for e in (-1, 0, 1)]
+    while True:
+        n = rng.choice(sizes)
+        if at + n > length:
+            break
+        runs.append((at, n))
+        at += n + rng.choice(sizes)
+    return _runs_set(lo, length, runs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_run_sets())
+def test_run_statistics_on_long_windows_match_brute(a):
+    mem = set(a.members())
+    assert longest_run(a) == brute.longest_run(mem)
+    if len(mem) >= 2:
+        assert syndetic_gap(a) == _brute_gap(a)
+
+
+@pytest.mark.parametrize("lo", [-5, 0, 2**70])
+@pytest.mark.parametrize("j", range(1, 9))
+@pytest.mark.parametrize("e", [-1, 0, 1])
+def test_longest_run_at_powers_of_two(lo, j, e):
+    n = 2**j + e
+    runs = [(3, n - 1), (n + 5, n), (3 * n + 9, n)]  # a shorter run, then two equal longest
+    a = _runs_set(lo, 4 * n + 12, runs)
+    assert longest_run(a) == (lo + n + 5, n) == brute.longest_run(set(a))
+    gap = 1 + (3 * n + 9) - (2 * n + 5)
+    assert syndetic_gap(a) == _brute_gap(a) == gap
+    ends = _runs_set(lo, 3 * n + 9 + n, runs)  # the last longest run ends at window.hi
+    assert longest_run(ends) == (lo + n + 5, n)
+    tail = _runs_set(lo, 3 * n + 9 + n + 1, runs[:2] + [(3 * n + 9, n + 1)])
+    assert longest_run(tail) == (lo + 3 * n + 9, n + 1) == brute.longest_run(set(tail))
+
+
+@pytest.mark.parametrize("lo", [-5, 0, 2**70])
+@pytest.mark.parametrize("length", [1, 2, 3, 64, 65, 1000])
+def test_run_statistics_of_full_and_edge_sets(lo, length):
+    w = Window(lo, lo + length - 1)
+    assert longest_run(IntSet(w, (1 << length) - 1)) == (lo, length)
+    assert longest_run(IntSet(w, 0)) is None
+    assert longest_run(IntSet(w, 1)) == (lo, 1)
+    assert longest_run(IntSet(w, 1 << (length - 1))) == (w.hi, 1)
+    if length >= 2:
+        edges = IntSet(w, 1 | 1 << (length - 1))  # members at both window edges only
+        assert syndetic_gap(edges) == length - 1
+        assert syndetic_gap(IntSet(w, (1 << length) - 1)) == 1
+    if length >= 5:
+        inner = make_set([lo + 1, lo + length - 2], w)  # away from the edges
+        assert syndetic_gap(inner) == length - 3
+        assert syndetic_gap(make_set([lo + 1, lo + 2, lo + length - 2], w)) == length - 4
+
+
 def test_longest_run_empty():
     assert longest_run(IntSet(Window(0, 5), 0)) is None
 

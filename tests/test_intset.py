@@ -1,4 +1,5 @@
 import contextlib
+import json
 import tracemalloc
 from unittest import mock
 
@@ -24,6 +25,7 @@ from diffsets import (
     write_set_file,
 )
 from diffsets import intset
+from diffsets.cli import main
 from diffsets.intset import (
     MAX_WINDOW_LENGTH,
     bit_vector,
@@ -257,8 +259,8 @@ def test_convolve_across_blocks(lu, lv):
 
 
 @contextlib.contextmanager
-def _spy_products(budget):
-    """Patch the lane budget; record (u tile, v tile, lane width) of every decimal product."""
+def _spy_products(budget, cap):
+    """Patch the lane budget and cap; record (u tile, v tile, lane width) of every product."""
     products, real = [], intset._add_lane_product
 
     def spy(a, b, out):
@@ -267,34 +269,59 @@ def _spy_products(budget):
         real(a, b, out)
 
     with mock.patch.object(intset, "_LANE_BUDGET", budget), \
+            mock.patch.object(intset, "_LANE_CAP", cap), \
             mock.patch.object(intset, "_add_lane_product", spy):
         yield products
 
 
-# (lane width, budget, lengths of the shorter and of the longer vector, zeros
-# per vector): both vectors cut into several tiles, and every tile pair holds
-# at least 1, 10 or 100 ones, and fewer than 10, 100 or 1000
+def _budget_used(u, v):
+    """The lanes convolve allows per product for these vectors: the base budget, grown
+    with the output up to the cap when the shorter vector passes half the base."""
+    short, out = min(len(u), len(v)), len(u) + len(v) - 1
+    base = intset._LANE_BUDGET
+    return min(out, intset._LANE_CAP) if 2 * short > base else base
+
+
+# (lane width, budget, cap, lengths of the shorter and of the longer vector,
+# zeros per vector): both vectors cut into several tiles, and every tile pair
+# holds at least 1, 10 or 100 ones, and fewer than 10, 100 or 1000.  In w2-grown
+# the shorter vector passes half the budget and the budget grows to the cap.
 TILED = [
-    (1, 16, (9, 12), (12, 60), 2),
-    (2, 64, (33, 40), (48, 150), 4),
-    (3, 512, (257, 300), (384, 700), 9),
+    (1, 16, 16, (9, 12), (12, 60), 2),
+    (2, 64, 64, (33, 40), (48, 150), 4),
+    (3, 512, 512, (257, 300), (384, 700), 9),
+    (2, 64, 128, (80, 100), (120, 300), 4),
 ]
 
 
-@pytest.mark.parametrize("width, budget, short, long, holes", TILED, ids=["w1", "w2", "w3"])
+@pytest.mark.parametrize("width, budget, cap, short, long, holes", TILED,
+                         ids=["w1", "w2", "w3", "w2-grown"])
 @settings(max_examples=25)
 @given(data=st.data())
-def test_convolve_tiles_both_vectors_like_brute(width, budget, short, long, holes, data):
+def test_convolve_tiles_both_vectors_like_brute(width, budget, cap, short, long, holes, data):
     u = np.ones(data.draw(st.integers(*long)), dtype=np.uint8)
     v = np.ones(data.draw(st.integers(*short)), dtype=np.uint8)
     for vec in (u, v):
         vec[data.draw(st.lists(st.integers(0, len(vec) - 1), max_size=holes))] = 0
-    with _spy_products(budget) as products:
+    with _spy_products(budget, cap) as products:
         got = convolve(v, u) if data.draw(st.booleans()) else convolve(u, v)
+        used = _budget_used(u, v)
     assert got.tolist() == brute.convolve(u.tolist(), v.tolist())
-    assert all(la + lb <= budget for _, la, _, lb, _ in products)
+    assert used == cap  # every row's shorter vector passes half the budget
+    assert all(la + lb <= used for _, la, _, lb, _ in products)
     assert len({p[0] for p in products}) >= 2 and len({p[2] for p in products}) >= 2
     assert {p[4] for p in products} == {width}
+    if cap > budget:
+        assert max(la + lb for _, la, _, lb, _ in products) > budget
+
+
+@pytest.mark.parametrize("short, grows", [(32, False), (33, True)])
+def test_convolve_grows_the_budget_only_past_half_of_it(short, grows):
+    u, v = np.ones(200, dtype=np.uint8), np.ones(short, dtype=np.uint8)
+    with _spy_products(64, 128) as products:
+        got = convolve(u, v)
+    assert got.tolist() == brute.convolve(u.tolist(), v.tolist())
+    assert (max(la + lb for _, la, _, lb, _ in products) > 64) == grows
 
 
 def test_convolve_memory_is_bounded_by_the_budget():
@@ -302,15 +329,50 @@ def test_convolve_memory_is_bounded_by_the_budget():
     rng = np.random.default_rng(7)
     u, v = ((rng.random(1 << 16) < 0.5).astype(np.uint8) for _ in range(2))
     budget = 1 << 14
-    with mock.patch.object(intset, "_LANE_BUDGET", budget):
+    with mock.patch.object(intset, "_LANE_BUDGET", budget), \
+            mock.patch.object(intset, "_LANE_CAP", 2 * budget):
+        used = _budget_used(u, v)
         tracemalloc.start()
         try:
             out = convolve(u, v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    assert used == 2 * budget < len(out)  # grown to the cap, still many products
     assert np.array_equal(out, convolve(u, v))  # the same sums as one product at the default budget
-    assert peak < out.nbytes + 32 * budget
+    assert peak < out.nbytes + 32 * used
+
+
+# The benchmark's commands that convolve: gen_triple builds a difference set,
+# and pipeline1e5 / pipeline4e5 align a Bernoulli set of N with one of N/10 + 1
+# positions (argv as in bench/workloads.py).
+BENCH_CONVOLVING = [
+    ["gen", "--spec", json.dumps({"kind": "thick_triple", "window": [-20500, 20500],
+                                  "scale": 4, "blocks": 3}), "--out", "t.set", "--fmt", "list"],
+    ["pipeline", "--a", "x1e5.set", "--b", "y.set", "--N", "100000", "--nu", "10000", "--n", "8",
+     "--out", "p1.json"],
+    ["pipeline", "--a", "x4e5.set", "--b", "y.set", "--N", "400000", "--nu", "40000", "--n", "8",
+     "--out", "p4.json"],
+]
+
+
+def test_bench_commands_keep_the_base_tiling(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, n, seed in (("x1e5", 10**5, 1), ("x4e5", 4 * 10**5, 2), ("y", 10**5, 3)):
+        spec = {"kind": "bernoulli", "window": [1, n], "seed": seed, "p": "1/2"}
+        assert main(["gen", "--spec", json.dumps(spec), "--out", f"{name}.set"]) == 0
+    tiles, real = [], intset._add_lane_product
+    monkeypatch.setattr(intset, "_add_lane_product",
+                        lambda a, b, out: tiles.append((len(a), len(b))) or real(a, b, out))
+    for argv in BENCH_CONVOLVING:
+        assert main(argv) == 0
+        grown = list(tiles)
+        tiles.clear()
+        with mock.patch.object(intset, "_LANE_CAP", intset._LANE_BUDGET):  # no growth
+            assert main(argv) == 0
+        assert grown and tiles == grown
+        tiles.clear()
+    capsys.readouterr()
 
 
 @st.composite
@@ -363,9 +425,12 @@ def test_file_roundtrip_list(tmp_path):
 
 
 # Window starts of the list round trip: negative, straddling 0, ending at
-# 10^18 - 1 (the widest the digit columns format) or at 10^18 (one past), starting
-# at -(10^18 - 1), and far beyond int64 (the per-member writer and int() reader).
-LIST_STARTS = [-(10**6), -30, 10**18 - 64, 10**18 - 63, -(10**18 - 1), 10**30, -(10**30)]
+# 10^18 - 1 (the widest the digit runs format) or at 10^18 (one past), starting
+# at -(10^18 - 1), far beyond int64 (the per-member writer and int() reader),
+# and just below 10^k and -10^k, so windows cross a change of digit count.
+LIST_STARTS = [-(10**6), -30, 10**18 - 64, 10**18 - 63, -(10**18 - 1), 10**30, -(10**30)] + [
+    s * 10**k - 20 for k in range(1, 18) for s in (1, -1)
+]
 
 
 @st.composite
@@ -388,6 +453,24 @@ def test_list_round_trip_matches_reference(tmp_path_factory, a, block, chunk):
         assert path.read_bytes() == brute.list_file(a.members()).encode("ascii")
         back = read_set_file(path)
     assert back.window == Window(a.min(), a.max()) and list(back) == list(a)
+
+
+# int64s near every change of digit count (10^k - 1, 10^k, 10^k + 1 of both
+# signs), and anywhere below 10^18 in magnitude
+near_cuts = st.builds(lambda k, e, sign: sign * (10**k + e), st.integers(0, 18), st.integers(-1, 1),
+                      st.sampled_from([1, -1])).filter(lambda x: abs(x) < 10**18)
+list_ints = st.one_of(near_cuts, st.integers(-(10**18) + 1, 10**18 - 1), st.integers(-200, 200))
+
+
+@given(st.lists(list_ints, unique=True, max_size=80), st.data())
+def test_digit_lines_match_reference(xs, data):
+    """The list writer's lines of ascending int64s, written in blocks cut anywhere
+    (inside a run of one digit count too), are the f-string lines."""
+    xs.sort()
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(xs)), max_size=4)))
+    arr = np.array(xs, dtype=np.int64)
+    blocks = [intset._digit_lines(arr[i:j]) for i, j in zip([0] + cuts, cuts + [len(xs)])]
+    assert b"".join(blocks) == "".join(f"{x}\n" for x in xs).encode("ascii")
 
 
 def _read_both(path):
