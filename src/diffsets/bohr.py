@@ -126,7 +126,7 @@ def suggest_freqs(d: IntSet, k_max: int, q_max: int = 32) -> list[Fraction]:
         raise InputError("k_max must be >= 1")
     if q_max < 2:
         raise InputError("q_max must be >= 2")
-    offsets = np.flatnonzero(bit_vector(d))  # from d.window.lo, which may sit beyond int64
+    offsets = np.flatnonzero(bit_vector(d).view(bool))  # from d.window.lo, which may sit beyond int64
     scored: list[tuple[float, int, int]] = []
     residues: dict[int, np.ndarray] = {}  # q -> residue counts mod q
     for q in range(q_max, 1, -1):

@@ -57,6 +57,7 @@ __all__ = [
     "upper_banach_est",
     "lower_banach_est",
     "best_window",
+    "banach_word_bounds",
     "upper_asymptotic_est",
     "lower_asymptotic_est",
     "schnirelmann_est",
@@ -174,6 +175,90 @@ def best_window(a: IntSet, n: int) -> tuple[DensityEstimate, IntSet]:
     """upper_banach_est(a, n) and A ∩ [at + 1, at + n] moved down onto [1, n]."""
     est = upper_banach_est(a, n)
     return est, restrict(a, Window(est.at + 1, est.at + n)).shift(-est.at)
+
+
+# Words (64 window positions each) per row block of banach_word_bounds.  On the
+# sweep bench's delta --n (1001 magnitudes, about 1560 words a row, 2 vCPU, min
+# of 25 calls) 2^12 took 44 ms, 2^14 25 ms, 2^15 21 ms and 2^17 27 ms, while the
+# peak Python heap grew from 0.3 to 0.9, 1.7 and 4.1 MiB.  A row longer than this
+# runs alone, so a block never outgrows one row's arrays.
+_WORD_LANES = 1 << 14
+
+
+def banach_word_bounds(a: IntSet, mags: Sequence[int], n: int) -> list[tuple[int, Window | None]]:
+    """For each m in mags (ascending, n + m <= the window length): the best count of
+    a length-n window of A ∩ (A - m) at a word-aligned offset, and the hull of the
+    offsets whose count may exceed it (0 is the window's first position), or None.
+
+    So the best length-n window count of A ∩ (A - m) is the returned count, or
+    the best over the hull when there is one.  A's bits are read once as
+    little-endian uint64 words W.  Row m holds R_m = A ∩ (A - m) as words
+    W[k] & (W >> m)[k], one funnel shift of W[k + m // 64] and the word after
+    it (numpy shifts a uint64 by 64 to 0, so m ≡ 0 (mod 64) needs no case).
+    The rows of a block share m // 64, and a block holds about ``_WORD_LANES``
+    words.  Bit i of R_m is bit i and bit i + m of A, so every bit past L - m
+    is 0 (L the window length).
+
+    Moving from offset 64w + j to 64w + j + 1 adds entering bit
+    e_j = bit 64w + j + n and drops leaving bit l_j = bit 64w + j.  With E_w and
+    L_w the 64 entering and leaving bits of word w, C(w), the count at offset
+    64w, is C(0) plus an int32 row cumsum of popcount(E) - popcount(L) over the
+    words before w.  It is taken only for 64w <= L - m - n, where every bit it
+    counts is below L - m, so it is a real window count.  As e - l <= e (1 - l)
+    for bits, each offset 64w .. 64w + 63 counts at most
+    C(w) + popcount(E_w & ~L_w).  The hull is that of the words whose bound
+    beats the best C(w), clipped to the last offset L - m - n, so every offset
+    outside it counts at most the returned count.  Counts are at most L, below
+    2^31 under the window length cap of 10^7 (int64 past it, for a library
+    caller).
+    """
+    check_sub_window(a, n)
+    length = a.window.length
+    ms = np.asarray(mags, dtype=np.int64)
+    if len(ms) and (ms[0] < 0 or ms[-1] > length - n or (ms[1:] < ms[:-1]).any()):
+        raise InputError(f"magnitudes must ascend in [0, {length - n}] (n = {n}, window length {length})")
+    words = bit_bytes(a, 8 * (length // 64 + 4)).view("<u8")  # zero words past the window
+    acc = np.int32 if length < 1 << 31 else np.int64
+    nq, nr = divmod(n, 64)
+    low_n = np.uint64((1 << nr) - 1)
+    out: list[tuple[int, Window | None]] = []
+    start = 0
+    while start < len(ms):
+        q = int(ms[start]) // 64
+        last = length - int(ms[start]) - n  # the group's longest row: offsets 0 .. last
+        aligned = last // 64 + 1  # offsets 64w for w < aligned
+        width = aligned + nq + 1  # R words read: C(w) and E_w of the last w
+        block = ms[start:start + max(1, _WORD_LANES // width)]
+        block = block[block // 64 == q]
+        r = (block % 64).astype(np.uint64)[:, None]
+        rows = words[q:q + width] >> r
+        rows |= words[q + 1:q + width + 1] << (np.uint64(64) - r)
+        rows &= words[:width]
+        leaving = rows[:, :aligned]
+        entering = rows[:, nq:nq + aligned] >> np.uint64(nr)
+        entering |= rows[:, nq + 1:nq + aligned + 1] << np.uint64(64 - nr)
+        count = np.empty(leaving.shape, dtype=acc)  # C(0), then C(w) - C(w - 1) ...
+        count[:, 0] = np.bitwise_count(rows[:, :nq]).sum(axis=1) + np.bitwise_count(rows[:, nq] & low_n)
+        step = np.bitwise_count(entering[:, :-1]) - np.bitwise_count(leaving[:, :-1])
+        count[:, 1:] = step.view(np.int8)  # in -64..64: uint8 wraps back
+        np.cumsum(count, axis=1, out=count)  # ... summed to C(w)
+        entering &= ~leaving
+        bound = count + np.bitwise_count(entering)
+        # A row one aligned offset shorter than the group's has no offset in the last
+        # column.  Its bound there, with no bit entering, is a count of fewer bits than
+        # the window at the row's last offset holds, which the word before bounds; so
+        # the hull, clipped to that offset, needs no mask.
+        lasts = length - block - n
+        count[lasts // 64 < aligned - 1, -1] = -1
+        best = count.max(axis=1)
+        beats = bound > best[:, None]
+        first = beats.argmax(axis=1)
+        final = aligned - 1 - beats[:, ::-1].argmax(axis=1)
+        for c, hit, w0, w1, row_last in zip(best.tolist(), beats[np.arange(len(block)), first].tolist(),
+                                            first.tolist(), final.tolist(), lasts.tolist()):
+            out.append((c, Window(64 * w0, min(64 * w1 + 63, row_last)) if hit else None))
+        start += len(block)
+    return out
 
 
 # Cells (shifts x members) per block of _anchored_rows.  On the sweep bench's

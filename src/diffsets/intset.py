@@ -154,7 +154,7 @@ class IntSet:
         """
         vec, lo = _unpack(self.bits, self.window.length), self.window.lo
         for start in range(0, len(vec), _MEMBER_CHUNK):
-            for i in np.flatnonzero(vec[start : start + _MEMBER_CHUNK]).tolist():
+            for i in np.flatnonzero(vec[start : start + _MEMBER_CHUNK].view(bool)).tolist():
                 yield lo + start + i  # Python ints: windows may sit beyond int64
 
     def __iter__(self) -> Iterator[int]:

@@ -332,12 +332,15 @@ def test_delta_cover_checks_out(data):
 
 
 def test_certify_cover_checks_equal_per_shift_evaluation(monkeypatch):
-    """Each |t| is scanned once per ambient set, yet every used signed t still gets its
-    own check, in ascending order, holding the per-shift value."""
-    scans = []
-    overlap = delta_module.shift_intersection
+    """Each |t| goes into the word pass once per ambient set and is rescanned at most
+    once, yet every used signed t still gets its own check, in ascending order,
+    holding the per-shift value."""
+    passes, scans = [], []
+    bounds, overlap = delta_module.banach_word_bounds, delta_module.shift_intersection
+    monkeypatch.setattr(delta_module, "banach_word_bounds",
+                        lambda s, mags, n: passes.append((id(s), list(mags))) or bounds(s, mags, n))
     monkeypatch.setattr(delta_module, "shift_intersection",
-                        lambda s, t: scans.append((id(s), t)) or overlap(s, t))
+                        lambda s, t: scans.append((len(passes), t)) or overlap(s, t))  # by pass
     rng = random.Random(6)
     base = IntSet(Window(1, 400), rng.getrandbits(400))
     a = IntSet(Window(0, 2999), rng.getrandbits(3000))
@@ -346,7 +349,9 @@ def test_certify_cover_checks_equal_per_shift_evaluation(monkeypatch):
                                     ambient=(a, b), n=300)
     used = sorted({x - xi for x, xi in cert.witnesses.items()})
     assert any(t > 0 and -t in used for t in used)  # the mirror is exercised
-    assert sorted(scans) == sorted({(id(s), abs(t)) for s in (a, b) for t in used})
+    mags = sorted({abs(t) for t in used})
+    assert passes == [(id(a), mags), (id(b), mags)]
+    assert len(scans) == len(set(scans)) and {t for _, t in scans} <= set(mags)
     for s, got in zip((a, b), checks):
         assert got == [ShiftCheck(t, shift_density(s, t, 300)) for t in used]
 

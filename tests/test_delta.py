@@ -1,16 +1,18 @@
 """Shift-intersection density sweeps against brute force."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import brute
 from diffsets import (
     InputError,
     IntSet,
     Window,
+    banach_word_bounds,
     difference_set,
     eps_delta_banach,
     eps_delta_upper,
@@ -22,7 +24,9 @@ from diffsets import (
     upper_banach_est,
 )
 import diffsets.delta as delta_module
+import diffsets.density as density_module
 from diffsets.delta import shift_density
+from diffsets.intset import MAX_WINDOW_LENGTH
 
 
 def residues(classes, modulus, lo, hi):
@@ -233,15 +237,145 @@ def test_shift_densities_match_brute(data):
 
 
 def test_shift_densities_scan_each_magnitude_once(monkeypatch):
+    """Each distinct |t| goes into the word pass once, and is rescanned at most once."""
     a = IntSet(Window(-5, 394), random.Random(4).getrandbits(400))
-    scans = []
-    overlap = delta_module.shift_intersection
+    passes, scans = [], []
+    bounds, overlap = delta_module.banach_word_bounds, delta_module.shift_intersection
+    monkeypatch.setattr(delta_module, "banach_word_bounds",
+                        lambda s, mags, n: passes.append(list(mags)) or bounds(s, mags, n))
     monkeypatch.setattr(delta_module, "shift_intersection",
                         lambda s, t: scans.append(t) or overlap(s, t))
     ts = [9, -3, 0, 3, -9, 9, 17, -3, 2]
     got = shift_densities(a, ts, 50)
-    assert sorted(scans) == [0, 2, 3, 9, 17]
+    assert passes == [[0, 2, 3, 9, 17]]
+    assert len(scans) == len(set(scans)) and set(scans) <= {0, 2, 3, 9, 17}
     assert got == {t: shift_density(a, t, 50) for t in ts}
+
+
+@st.composite
+def word_cases(draw, max_len=400):
+    """(set, n, ascending magnitudes m with n + m <= L) on and off the 64-bit word edges.
+
+    Windows shorter than a word, n and m near multiples of 64, n + m = L and a
+    far-off lo; half the sets are residues mod a short period, where the counts
+    tie at every period when the period divides n.
+    """
+    lo = draw(st.sampled_from([-37, 0, 1, 2**70]))
+    length = draw(st.one_of(st.integers(1, 63), st.integers(64, max_len)))
+    if draw(st.booleans()):
+        period = draw(st.integers(1, 9))
+        classes = draw(st.integers(1, (1 << period) - 1))
+        bits = sum(1 << i for i in range(length) if classes >> (i % period) & 1)
+    else:
+        bits = draw(st.integers(0, (1 << length) - 1))
+    near = st.sampled_from([1, 63, 64, 65, 127, 128, 129, 191, 192])
+    n = min(draw(st.one_of(near, st.integers(1, length))), length)
+    room = length - n  # the largest magnitude
+    m = st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, room]), st.integers(0, room))
+    mags = draw(st.lists(m.map(lambda x: min(x, room)), min_size=1, max_size=5))
+    return IntSet(Window(lo, lo + length - 1), bits), n, sorted(set(mags))
+
+
+def _window_counts(a, m, n):
+    """Brute-force counts of A ∩ (A - m) at offsets 0 .. L - m - n of its overlap."""
+    inter = brute.shift_intersection(set(a.members()), m)
+    counts = brute.window_counts(inter, a.window.lo, a.window.hi - m, n)
+    return [counts[x] for x in sorted(counts)]
+
+
+@settings(max_examples=150)
+@pytest.mark.parametrize("lanes", [1, None], ids=["one-row-blocks", "many-row-blocks"])
+@given(word_cases())
+# members only at the top: row m = 10 has offsets 0 .. 126, one aligned offset fewer than m = 0
+@example(case=(IntSet(Window(1, 200), ((1 << 50) - 1) << 149), 64, [0, 10]))
+def test_word_bounds_bound_every_offset_outside_the_hull(lanes, case):
+    """The count is the best at an offset 64w; every offset outside the hull counts
+    at most that, and the hull sits inside the row and starts on a word."""
+    a, n, mags = case
+    with pytest.MonkeyPatch.context() as patch:
+        if lanes:
+            patch.setattr(density_module, "_WORD_LANES", lanes)
+        got = banach_word_bounds(a, mags, n)
+    assert len(got) == len(mags)
+    for m, (count, hull) in zip(mags, got):
+        counts = _window_counts(a, m, n)
+        assert count == max(counts[::64])
+        if hull is None:
+            assert max(counts) == count
+        else:
+            assert hull.lo % 64 == 0 and 0 <= hull.lo <= hull.hi < len(counts)
+            outside = counts[:hull.lo] + counts[hull.hi + 1:]
+            assert max(outside, default=0) <= count
+
+
+@settings(max_examples=150)
+@pytest.mark.parametrize("lanes", [1, None], ids=["one-row-blocks", "many-row-blocks"])
+@given(word_cases())
+def test_shift_densities_match_brute_on_word_edges(lanes, case):
+    a, n, mags = case
+    ts = [t for m in mags for t in (m, -m)]
+    with pytest.MonkeyPatch.context() as patch:
+        if lanes:
+            patch.setattr(density_module, "_WORD_LANES", lanes)
+        got = shift_densities(a, ts, n)
+    for t in ts:
+        assert got[t] == Fraction(max(_window_counts(a, abs(t), n)), n)
+        w = a.window.intersect(a.window.shift(-t))
+        assert got[t] == brute.upper_banach(brute.shift_intersection(set(a.members()), t), w.lo, w.hi, n)[0]
+
+
+def test_word_bounds_refuse_magnitudes_out_of_order_or_range():
+    a = residues({0, 1}, 5, 1, 100)
+    assert banach_word_bounds(a, [], 10) == []
+    assert len(banach_word_bounds(a, [0, 3, 90], 10)) == 3
+    for mags in ([3, 0], [-1, 2], [0, 91]):
+        with pytest.raises(InputError, match=r"magnitudes must ascend in \[0, 90\]"):
+            banach_word_bounds(a, mags, 10)
+
+
+def test_word_bounds_skip_or_rescan_whole_rows_of_residue_sets(monkeypatch):
+    """Residues {0, 1} mod 5: with 5 | n every window ties, so no row is rescanned;
+    with n = 1 mod 5 the aligned offsets already hold the best count, yet the
+    bound leaves whole rows to rescan.  The values match brute force both ways."""
+    a = residues({0, 1}, 5, 1, 700)
+    mags = list(range(0, 131, 13))
+    scans = []
+    overlap = delta_module.shift_intersection
+    monkeypatch.setattr(delta_module, "shift_intersection",
+                        lambda s, t: scans.append(t) or overlap(s, t))
+    for n, rescans in ((100, False), (101, True)):
+        rows = banach_word_bounds(a, mags, n)
+        assert all(hull is None for _, hull in rows) != rescans
+        if rescans:
+            assert any(hull == Window(0, 700 - m - n) for m, (_, hull) in zip(mags, rows))
+        scans.clear()
+        got = shift_densities(a, mags, n)
+        assert bool(scans) == rescans
+        mem = set(a.members())
+        for m, (count, _) in zip(mags, rows):
+            assert got[m] == Fraction(count, n)
+            assert got[m] == brute.upper_banach(brute.shift_intersection(mem, m), 1, 700 - m, n)[0]
+
+
+@pytest.mark.parametrize("n", [1000, 10**6])
+def test_banach_sweep_peaks_below_one_full_scan_per_magnitude(n):
+    """On a Bernoulli 1/2 set at the window length cap, the word pass and its
+    rescans peak no higher than the full byte-table scan per |t| they replace.
+    At n = 1000 three of the five rows rescan most of the row; at 10^6 every hull
+    is short."""
+    a = IntSet(Window(1, MAX_WINDOW_LENGTH), random.Random(3).getrandbits(MAX_WINDOW_LENGTH))
+    ts = [0, 1, -5, 64, 1000]
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full = peak(lambda: [upper_banach_est(shift_intersection(a, abs(t)), n) for t in ts])
+    assert peak(lambda: shift_densities(a, ts, n)) <= full
 
 
 def test_shift_densities_name_the_first_unsafe_shift_of_largest_magnitude():
