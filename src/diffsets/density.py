@@ -53,7 +53,6 @@ from .intset import (MAX_WINDOW_LENGTH, IntSet, Window, bit_bytes, bit_vector, c
 __all__ = [
     "DensityEstimate",
     "check_sub_window",
-    "prefix_counts",
     "upper_banach_est",
     "lower_banach_est",
     "best_window",
@@ -90,18 +89,6 @@ class DensityEstimate:
     n: int
     at: int
     kind: str
-
-
-def prefix_counts(a: IntSet) -> np.ndarray:
-    """P[i] = number of members among the first i window positions (int64, length+1).
-
-    The bits are copied into the int64 buffer and summed there in place, so
-    the cumulative sum never casts from uint8 on the fly.
-    """
-    out = np.zeros(a.window.length + 1, dtype=np.int64)
-    out[1:] = bit_vector(a)
-    np.cumsum(out[1:], out=out[1:])
-    return out
 
 
 def check_sub_window(a: IntSet, n: int) -> None:

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .density import DensityEstimate, prefix_counts, upper_banach_est
+from .density import DensityEstimate, upper_banach_est
 from .errors import InputError
 from .intset import IntSet, Window, bit_vector, combine_shifts
 
@@ -149,13 +149,18 @@ def trace_pattern(vec: np.ndarray, offset: int, m: int) -> Pattern:
     return Pattern(tuple(np.flatnonzero(vec[offset : offset + m]).tolist()))
 
 
+def _labelled_traces(x: IntSet, m: int):
+    """(ids, skip, traces): X's length-m window labels, skip = 1 when label 0 is the all-zero
+    window (else 0), and (i, the trace at i rebased to 0) for each other class by first i."""
+    vec = bit_vector(x)
+    ids, firsts = trace_classes(vec, m)
+    skip = 0 if vec[firsts[0] : firsts[0] + m].any() else 1
+    return ids, skip, ((i, trace_pattern(vec, i, m)) for i in np.sort(firsts[skip:]).tolist())
+
+
 def distinct_traces(x: IntSet, m: int) -> Iterator[tuple[int, Pattern]]:
     """(i, X ∩ [lo + i, lo + i + m) rebased to 0) for each distinct nonempty trace, by first i."""
-    vec = bit_vector(x)
-    _, firsts = trace_classes(vec, m)
-    skip = 0 if vec[firsts[0] : firsts[0] + m].any() else 1  # the all-zero window
-    for i in np.sort(firsts[skip:]).tolist():
-        yield i, trace_pattern(vec, i, m)
+    return _labelled_traces(x, m)[2]
 
 
 def window_embeddable(x: IntSet, y: IntSet, m: int, srange: Window) -> WindowEmbedReport:
@@ -167,13 +172,12 @@ def window_embeddable(x: IntSet, y: IntSet, m: int, srange: Window) -> WindowEmb
     """
     if not 1 <= m <= x.window.length:
         raise InputError(f"trace length {m} not in [1, {x.window.length}]")
-    p = prefix_counts(x)
-    nonempty = p[m:] > p[:-m]
-    for i, pat in distinct_traces(x, m):
+    ids, skip, traces = _labelled_traces(x, m)
+    for i, pat in traces:
         if embed_witness(pat, y, srange) is None:
-            checked = int(np.count_nonzero(nonempty[: i + 1]))
+            checked = int(np.count_nonzero(ids[: i + 1] >= skip))
             return WindowEmbedReport(False, m, checked, x.window.lo + i, pat)
-    return WindowEmbedReport(True, m, int(np.count_nonzero(nonempty)))
+    return WindowEmbedReport(True, m, int(np.count_nonzero(ids >= skip)))
 
 
 def find_ap(a: IntSet, k: int) -> tuple[int, int] | None:

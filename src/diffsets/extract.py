@@ -20,7 +20,7 @@ import numpy as np
 
 from .cover import CoverCertificate, ShiftCheck, candidate_order, certify_cover
 from .delta import shift_density
-from .density import best_window, longest_run, prefix_counts, upper_banach_est
+from .density import best_window, longest_run, upper_banach_est
 from .embed import Pattern, shift_set_of, trace_classes, trace_pattern
 from .errors import InfeasibleError, InputError, VerificationError
 from .intset import (IntSet, Window, bit_vector, check_anchored, combine_shifts, convolve,
@@ -113,17 +113,29 @@ def fraction_floor(gamma: Fraction, n: int) -> Fraction:
     return max(Fraction(need - 1, i) for i, need in enumerate(_thresholds(gamma, n), start=1))
 
 
-def prefix_dense_region(c: IntSet, n: int, gamma: Fraction) -> IntSet:
-    """Offsets theta in [0, N-n] with |C ∩ [theta+1, theta+i]| >= gamma*i for all i <= n."""
+def _dense_classes(c: IntSet, n: int, gamma: Fraction):
+    """(vec, ids, firsts, dense): C's bit vector, ``trace_classes(vec, n)``, and whether
+    class k is prefix-dense.  That reads only bits theta .. theta+n-1 of C, the window
+    labelled at theta; the labels are exact, so each class has one verdict, decided at its
+    first offset, which holds the class's window, by a running count <= n < 2^31 in int32.
+    """
     big = check_anchored(c, "base set")
     if not 1 <= n < big:
         raise InputError("need 1 <= n < N")
-    width = big - n + 1
-    p = prefix_counts(c)
-    dense = np.ones(width, dtype=bool)
+    vec = bit_vector(c)
+    ids, firsts = trace_classes(vec, n)
+    count = np.zeros(len(firsts), dtype=np.int32)
+    dense = np.ones(len(firsts), dtype=bool)
     for i, need in enumerate(_thresholds(Fraction(gamma), n), start=1):
-        dense &= p[i : i + width] - p[:width] >= need
-    return from_bit_vector(dense, Window(0, big - n))
+        count += vec[firsts + (i - 1)]
+        dense &= count >= need
+    return vec, ids, firsts, dense
+
+
+def prefix_dense_region(c: IntSet, n: int, gamma: Fraction) -> IntSet:
+    """Offsets theta in [0, N-n] with |C ∩ [theta+1, theta+i]| >= gamma*i for all i <= n."""
+    _, ids, _, dense = _dense_classes(c, n, gamma)
+    return from_bit_vector(dense[ids], Window(0, c.window.hi - n))
 
 
 @dataclass(frozen=True)
@@ -230,40 +242,31 @@ def verify_extraction(c: IntSet, cert: ExtractionCertificate) -> bool:
     return True
 
 
-def _modal_trace(c: IntSet, region: IntSet, n: int) -> tuple[Pattern, IntSet]:
-    """Modal trace over the region offsets (least pattern on ties), and the offsets holding it;
-    a frame of its own, so its window-length arrays are freed before the recount."""
-    # offset theta's trace is bits theta .. theta+n-1 of C: elements theta+1 .. theta+n
-    arr = bit_vector(c)
-    ids, firsts = trace_classes(arr, n)
-    reg = bit_vector(region).view(bool)
-    freq = np.bincount(ids[reg])
-    tied = np.flatnonzero(freq == freq.max()).tolist()
-    pattern_of = {k: trace_pattern(arr, int(firsts[k]), n).shift(1) for k in tied}
-    best = min(tied, key=lambda k: pattern_of[k].elems)
-    return pattern_of[best], from_bit_vector(reg & (ids == best), region.window)
-
-
 def trace_extract(c: IntSet, n: int, gamma: Fraction) -> ExtractionCertificate:
-    """Group the prefix-dense offsets by trace and certify the modal class."""
+    """Certify the modal trace class of the prefix-dense offsets (least pattern on ties)."""
     big = check_anchored(c, "base set")
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise InputError("gamma must be positive")
     if n > TRACE_CAP:
         raise InputError(f"trace length {n} above the cap {TRACE_CAP}; the 2^-n bound degrades")
-    region = prefix_dense_region(c, n, gamma)
-    if region.count == 0:
+    vec, ids, firsts, dense = _dense_classes(c, n, gamma)
+    freq = np.bincount(ids) * dense  # the region's offsets per class
+    region_size = int(freq.sum())
+    if region_size == 0:
         raise InfeasibleError(
             f"no offset meets the prefix threshold {gamma}; lower gamma or grow the window"
         )
-    prefix, matches = _modal_trace(c, region, n)
+    # offset theta's trace is bits theta .. theta+n-1 of C: elements theta+1 .. theta+n
+    tied = np.flatnonzero(freq == freq.max()).tolist()
+    pattern_of = {k: trace_pattern(vec, int(firsts[k]), n).shift(1) for k in tied}
+    best = min(tied, key=lambda k: pattern_of[k].elems)
     cert = ExtractionCertificate(
         n=n,
         gamma=gamma,
-        prefix=prefix,
-        region_size=region.count,
-        matches=matches,
+        prefix=pattern_of[best],
+        region_size=region_size,
+        matches=from_bit_vector(ids == best, Window(0, big - n)),
         base_size=big,
     )
     verify_extraction(c, cert)

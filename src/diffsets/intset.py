@@ -88,8 +88,9 @@ class Window:
 
 # Longest window a parser admits (set files, gen specs, range flags); checked
 # before anything of that length is allocated.  A window at the cap costs
-# 1.25 MB as a big int and 80 MB as int64 prefix counts, keeps every product
-# of two lengths below 2^63, and, being under 2^26, keeps the float64 ratios
+# 1.25 MB as a big int, 10 MB as a byte vector and 40 MB per int32 trace-label
+# array (80 MB per int64 sort-key array past 16 bits), keeps every product of
+# two lengths below 2^63, and, being under 2^26, keeps the float64 ratios
 # j/i that the anchored estimators compare in exact order (see density).
 MAX_WINDOW_LENGTH = 10**7
 

@@ -15,6 +15,7 @@ subcommand's flags, reads every command line as the full parser does.
 
 import argparse
 import ast
+import importlib
 import json
 import re
 import time
@@ -26,7 +27,6 @@ import brute
 from diffsets import (InfeasibleError, VerificationError, Window, cli, gen,
                       read_set_file, residue_set, spec_from_json)
 from diffsets.cli import build_parser, main
-from diffsets.density import prefix_counts
 from diffsets.intset import MAX_WINDOW_LENGTH
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -431,20 +431,24 @@ def test_bohr_search_subcommand(workdir, capsys):
     assert rep["certificates"]["containment"]["ok"] is True
 
 
-def test_extract_scans_prefix_counts_once(workdir, capsys, monkeypatch):
-    from diffsets import extract
+@pytest.mark.parametrize("module, argv", [
+    ("extract", ["extract", "--set", "a.set", "--n", "5", "--slack", "1/20"]),
+    ("embed", ["embed", "--x", "a.set", "--y", "a.set", "--m", "5"]),
+], ids=["extract", "embed"])
+def test_extract_and_embed_label_their_input_once(workdir, capsys, monkeypatch, module, argv):
+    """One trace_classes labelling per run: extract decides the region and the modal class
+    from it, embed the distinct traces and the count of nonempty windows."""
+    mod = importlib.import_module(f"diffsets.{module}")
+    real, calls = mod.trace_classes, []
 
-    calls = []
+    def counted(vec, m):
+        calls.append(m)
+        return real(vec, m)
 
-    def counted(c):
-        calls.append(c.window)
-        return prefix_counts(c)
-
-    monkeypatch.setattr(extract, "prefix_counts", counted)
-    code, out, _ = run(["extract", "--set", "a.set", "--n", "5", "--slack", "1/20"], capsys)
+    monkeypatch.setattr(mod, "trace_classes", counted)
+    code, out, _ = run(argv, capsys)
     assert code == 0
-    assert json.loads(out)["certificates"]["walk"]["visits"] > 0
-    assert len(calls) == 1
+    assert calls == [5]
 
 
 def test_bohr_search_unreachable_lmin(workdir, capsys, monkeypatch):

@@ -27,8 +27,7 @@ from diffsets import (
     upper_asymptotic_shifts,
     upper_banach_est,
 )
-from diffsets.density import prefix_counts
-from diffsets.intset import MAX_WINDOW_LENGTH, bit_vector
+from diffsets.intset import MAX_WINDOW_LENGTH
 
 
 def residues(classes, modulus, lo, hi):
@@ -372,22 +371,6 @@ def test_anchored_requires_window_at_one():
     for fn in (upper_asymptotic_est, lower_asymptotic_est, schnirelmann_est):
         with pytest.raises(InputError):
             fn(a, 5)
-
-
-# ---------------------------------------------------------------------------
-# prefix machinery
-
-
-@given(small_sets())
-def test_prefix_counts_and_bit_vector(a):
-    bits = bit_vector(a)
-    pref = prefix_counts(a)
-    assert bits.sum() == len(a)
-    assert pref[-1] == len(a)
-    assert pref[0] == 0
-    mem = set(a.members())
-    for i in range(1, a.window.length + 1):
-        assert pref[i] == sum(1 for x in mem if x < a.window.lo + i)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import partial
 from math import floor
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,6 +36,8 @@ from diffsets import (
     verify_cover_certificate,
     verify_extraction,
 )
+from diffsets.extract import TRACE_CAP
+from diffsets.intset import from_bit_vector
 
 
 def residues(classes, modulus, lo, hi):
@@ -207,9 +210,12 @@ def extract_instances(draw):
     length = draw(st.integers(6, 40))
     bits = draw(st.integers(1, (1 << length) - 1))
     c = IntSet(Window(1, length), bits)
-    n = draw(st.integers(1, min(6, length - 1)))
-    gamma = Fraction(draw(st.integers(1, 8)), 8)
-    return c, n, gamma
+    n = draw(st.integers(1, min(TRACE_CAP, length - 1)))  # every direct-code width
+    # denominators past 2^31, as in test_prefix_dense_region_matches_brute
+    gamma = Fraction(draw(st.integers(1, 8)), 8) + Fraction(
+        draw(st.sampled_from([0, 1, -1])), 2**40
+    )
+    return c, n, min(gamma, Fraction(1))
 
 
 @given(extract_instances())
@@ -234,6 +240,28 @@ def test_trace_extract_modal_class(inst):
     assert cert.matches.count * (1 << n) >= cert.region_size
     assert cert.match_bound == Fraction(len(region), 1 << n)
     assert verify_extraction(c, cert)
+
+
+def test_trace_extract_at_the_cap_matches_per_offset_prefix_sums():
+    """n = 16 on a Bernoulli 1/2 window of 2^17, against the per-offset threshold passes
+    over an int64 prefix-sum array."""
+    n, gamma = TRACE_CAP, Fraction(9, 20)
+    bits = np.random.default_rng(16).integers(0, 2, 1 << 17, dtype=np.uint8)
+    c = from_bit_vector(bits, Window(1, len(bits)))
+    p = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+    width = len(bits) - n + 1
+    dense = np.ones(width, dtype=bool)
+    for i in range(1, n + 1):
+        dense &= (p[i : i + width] - p[:width]) * gamma.denominator >= gamma.numerator * i
+    windows = np.lib.stride_tricks.sliding_window_view(bits, n)
+    by_trace = Counter(tuple(np.flatnonzero(w) + 1) for w in windows[dense])
+    top = max(by_trace.values())
+    want_prefix = min(t for t, k in by_trace.items() if k == top)
+    cert = trace_extract(c, n, gamma)
+    assert cert.region_size == int(dense.sum())
+    assert cert.prefix.elems == want_prefix
+    hits = dense & (windows == np.isin(np.arange(1, n + 1), want_prefix)).all(axis=1)
+    assert cert.matches == from_bit_vector(hits, Window(0, width - 1))
 
 
 def test_trace_extract_frozen_mod5():

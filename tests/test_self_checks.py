@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diffsets import BohrContainment, Window, empty_set, make_set, thick_triple_bounds
+from diffsets import BohrContainment, Window, empty_set, thick_triple_bounds
 from diffsets.cli import main
 
 SPECS = {
@@ -72,11 +72,14 @@ def _fails_on_call(k):
     return fault
 
 
-def _least_offset_only(real):
-    def prefix_dense_region(c, n, gamma):
-        region = real(c, n, gamma)
-        return make_set([region.min()], region.window)
-    return prefix_dense_region
+def _first_dense_class_only(real):
+    """The per-class prefix-density step keeping only its least dense label."""
+    def _dense_classes(c, n, gamma):
+        vec, ids, firsts, dense = real(c, n, gamma)
+        first = np.zeros_like(dense)
+        first[np.flatnonzero(dense)[:1]] = True
+        return vec, ids, firsts, first
+    return _dense_classes
 
 
 FAULTS = [
@@ -96,7 +99,7 @@ FAULTS = [
      CHAIN, "final stage density target under the product floor"),
     ("diffsets.extract.shift_density", lambda real: lambda *args: Fraction(0), CHAIN,
      "difference 1 of the final pattern is not a dense shift of every input"),
-    ("diffsets.extract.prefix_dense_region", _least_offset_only, EXTRACT,
+    ("diffsets.extract._dense_classes", _first_dense_class_only, EXTRACT,
      "block walk failed to witness its own bound"),
     ("diffsets.extract.shift_set_of", lambda real: lambda f, y, srange: empty_set(srange),
      EXTRACT, "a match offset fails to embed the length-1 prefix"),
