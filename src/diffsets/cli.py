@@ -28,7 +28,6 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -53,7 +52,7 @@ from .density import (
     upper_asymptotic_est,
     upper_banach_est,
 )
-from .embed import Pattern, dense_embed_est, distinct_traces, window_embeddable
+from .embed import dense_embed_est, distinct_traces, window_embeddable
 from .errors import InfeasibleError, InputError, VerificationError
 from .extract import (
     chain_extract,
@@ -261,14 +260,6 @@ def _cmd_delta(args, report: Report) -> int:
     return 0
 
 
-def _distinct_traces(x: IntSet, m: int, cap: int = 4096) -> list[Pattern]:
-    """Distinct nonempty length-m traces of X, rebased to [0, m), by first offset."""
-    pats = [pat for _, pat in islice(distinct_traces(x, m), cap + 1)]
-    if len(pats) > cap:
-        raise InputError(f"more than {cap} distinct traces at m = {m}")
-    return pats
-
-
 def _cmd_embed(args, report: Report) -> int:
     if args.dense and args.n is None:
         raise InputError("--dense needs --n for the shift-set estimator")
@@ -284,7 +275,7 @@ def _cmd_embed(args, report: Report) -> int:
     if args.dense:
         entries = []
         worst = None
-        for pat in _distinct_traces(x, m):
+        for pat in distinct_traces(x, m):
             est = dense_embed_est(pat, y, srange, args.n)
             entries.append({"pattern": pat, "estimate": est})
             if worst is None or est.value < worst:

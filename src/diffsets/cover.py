@@ -31,7 +31,6 @@ __all__ = [
     "QuotientCoverResult",
     "cs_family_inequality",
     "guaranteed_overlap",
-    "dense_shift_count",
     "dense_shift_member",
     "dense_shift_set",
     "candidate_order",
@@ -104,15 +103,12 @@ def guaranteed_overlap(family: list[IntSet], n: int | None = None) -> Fraction:
 # -- dense-shift membership ---------------------------------------------------
 
 
-def dense_shift_count(c: IntSet, t: int) -> int:
-    """|C ∩ (C - t) ∩ [1, N]| for C ⊆ [1, N]; symmetric in the sign of t, 0 once |t| >= N."""
-    n = check_anchored(c, "base set")
-    return self_overlap(c, t).count if abs(t) < n else 0
-
-
 def dense_shift_member(c: IntSet, t: int, eps: Fraction) -> bool:
-    """Strict threshold membership: count > eps * N by cross-multiplication."""
-    return dense_shift_count(c, t) * eps.denominator > eps.numerator * c.window.hi
+    """Strict threshold membership |C ∩ (C - t) ∩ [1, N]| > eps * N for C ⊆ [1, N], by
+    cross-multiplication; the count is symmetric in the sign of t, and 0 once |t| >= N."""
+    n = check_anchored(c, "base set")
+    count = self_overlap(c, t).count if abs(t) < n else 0
+    return count * eps.denominator > eps.numerator * n
 
 
 def dense_shift_set(c: IntSet, h: int, hull: Window, eps: Fraction) -> IntSet:

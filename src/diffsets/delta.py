@@ -45,8 +45,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import par
-from .density import (banach_word_bounds, check_sub_window, upper_asymptotic_est, upper_asymptotic_shifts,
-                      upper_banach_est)
+from .density import banach_word_bounds, check_sub_window, upper_asymptotic_shifts, upper_banach_est
 from .errors import InputError
 from .intset import IntSet, Window, check_anchored, make_set, restrict, self_overlap
 
@@ -77,16 +76,14 @@ def shift_intersection(a: IntSet, t: int) -> IntSet:
     return self_overlap(a, t)
 
 
-def shift_density(a: IntSet, t: int, n: int, upper: bool = False) -> Fraction:
-    """Best length-n window density of A ∩ (A - t), or its anchored upper proxy."""
-    if upper:  # re-anchor the overlap at 1 (it may start above it); [1, n] is all it reads
-        hi = check_anchored(a, "set") - max(t, 0)  # the overlap's hi
-        return upper_asymptotic_est(restrict(shift_intersection(a, t), Window(1, min(n, hi))), n).value
+def shift_density(a: IntSet, t: int, n: int) -> Fraction:
+    """Best length-n window density of A ∩ (A - t)."""
     return upper_banach_est(shift_intersection(a, t), n).value
 
 
 def shift_densities(a: IntSet, ts: Iterable[int], n: int, upper: bool = False) -> dict[int, Fraction]:
-    """{t: shift_density(a, t, n, upper)} for each distinct t in ts, in first-seen order.
+    """{t: density of A ∩ (A - t)} for each distinct t in ts, in first-seen order: the
+    best length-n window (``shift_density``), or with upper the anchored proxy.
 
     An unsafe shift is an input error naming the first t of largest |t|.  The
     Banach values come from the word bounds and a rescan of each hull (see the

@@ -10,7 +10,7 @@ artifact of clipping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -103,6 +103,7 @@ class WindowEmbedReport:
 
 
 DIRECT_BITS = 16  # widest window labelled by its own code: a 2^16-entry presence table
+TRACE_LIST_CAP = 4096  # most distinct traces distinct_traces lists
 
 
 def trace_classes(vec: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +159,13 @@ def _labelled_traces(x: IntSet, m: int):
     return ids, skip, ((i, trace_pattern(vec, i, m)) for i in np.sort(firsts[skip:]).tolist())
 
 
-def distinct_traces(x: IntSet, m: int) -> Iterator[tuple[int, Pattern]]:
-    """(i, X ∩ [lo + i, lo + i + m) rebased to 0) for each distinct nonempty trace, by first i."""
-    return _labelled_traces(x, m)[2]
+def distinct_traces(x: IntSet, m: int) -> list[Pattern]:
+    """X ∩ [lo + i, lo + i + m) rebased to 0 for each distinct nonempty trace, by first i;
+    more than TRACE_LIST_CAP of them is an input error."""
+    pats = [pat for _, pat in islice(_labelled_traces(x, m)[2], TRACE_LIST_CAP + 1)]
+    if len(pats) > TRACE_LIST_CAP:
+        raise InputError(f"more than {TRACE_LIST_CAP} distinct traces at m = {m}")
+    return pats
 
 
 def window_embeddable(x: IntSet, y: IntSet, m: int, srange: Window) -> WindowEmbedReport:

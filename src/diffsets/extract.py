@@ -30,7 +30,6 @@ __all__ = [
     "PigeonholeWitness",
     "pigeonhole_shift",
     "fraction_floor",
-    "prefix_dense_region",
     "WalkReport",
     "block_walk_bound",
     "ExtractionCertificate",
@@ -114,10 +113,12 @@ def fraction_floor(gamma: Fraction, n: int) -> Fraction:
 
 
 def _dense_classes(c: IntSet, n: int, gamma: Fraction):
-    """(vec, ids, firsts, dense): C's bit vector, ``trace_classes(vec, n)``, and whether
-    class k is prefix-dense.  That reads only bits theta .. theta+n-1 of C, the window
-    labelled at theta; the labels are exact, so each class has one verdict, decided at its
-    first offset, which holds the class's window, by a running count <= n < 2^31 in int32.
+    """(vec, ids, firsts, freq): C's bit vector, ``trace_classes(vec, n)``, and class k's
+    offsets in the prefix-dense region, theta in [0, N-n] with |C ∩ [theta+1, theta+i]| >=
+    gamma*i for all i <= n (all of its offsets or none).  That reads only bits
+    theta .. theta+n-1 of C, the window labelled at theta; the labels are exact, so each class
+    has one verdict, decided at its first offset, which holds the class's window, by a
+    running count <= n < 2^31 in int32.
     """
     big = check_anchored(c, "base set")
     if not 1 <= n < big:
@@ -129,13 +130,7 @@ def _dense_classes(c: IntSet, n: int, gamma: Fraction):
     for i, need in enumerate(_thresholds(Fraction(gamma), n), start=1):
         count += vec[firsts + (i - 1)]
         dense &= count >= need
-    return vec, ids, firsts, dense
-
-
-def prefix_dense_region(c: IntSet, n: int, gamma: Fraction) -> IntSet:
-    """Offsets theta in [0, N-n] with |C ∩ [theta+1, theta+i]| >= gamma*i for all i <= n."""
-    _, ids, _, dense = _dense_classes(c, n, gamma)
-    return from_bit_vector(dense[ids], Window(0, c.window.hi - n))
+    return vec, ids, firsts, np.bincount(ids) * dense
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def _walk_report(c: IntSet, n: int, gamma: Fraction, region_size: int) -> WalkRe
 
 
 def block_walk_bound(c: IntSet, n: int, gamma: Fraction) -> WalkReport:
-    return _walk_report(c, n, gamma, prefix_dense_region(c, n, gamma).count)
+    return _walk_report(c, n, gamma, int(_dense_classes(c, n, gamma)[3].sum()))
 
 
 # -- modal trace extraction ----------------------------------------------------
@@ -250,8 +245,7 @@ def trace_extract(c: IntSet, n: int, gamma: Fraction) -> ExtractionCertificate:
         raise InputError("gamma must be positive")
     if n > TRACE_CAP:
         raise InputError(f"trace length {n} above the cap {TRACE_CAP}; the 2^-n bound degrades")
-    vec, ids, firsts, dense = _dense_classes(c, n, gamma)
-    freq = np.bincount(ids) * dense  # the region's offsets per class
+    vec, ids, firsts, freq = _dense_classes(c, n, gamma)
     region_size = int(freq.sum())
     if region_size == 0:
         raise InfeasibleError(

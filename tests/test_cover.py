@@ -18,7 +18,6 @@ from diffsets import (
     cover_density_check,
     cs_family_inequality,
     delta_cover,
-    dense_shift_count,
     dense_shift_member,
     difference_cover,
     greedy_shift_cover,
@@ -136,9 +135,9 @@ def test_dense_shift_count_matches_brute(data):
     t = data.draw(st.integers(-2 * n, 2 * n))  # the greedy asks for shifts up to 2N, no overlap past N
     mem = set(c.members())
     want = len(brute.shift_intersection(mem, abs(t)))
-    assert dense_shift_count(c, t) == want
-    assert dense_shift_count(c, -t) == want
-    assert dense_shift_count(c, 0) == len(c)
+    for s, count in ((t, want), (-t, want), (0, len(c))):  # the count is exactly count
+        assert dense_shift_member(c, s, Fraction(count - 1, n))
+        assert not dense_shift_member(c, s, Fraction(count, n))
 
 
 def test_dense_shift_member_strictness():

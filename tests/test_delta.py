@@ -107,12 +107,12 @@ def test_per_t_matches_per_shift_evaluation(case):
 
 def test_banach_sweep_scans_each_magnitude_once(monkeypatch):
     """One Banach scan per distinct |t|; the anchored sweep makes no per-shift estimator
-    call, yet every t reads its per-shift value."""
+    call, yet every t reads its brute-force value."""
     a = IntSet(Window(1, 400), random.Random(3).getrandbits(400))
     calls = []
-    for name in ("upper_banach_est", "upper_asymptotic_est"):
-        scan = getattr(delta_module, name)
-        monkeypatch.setattr(delta_module, name, lambda s, n, scan=scan: calls.append(s) or scan(s, n))
+    for module, name in ((delta_module, "upper_banach_est"), (density_module, "upper_asymptotic_est")):
+        scan = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda s, n, scan=scan: calls.append(s) or scan(s, n))
     for lo, hi, mags in [(-3, 50, 51), (-50, 50, 51), (5, 40, 36), (-40, -5, 36), (0, 0, 1)]:
         calls.clear()
         eps_delta_banach(a, Fraction(1, 5), 30, Window(lo, hi))
@@ -122,7 +122,7 @@ def test_banach_sweep_scans_each_magnitude_once(monkeypatch):
         assert not calls, (lo, hi)
         ts = range(lo, hi + 1)
         assert list(res.per_t) == list(ts)
-        assert res.per_t == {t: shift_density(a, t, 30, upper=True) for t in ts}
+        assert res.per_t == {t: _upper_want(a, 30, t)[0] for t in ts}
 
 
 @st.composite
@@ -160,12 +160,11 @@ def _upper_want(a, m, t):
 @settings(max_examples=80)
 @given(st.data())
 def test_upper_per_t_matches_brute(data):
-    """The block sweep equals one estimator call per shift, and brute force."""
+    """The sweep and the block pass both equal brute force, shift by shift."""
     a, m, trange = data.draw(anchored_with_trange())
     eps = Fraction(data.draw(st.integers(0, 3)), 4)
     ts = range(trange.lo, trange.hi + 1)
     res = eps_delta_upper(a, eps, m, trange)
-    assert res.per_t == {t: shift_density(a, t, m, upper=True) for t in ts}
     for t, est in zip(ts, upper_asymptotic_shifts(a, m, ts), strict=True):
         value, at = _upper_want(a, m, t)
         assert (est.value, est.at) == (value, at)
@@ -177,7 +176,10 @@ def test_upper_sweep_spans_many_blocks():
     """About 500 members in [1, m] and 2001 shifts: dozens of blocks of ~2^14 cells."""
     a = IntSet(Window(1, 3000), random.Random(11).getrandbits(3000))
     res = eps_delta_upper(a, Fraction(1, 3), 1000, Window(-1000, 1000))
-    assert res.per_t == {t: shift_density(a, t, 1000, upper=True) for t in range(-1000, 1001)}
+    ts = range(-1000, 1001)
+    assert res.per_t == {t: next(upper_asymptotic_shifts(a, 1000, [t])).value for t in ts}
+    # brute force takes about 7 ms a shift here, so it checks every 25th
+    assert all(res.per_t[t] == _upper_want(a, 1000, t)[0] for t in ts[::25])
     # a row longer than a block (over 2^14 members) runs alone; A ∩ (A - t) ∩ [1, m]
     # is [1, m] for t >= 0 and [1 - t, m] for t < 0, whose best ratio is at i = m
     m = 16_500
@@ -459,15 +461,13 @@ def test_upper_sweep_needs_anchor():
 
 
 def test_upper_shift_density_needs_anchor():
-    """The per-shift proxy refuses a window not starting at 1, as the list form does.
+    """The anchored proxy refuses a window not starting at 1.
 
     Read on [1, n] as if anchored, the multiples of 3 on [0, 399] gave 0 at t = 2.
     """
     a = residues({0}, 3, 0, 399)
     message = r"set must live on a window starting at 1 \(got Window\(0, 399\)\)"
     for t in (0, 2):
-        with pytest.raises(InputError, match=message):
-            shift_density(a, t, 100, upper=True)
         with pytest.raises(InputError, match=message):
             shift_densities(a, [t], 100, upper=True)
     assert shift_density(a, 3, 100) == Fraction(34, 100)  # the Banach value needs no anchor

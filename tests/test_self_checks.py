@@ -75,9 +75,10 @@ def _fails_on_call(k):
 def _first_dense_class_only(real):
     """The per-class prefix-density step keeping only its least dense label."""
     def _dense_classes(c, n, gamma):
-        vec, ids, firsts, dense = real(c, n, gamma)
-        first = np.zeros_like(dense)
-        first[np.flatnonzero(dense)[:1]] = True
+        vec, ids, firsts, freq = real(c, n, gamma)
+        first = np.zeros_like(freq)
+        k = np.flatnonzero(freq)[:1]
+        first[k] = freq[k]
         return vec, ids, firsts, first
     return _dense_classes
 
