@@ -109,9 +109,8 @@ def argvs(draw):
     return argv
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("fuzz")
+def write_files(d):
+    """The pools' set files, written into directory d."""
     row = "".join("1" if x % 5 < 2 else "0" for x in range(60))
     (d / "a.set").write_text(f"lo=1\n{row}\n")
     (d / "l.set").write_text("".join(f"{x}\n" for x in (-10, -3, 0, 1, 4, 9, 16, 25, 36, 49)))
@@ -124,6 +123,12 @@ def files(tmp_path_factory):
     (d / "wide.set").write_text("".join(f"{10**24 + x}\n" for x in (0, 2, 3, 7, 11, 12)))
     (d / "span.set").write_text("0\n10000000\n")  # one position over the window cap
     (d / "bin.set").write_bytes(b"\xff\xfe1\n")  # not UTF-8
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_files(d)
     return d
 
 
