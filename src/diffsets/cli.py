@@ -321,8 +321,8 @@ def _cmd_cover(args, report: Report) -> int:
     res = delta_cover(a, candidates, eps, args.n, mandated_x=args.mandate, upper=args.upper)
     report.results["cover"] = {
         "offset": res.offset,
-        "base_size": res.base_size,
-        "heuristic": res.heuristic,
+        "base_size": args.n,
+        "heuristic": args.upper,
         "shifts": list(res.cert.shifts),
         "k_bound": res.cert.k_bound,
         "covered": res.cert.covered,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import floor
 
 import numpy as np
@@ -52,7 +53,6 @@ class CsInequality:
     """(sum |C_i|)^2 <= N * (sum |C_i| + 2 * sum_{i<j} |C_i ∩ C_j|), exact."""
 
     n: int
-    k: int
     lhs: int
     rhs: int
     holds: bool
@@ -81,7 +81,7 @@ def cs_family_inequality(family: list[IntSet], n: int | None = None) -> CsInequa
                 cross += intersect(family[i], family[j]).count
     lhs = total * total
     rhs = n * (total + 2 * cross)
-    return CsInequality(n, len(family), lhs, rhs, lhs <= rhs)
+    return CsInequality(n, lhs, rhs, lhs <= rhs)
 
 
 def guaranteed_overlap(family: list[IntSet], n: int | None = None) -> Fraction:
@@ -176,14 +176,9 @@ def greedy_shift_cover(
     k_bound = floor((gamma - eps) / (gamma * gamma - eps))
     margin = Fraction(max(abs(x) for x in order), n)
 
-    memo: dict[int, bool] = {}
-
-    def member(t: int) -> bool:
-        t = abs(t)
-        hit = memo.get(t)
-        if hit is None:
-            hit = memo[t] = dense_shift_member(c, t, eps)
-        return hit
+    @cache
+    def member(t: int) -> bool:  # called on |x - picked|: the count is symmetric in t's sign
+        return dense_shift_member(c, t, eps)
 
     shifts: list[int] = []
     witnesses: dict[int, int] = {}
@@ -193,7 +188,7 @@ def greedy_shift_cover(
         shifts.append(picked)
         remaining: list[int] = []
         for x in uncovered:
-            if member(x - picked):
+            if member(abs(x - picked)):
                 witnesses[x] = picked
             else:
                 remaining.append(x)
@@ -283,8 +278,9 @@ def certify_cover(candidates, eps: Fraction, mandated_x: int, prepare, ambient=(
     span = max(order) - min(order)
     for s in ambient:
         if n + span > s.window.length:
-            raise InputError(f"n + candidate span = {n + span} exceeds the window length "
-                             f"{s.window.length} of an ambient set; used shifts could not be verified")
+            raise InputError(f"candidate span (--x) {span} + shift-check length {n} = {n + span} "
+                             f"exceeds the window length {s.window.length} of an ambient set; "
+                             "used shifts could not be verified")
     base, context = prepare()
     cert = greedy_shift_cover(base, order, eps, mandated_x)
     used = sorted({x - xi for x, xi in cert.witnesses.items()})
@@ -302,10 +298,8 @@ class DeltaCoverResult:
     """Greedy cover computed on the best n-window of A, verified against A."""
 
     offset: int
-    base_size: int
     cert: CoverCertificate
     checks: list[ShiftCheck]
-    heuristic: bool
     base: IntSet = field(repr=False)
 
 
@@ -335,7 +329,7 @@ def delta_cover(
     (c, offset), cert, (checks,) = certify_cover(
         candidates, eps, mandated_x, prepare, ambient=(a,), n=n, upper=upper,
     )
-    return DeltaCoverResult(offset, n, cert, checks, upper, c)
+    return DeltaCoverResult(offset, cert, checks, c)
 
 
 # -- covered-range density checks ---------------------------------------------
@@ -353,8 +347,8 @@ class CoverDensityReport:
     interval I of length n - span with I - f ⊆ J for every f, so each of its
     covered points pulls back into S ∩ J, at most k landing on one point.  So
     when the premise holds a density under the floor raises VerificationError,
-    and ok is premise_ok.  mode and witness are constants of the type, kept
-    as report keys.
+    and ok is premise_ok, set from it.  mode and witness are constants of the
+    type, kept as report keys.
     """
 
     mode: str = field(default="full_cover", init=False)
@@ -364,7 +358,10 @@ class CoverDensityReport:
     nominal: Fraction
     estimate: DensityEstimate
     witness: None = field(default=None, init=False)
-    ok: bool
+    ok: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ok", self.premise_ok)
 
 
 def _normalize_shifts(shifts: list[int]) -> tuple[list[int], int]:
@@ -392,7 +389,7 @@ def cover_density_check(s: IntSet, shifts, n: int, cover_range: Window) -> Cover
     if premise_ok and est.value < threshold:
         raise VerificationError(
             f"covering set density {est.value} under the proven floor {threshold}")
-    return CoverDensityReport(premise_ok, c, threshold, nominal, est, premise_ok)
+    return CoverDensityReport(premise_ok, c, threshold, nominal, est)
 
 
 def full_cover_density(
@@ -422,7 +419,6 @@ class QuotientCoverResult:
     every x - f, and verify_cover_certificate recounts each witness.
     """
 
-    h: int
     full_range: bool
     offset: int | None
     cert: CoverCertificate | None
@@ -451,7 +447,7 @@ def quotient_cover(
         est = upper_banach_est(a, n)
         if eps >= est.value ** 2:
             raise InfeasibleError(f"eps = {eps} not below squared density {est.value ** 2}")
-        return QuotientCoverResult(0, True, est.at, None, None, None, None)
+        return QuotientCoverResult(True, est.at, None, None, None, None)
 
     base = candidate_order(base_candidates)
     scaled = [h * x for x in base]
@@ -460,6 +456,4 @@ def quotient_cover(
 
     hull = Window(min(base), max(base))
     q, density = full_cover_density(res.base, h, hull, eps, base_shifts, density_n)
-    return QuotientCoverResult(
-        h, False, res.offset, res.cert, base_shifts, restrict(q, hull), density
-    )
+    return QuotientCoverResult(False, res.offset, res.cert, base_shifts, restrict(q, hull), density)

@@ -63,9 +63,6 @@ __all__ = [
 class EpsDeltaResult:
     """Shifts whose intersection density clears eps, over a shift range."""
 
-    eps: Fraction
-    n: int
-    trange: Window
     members: IntSet
     per_t: dict[int, Fraction]
     kind: str
@@ -117,10 +114,9 @@ def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> Eps
         check_anchored(a, "eps_delta_upper's set")
     if eps < 0:
         raise InputError("eps must be >= 0")
-    eps = Fraction(eps)
     per_t = shift_densities(a, range(trange.lo, trange.hi + 1), n, upper)
     members = make_set([t for t, v in per_t.items() if v > eps], trange)
-    return EpsDeltaResult(eps, n, trange, members, per_t, "upper" if upper else "banach")
+    return EpsDeltaResult(members, per_t, "upper" if upper else "banach")
 
 
 def eps_delta_banach(a: IntSet, eps: Fraction, n: int, trange: Window) -> EpsDeltaResult:

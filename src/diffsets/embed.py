@@ -20,7 +20,6 @@ from .intset import IntSet, Window, bit_vector, combine_shifts
 
 __all__ = [
     "Pattern",
-    "EmbedWitness",
     "WindowEmbedReport",
     "shift_set_of",
     "embed_witness",
@@ -59,14 +58,6 @@ class Pattern:
         return sorted({x - y for x in self.elems for y in self.elems if x > y})
 
 
-@dataclass(frozen=True)
-class EmbedWitness:
-    """A shift t with t + pattern ⊆ the target set."""
-
-    t: int
-    pattern: Pattern
-
-
 def _check_srange(f: Pattern, y: IntSet, srange: Window) -> None:
     if srange.lo + f.elems[0] < y.window.lo or srange.hi + f.elems[-1] > y.window.hi:
         raise InputError(
@@ -80,12 +71,10 @@ def shift_set_of(f: Pattern, y: IntSet, srange: Window) -> IntSet:
     return combine_shifts(y, [-e for e in f.elems], srange)  # t + e in Y for every e
 
 
-def embed_witness(f: Pattern, y: IntSet, srange: Window) -> EmbedWitness | None:
+def embed_witness(f: Pattern, y: IntSet, srange: Window) -> int | None:
     """Least shift in srange embedding F into Y, or None."""
     s = shift_set_of(f, y, srange)
-    if not s:
-        return None
-    return EmbedWitness(s.min(), f)
+    return s.min() if s else None
 
 
 def dense_embed_est(f: Pattern, y: IntSet, srange: Window, n: int) -> DensityEstimate:

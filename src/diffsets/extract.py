@@ -283,7 +283,6 @@ class PrefixCheck:
 @dataclass(frozen=True)
 class DensePatternResult:
     offset: int
-    window_len: int
     alpha: Fraction
     cert: ExtractionCertificate
     checks: list[PrefixCheck]
@@ -324,7 +323,7 @@ def dense_pattern_extract(
             raise VerificationError(f"shift-set density {value} under the match share {floor_value}")
         checks.append(PrefixCheck(j, value, floor_value))
     walk = _walk_report(c, n, cert.gamma, cert.region_size)
-    return DensePatternResult(offset, window_len, alpha, cert, checks, walk)
+    return DensePatternResult(offset, alpha, cert, checks, walk)
 
 
 # -- two-set pipeline ----------------------------------------------------------
@@ -355,6 +354,19 @@ class JointExtractResult:
     align_window: Window
     align_count: int
     eps_achieved: Fraction
+
+
+def _alignment_recount(a: IntSet, b: IntSet, align: int, cert: ExtractionCertificate,
+                       window: Window) -> int:
+    """|((A - align) ∩ B) - e over every prefix element e| on window, by big-int shifts alone;
+    a match offset (cert.matches moved to window.lo) outside that set raises."""
+    inter = intersect(
+        combine_shifts(a, [-(align + e) for e in cert.prefix], window),
+        combine_shifts(b, [-e for e in cert.prefix], window),
+    )
+    if minus(cert.matches.shift(window.lo), inter):
+        raise VerificationError("a match offset fails the joint alignment recount")
+    return inter.count
 
 
 def joint_extract(
@@ -388,13 +400,6 @@ def joint_extract(
     cert = trace_extract(w, n, gamma)
     align = off_a + zeta - off_b
     align_window = Window(off_b, off_b + sub_len)
-    inter = intersect(
-        combine_shifts(a, [-(align + e) for e in cert.prefix], align_window),
-        combine_shifts(b, [-e for e in cert.prefix], align_window),
-    )
-    shifted = cert.matches.shift(off_b)
-    if minus(shifted, inter):
-        raise VerificationError("a match offset fails the joint alignment recount")
     return JointExtractResult(
         alpha=alpha,
         beta=beta,
@@ -406,7 +411,7 @@ def joint_extract(
         cert=cert,
         align_shift=align,
         align_window=align_window,
-        align_count=inter.count,
+        align_count=_alignment_recount(a, b, align, cert, align_window),
         eps_achieved=Fraction(cert.matches.count, sub_len),
     )
 

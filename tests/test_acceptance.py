@@ -658,9 +658,7 @@ def _f_witness_least(rng):
     elems = sorted({0, span} | {rng.below(span) for _ in range(3)})
     pat = Pattern(tuple(elems))
     srange = Window(0, length - 1 - span)
-    wit = embed_witness(pat, y, srange)
-    found = None if wit is None else wit.t
-    return found == _brute_witness(pat, y, srange)
+    return embed_witness(pat, y, srange) == _brute_witness(pat, y, srange)
 
 
 def _f_periodic_shifts(rng):

@@ -28,10 +28,8 @@ CORPUS = Path(__file__).resolve().parent / "golden" / "argv_corpus.json"
 WRITTEN = ("g.set", "r.csv")  # the files a run may write besides its report
 
 
-def _digest(text) -> str | None:
-    if text is None:
-        return None
-    return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+def _digest(data: str | bytes) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
 def outcome(d: Path, argv: list[str]) -> dict:
@@ -56,7 +54,8 @@ def outcome(d: Path, argv: list[str]) -> dict:
     written = b"".join(name.encode() + b"\0" + (d / name).read_bytes()
                        for name in WRITTEN if (d / name).exists())
     return {"code": code, "stderr": _digest(err.getvalue().replace(where, "")),
-            "report": _digest(report.replace(where, "")), "written": _digest(written or None)}
+            "report": _digest(report.replace(where, "")),
+            "written": _digest(written) if written else None}
 
 
 def _entries():

@@ -309,7 +309,6 @@ def test_delta_cover_frozen_mod5():
     res = delta_cover(a, range(-50, 51), Fraction(0), 1000)
     assert res.cert.shifts == [0, 2]
     assert res.offset == -1  # every window is equally dense; least offset wins
-    assert not res.heuristic
     assert all(ch.ok for ch in res.checks)
     used = sorted({x - res.cert.witnesses[x] for x in range(-50, 51)})
     assert [ch.t for ch in res.checks] == used
@@ -372,7 +371,7 @@ def test_certify_cover_upper_refuses_an_ambient_set_off_1():
 
 def test_delta_cover_span_precondition():
     a = residues({0}, 2, 0, 99)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"span \(--x\) 60 \+ shift-check length 50 = 110 exceeds the window length 100"):
         delta_cover(a, range(-30, 31), Fraction(0), 50)
     delta_cover(a, range(-25, 26), Fraction(0), 50)
 
@@ -380,7 +379,6 @@ def test_delta_cover_span_precondition():
 def test_delta_cover_upper_variant():
     a = residues({0, 1}, 5, 1, 2100)
     res = delta_cover(a, range(-50, 51), Fraction(0), 1000, upper=True)
-    assert res.heuristic
     assert res.offset == 0
     assert res.cert.shifts == [0, 2]
     with pytest.raises(InputError):
@@ -483,7 +481,6 @@ def test_every_delta_cover_is_recounted(monkeypatch):
 def test_quotient_cover_frozen_mod4_h2():
     a = residues({0}, 4, 0, 2099)
     res = quotient_cover(a, 2, range(-20, 21), Fraction(0), 1000)
-    assert res.h == 2
     assert res.base_shifts == [0, 1]
     assert res.cover_ok
     assert set(res.quotient_members.members()) == {t for t in range(-20, 21) if t % 2 == 0}

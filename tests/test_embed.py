@@ -76,13 +76,13 @@ def test_shift_set_matches_brute(inst):
 @given(embed_instances())
 def test_embed_witness_is_least(inst):
     f, y, srange = inst
-    w = embed_witness(f, y, srange)
+    t = embed_witness(f, y, srange)
     shifts = brute.embed_shifts(f.elems, set(y.members()), srange.lo, srange.hi)
-    if w is None:
+    if t is None:
         assert not shifts
     else:
-        assert w.t == min(shifts)
-        assert all(w.t + e in y for e in f.elems)
+        assert t == min(shifts)
+        assert all(t + e in y for e in f.elems)
 
 
 @given(embed_instances())
@@ -111,7 +111,7 @@ def test_shift_set_frozen_examples():
     assert dense_embed_est(Pattern((0, 5)), y, srange, 500).value == Fraction(2, 5)
 
     evens = residues({0}, 2, 0, 999)
-    assert embed_witness(Pattern((0, 2)), evens, Window(0, 900)).t == 0
+    assert embed_witness(Pattern((0, 2)), evens, Window(0, 900)) == 0
     assert embed_witness(Pattern((0, 1)), evens, Window(0, 900)) is None
     assert dense_embed_est(Pattern((0, 1)), evens, Window(0, 900), 100).value == 0
     assert not shift_set_of(Pattern((0, 1, 2, 3)), evens, Window(0, 900))

@@ -1,12 +1,18 @@
 """Module boundaries: what each module imports, reads and makes public."""
 
 import ast
+import contextlib
+import dataclasses
 import importlib
 import inspect
+import io
 from collections import defaultdict
 from pathlib import Path
 
 import diffsets
+from diffsets import report
+from diffsets.cli import main
+from test_cli import BASE_ARGV, RESIDUE_SPEC
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "diffsets"
@@ -203,3 +209,52 @@ def test_every_self_check_message_is_named_by_a_test():
                for line, text in _self_check_messages(ast.parse(path.read_text()))
                if text not in tests]
     assert not unnamed, unnamed
+
+
+# one argv per subcommand and mode: the base runs, then the modes they leave out
+MODE_ARGV = [
+    BASE_ARGV["cover"] + ["--h", "3"],
+    ["pipeline", "--a", "a.set", "--b", "a.set", "--chain", "a.set", "--n", "3", "--N", "1000"],
+    BASE_ARGV["pipeline"] + ["--jin", "--x=-20..20"],
+    BASE_ARGV["pipeline"] + ["--intersect", "--eps", "0", "--x=-20..20"],
+    ["bohr", "--d", "a.set", "--search", "--kmax", "1", "--qmax", "8"],
+]
+
+
+def _reported_types(tmp_path, monkeypatch):
+    """The types report.to_jsonable visits over one run of each subcommand and mode."""
+    seen = set()
+    real = report.to_jsonable
+
+    def visit(obj):
+        seen.add(type(obj))
+        return real(obj)
+
+    monkeypatch.setattr(report, "to_jsonable", visit)  # its recursion reads the global too
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--spec", RESIDUE_SPEC, "--out", "a.set"]) == 0
+    for argv in [*BASE_ARGV.values(), *MODE_ARGV]:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0, argv
+    return seen
+
+
+def _attributes_read():
+    """Every attribute name loaded in src/, bench/ or tests/, except on argparse's args."""
+    return {node.attr for d in ("src", "tests", "bench") for path in (ROOT / d).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and getattr(node.value, "id", None) != "args"}
+
+
+def test_every_unreported_result_field_is_read(tmp_path, monkeypatch):
+    """A field of a type no report serializes is read by name somewhere, or it echoes
+    what its caller already holds and goes."""
+    reported = _reported_types(tmp_path, monkeypatch)
+    read = _attributes_read()
+    unread = [f"{cls.__name__}.{f.name}" for path in _modules()
+              for cls in vars(importlib.import_module(f"diffsets.{path.stem}")).values()
+              if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+              and cls.__module__ == f"diffsets.{path.stem}" and cls not in reported
+              for f in dataclasses.fields(cls) if f.name not in read]
+    assert not unread, unread
