@@ -450,6 +450,11 @@ def quotient_cover(
         return QuotientCoverResult(True, est.at, None, None, None, None)
 
     base = candidate_order(base_candidates)
+    span = abs(h) * (max(base) - min(base)) if base else 0
+    if n + span > a.window.length:  # certify_cover's check, on the span the user gave
+        raise InputError(f"candidate span h·span(--x) = {abs(h)}·{span // abs(h)} = {span} + "
+                         f"shift-check length {n} = {n + span} exceeds the window length "
+                         f"{a.window.length} of the set; used shifts could not be verified")
     scaled = [h * x for x in base]
     res = delta_cover(a, scaled, eps, n, mandated_x=h * mandated_x)
     base_shifts = [x // h for x in res.cert.shifts]

@@ -784,15 +784,20 @@ def test_base_argvs_cover_every_subcommand_and_run(workdir, capsys):
         assert code == 0, (argv, err)
 
 
-@pytest.mark.parametrize("argv", [
-    ["cover", "--set", "a.set", "--eps", "1/20", "--x=-1000..1000", "--n", "500"],
-    BASE_ARGV["pipeline"] + ["--intersect", "--eps", "0", "--x=-1100..1100"],
-], ids=["cover", "pipeline"])
-def test_candidate_span_over_the_window_exits_2_naming_x(workdir, capsys, argv):
-    """n + the --x span past the set's window: used shifts could not be re-verified."""
+@pytest.mark.parametrize("argv, span", [
+    (["cover", "--set", "a.set", "--eps", "1/20", "--x=-1000..1000", "--n", "500"],
+     "candidate span (--x) 2000 "),
+    (["cover", "--set", "a.set", "--eps", "1/20", "--h", "3", "--x=-400..400", "--n", "500"],
+     "candidate span h·span(--x) = 3·800 = 2400 "),
+    (BASE_ARGV["pipeline"] + ["--intersect", "--eps", "0", "--x=-1100..1100"],
+     "candidate span (--x) 2200 "),
+], ids=["cover", "cover_h", "pipeline"])
+def test_candidate_span_over_the_window_exits_2_naming_x(workdir, capsys, argv, span):
+    """n + the --x span past the set's window: used shifts could not be re-verified.
+    The quotient mode names the span of --x as given, not the span of h*x."""
     code, out, err = run_or_exit(argv, capsys)
     assert (code, out) == (2, ""), err
-    assert "candidate span (--x)" in err and "Traceback" not in err
+    assert span in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

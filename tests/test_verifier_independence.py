@@ -2,9 +2,9 @@
 
 A checker that shares code with the path it re-checks would pass the same
 wrong answer.  Each row below runs one checker on an honest input under
-``sys.setprofile`` and fails if it enters a function on its deny list; the
-honest input passes when the checker returns neither False nor a report that is
-not ok (a recount that raises on a fault returns its count).  The
+``sys.setprofile`` and fails if it enters a function on its deny list; on
+the honest input a verifier returns True or a report that is ok, and the
+alignment recount returns the count a brute scan of the members gives.  The
 deny list is matched on code objects, nested functions included, not on
 names: the greedy and the cover verifier each define a closure named
 ``member``.  A new fast kernel joins the table in the change that adds it.
@@ -34,30 +34,39 @@ def _bernoulli(length, seed):
     return IntSet(Window(1, length), random.Random(seed).getrandbits(length))
 
 
+def _passed(result):
+    """A verifier returns True or raises; a report passes when it is ok."""
+    return result is True or result.ok
+
+
 def _extraction():
     c = _bernoulli(4000, 1)
-    return (c, extract.trace_extract(c, 8, Fraction(2, 5)))
+    return (c, extract.trace_extract(c, 8, Fraction(2, 5))), _passed
 
 
 def _cover():
     c = _bernoulli(2000, 2)
     candidates = range(-40, 41)
-    return (c, candidates, cover.greedy_shift_cover(c, candidates, Fraction(1, 10), 0))
+    return (c, candidates, cover.greedy_shift_cover(c, candidates, Fraction(1, 10), 0)), _passed
 
 
 def _alignment():
     a, b = _bernoulli(4000, 4), _bernoulli(4000, 5)
     res = extract.joint_extract(a, b, 2000, 200, 4, Fraction(1, 50))
-    return (a, b, res.align_shift, res.cert, res.align_window)
+    align, prefix, w = res.align_shift, res.cert.prefix, res.align_window
+    count = sum(all(x + align + e in a and x + e in b for e in prefix)
+                for x in range(w.lo, w.hi + 1))
+    assert count > 0
+    return (a, b, align, res.cert, w), lambda result: result == count
 
 
 def _bohr():
     window = Window(1, 2000)
     s = bohr.bohr_generate(bohr.BohrSpec.of([Fraction(1, 7), Fraction(2, 9)], Fraction(1, 4)), window)
-    return (s, intset.union(s, _bernoulli(2000, 3)), Window(100, 1900))
+    return (s, intset.union(s, _bernoulli(2000, 3)), Window(100, 1900)), _passed
 
 
-# checker -> (its honest arguments, the kernels it must not enter)
+# checker -> (its honest arguments with a test of its result, the kernels it must not enter)
 TABLE = {
     extract.verify_extraction: (_extraction, KERNELS),
     cover.verify_cover_certificate: (_cover, KERNELS + (cover.greedy_shift_cover,
@@ -96,8 +105,9 @@ def _entered(checker, args):
 @pytest.mark.parametrize("checker", TABLE, ids=[checker.__name__ for checker in TABLE])
 def test_checker_enters_no_kernel_it_checks(checker):
     make_args, denied = TABLE[checker]
-    result, seen = _entered(checker, make_args())
-    assert result is not False and getattr(result, "ok", True), "the honest input must pass"
+    args, passed = make_args()
+    result, seen = _entered(checker, args)
+    assert passed(result), "the honest input must pass"
     assert checker.__code__ in seen, "the profile saw the checker run"
     entered = [f"{fn.__module__}.{fn.__qualname__}" for fn in denied
                if seen.intersection(_codes(fn.__code__))]
