@@ -288,7 +288,8 @@ def chain_in_thick(t: IntSet, count: int, window: Window) -> IntSet:
     Picks the least viable element each round; the viability mask is the AND
     of T shifted to each chosen point.  Greedy, so it can dead-end where a
     cleverer choice survives; that raises the infeasibility error rather
-    than backtracking.  Pairwise differences are re-verified by recount.
+    than backtracking.  Pairwise differences are re-verified by membership
+    in T, off the intersect/restrict/minus path that chose them.
     """
     if count < 1:
         raise InputError("count must be >= 1")
@@ -304,10 +305,9 @@ def chain_in_thick(t: IntSet, count: int, window: Window) -> IntSet:
         chosen.append(v)
         avail = intersect(avail, restrict(t.shift(v), window))
         avail = minus(avail, full_set(Window(window.lo, v)))  # only points above v stay
-    members = set(t.members())
     for i in range(len(chosen)):
         for j in range(i + 1, len(chosen)):
-            if chosen[j] - chosen[i] not in members:
+            if chosen[j] - chosen[i] not in t:
                 raise VerificationError(
                     f"difference {chosen[j] - chosen[i]} fell outside the thick set"
                 )

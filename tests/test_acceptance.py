@@ -3,14 +3,13 @@
 Every criterion recomputes its claim from raw set membership in exact
 arithmetic; nothing is taken from a certificate without a recount.  Run with
 ``pytest -s tests/test_acceptance.py`` to see the verdict lines as they
-print.  Criterion 12 reruns the other eleven under DIFFSETS_THREADS=1 and 8
-(or the core count, if higher) and compares the canonical reports field by
-field (timing never enters a report here, so the comparison is total).
+print.  Criterion 12 runs the other eleven once more, from a fresh store of
+intermediates, and compares the canonical reports field by field with the
+first run (timing never enters a report here, so the comparison is total).
 """
 
 import hashlib
 import json
-import os
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -56,8 +55,8 @@ from diffsets.prng import Stream, stream_value
 
 SEED = 20260819
 
-# reports and reusable intermediates from the default-environment run;
-# criterion 12 rebuilds both under explicit thread counts and compares
+# reports and reusable intermediates from the first run; criterion 12
+# rebuilds both from scratch and compares
 _REPORTS: dict[int, dict] = {}
 _STORE: dict[str, object] = {}
 
@@ -801,7 +800,7 @@ def test_criterion_11():
     )
 
 
-# -- criterion 12: thread-count determinism -------------------------------------
+# -- criterion 12: determinism on a second run ----------------------------------
 
 
 _CRITERIA = {
@@ -816,28 +815,29 @@ def _canonical(rep):
     return to_jsonable({k: v for k, v in rep.items() if k not in _REPORT_KEYS_DROPPED})
 
 
-def test_criterion_12(monkeypatch):
+def _first_run_reports():
+    """The criterion 1-11 reports of the first run; a test run alone builds them here."""
+    for k, fn in _CRITERIA.items():
+        if k not in _REPORTS:
+            _REPORTS[k] = _canonical(fn(_STORE))
+    return _REPORTS
+
+
+def test_criterion_12():
     t0 = time.perf_counter()
-    for k in _CRITERIA:
-        if k not in _REPORTS:  # running this test alone: build baselines first
-            store = _STORE
-            _REPORTS[k] = _canonical(_CRITERIA[k](store))
-    # sweeps run serially and no longer read the variable; a result that
-    # depended on it would still show here
-    hi = max(8, os.cpu_count() or 1)
+    first = _first_run_reports()
+    store = {}
     mismatches = []
-    for threads in ("1", str(hi)):
-        monkeypatch.setenv("DIFFSETS_THREADS", threads)
-        store = {}
-        for k, fn in _CRITERIA.items():
-            got = _canonical(fn(store))
-            if got != _REPORTS[k]:
-                mismatches.append(f"criterion {k} differs at {threads} threads")
-    monkeypatch.delenv("DIFFSETS_THREADS", raising=False)
+    for k, fn in _CRITERIA.items():
+        got = _canonical(fn(store))
+        want = first[k]
+        if got != want:
+            fields = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+            mismatches.append(f"criterion {k} differs in fields {fields}")
     _verdict(
         12,
         not mismatches,
-        f"criteria 1-11 reports identical at 1 and {hi} threads"
+        "criteria 1-11 reports identical on a second run"
         + ("" if not mismatches else f"; {mismatches}"),
         time.perf_counter() - t0,
     )
@@ -855,9 +855,6 @@ def _digest(rep) -> str:
 
 def test_acceptance_digests_frozen():
     """The canonical criterion 1-11 reports hash to the digests frozen in tests/golden."""
-    for k in _CRITERIA:
-        if k not in _REPORTS:  # running this test alone: build the reports first
-            _REPORTS[k] = _canonical(_CRITERIA[k](_STORE))
-    got = {str(k): _digest(_REPORTS[k]) for k in _CRITERIA}
+    got = {str(k): _digest(rep) for k, rep in _first_run_reports().items()}
     want = json.loads(_DIGESTS.read_text())
     assert got == want

@@ -9,7 +9,8 @@ path.  A change that is meant to move an outcome re-freezes the corpus with
 
     PYTHONPATH=src python tests/test_argv_corpus.py
 
-and names the entries that moved.
+which prints the argv of each entry whose outcome moved, so the change can
+name them.
 """
 
 import contextlib
@@ -78,10 +79,16 @@ def test_corpus_replays(rundir):
 
 
 def _refreeze() -> None:
+    """Rewrite the corpus, printing the argv of each entry whose outcome moved."""
+    old = _entries()
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         write_files(d)
-        entries = [{"argv": entry["argv"], **outcome(d, entry["argv"])} for entry in _entries()]
+        entries = [{"argv": entry["argv"], **outcome(d, entry["argv"])} for entry in old]
+    moved = [new["argv"] for new, entry in zip(entries, old) if new != entry]
+    for argv in moved:
+        print("moved:", json.dumps(argv))
+    print(f"{len(moved)} of {len(entries)} entries moved")
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
 
 

@@ -1,5 +1,6 @@
 """Generators and the deterministic PRNG, with frozen golden vectors."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,18 @@ def test_chain_in_thick_frozen():
     for i in range(len(chosen)):
         for j in range(i + 1, len(chosen)):
             assert chosen[j] - chosen[i] in members
+
+
+def test_chain_in_thick_checks_differences_without_listing_t():
+    """The pairwise re-check reads T's bits: no Python set of T's half a million members."""
+    t = bernoulli_set(Window(1, 10**6), Fraction(1, 2), 5)
+    tracemalloc.start()
+    try:
+        chain_in_thick(t, 3, Window(1, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_chain_in_thick_dead_end():

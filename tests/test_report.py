@@ -1,9 +1,6 @@
-"""Report serialization rules and the order-preserving sweep map."""
+"""Report serialization rules, and the sweep map that runs in order in the calling thread."""
 
 import json
-import os
-import subprocess
-import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,39 +119,13 @@ def test_ordered_map_preserves_order():
     assert ordered_map(lambda x: x * x, items) == [x * x for x in items]
 
 
-def test_ordered_map_runs_in_order_on_the_calling_thread(monkeypatch):
-    # DIFFSETS_THREADS is not read: every sweep runs serially
+def test_ordered_map_runs_in_order_on_the_calling_thread():
+    seen = []
+
+    def fn(x):
+        seen.append((x, threading.get_ident()))
+        return -x
+
     items = list(range(50))
-    for threads in (None, "1", "2", "8", "not a number"):
-        if threads is None:
-            monkeypatch.delenv("DIFFSETS_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("DIFFSETS_THREADS", threads)
-        seen = []
-
-        def fn(x):
-            seen.append((x, threading.get_ident()))
-            return -x
-
-        assert ordered_map(fn, items) == [-x for x in items]
-        assert seen == [(x, threading.get_ident()) for x in items]
-
-
-def test_ordered_map_identical_across_thread_counts():
-    code = (
-        "from diffsets import eps_delta_banach, Window\n"
-        "from diffsets.gen import bernoulli_set\n"
-        "from fractions import Fraction\n"
-        "a = bernoulli_set(Window(0, 4999), Fraction(1, 2), 11)\n"
-        "r = eps_delta_banach(a, Fraction(1, 5), 500, Window(-40, 40))\n"
-        "print(sorted(r.members.members()))\n"
-    )
-    outs = []
-    for threads in ("1", "8"):
-        env = dict(os.environ, DIFFSETS_THREADS=threads)
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        outs.append(out.stdout)
-    assert outs[0] == outs[1]
+    assert ordered_map(fn, items) == [-x for x in items]
+    assert seen == [(x, threading.get_ident()) for x in items]

@@ -1,0 +1,55 @@
+"""Memory scales linearly: a window four times longer costs at most 4.5 times the peak.
+
+Each command runs through ``cli.main`` on Bernoulli 1/2 sets of 10^5 and
+4·10^5 points, once to warm up and once under ``tracemalloc``; the gate
+bounds the ratio of the two traced peaks.  ``embed`` and ``pipeline`` keep
+their second set Y at 10^5, so each pair differs in the size of X alone.
+Peaks, unlike wall times, do not swing with the host's load.
+"""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+from diffsets.cli import main
+
+SMALL, LARGE = 10**5, 4 * 10**5
+RATIO_BOUND = 4.5
+SETS = {"x1e5.set": (SMALL, 11), "x4e5.set": (LARGE, 12), "y.set": (SMALL, 13)}  # (n, seed)
+
+COMMANDS = {
+    "extract": lambda x, n: ["extract", "--set", x, "--n", "12", "--slack", "1/20",
+                             "--window", str(n)],
+    "embed": lambda x, n: ["embed", "--x", x, "--y", "y.set", "--m", "8"],
+    "pipeline": lambda x, n: ["pipeline", "--a", x, "--b", "y.set", "--N", str(n),
+                              "--nu", str(n // 10), "--n", "8"],
+    "analyze": lambda x, n: ["analyze", "--set", x, "--n", "100", "--n", "1000"],
+}
+
+
+def _traced_peak(argv):
+    """Peak traced bytes of main(argv), run once before to warm up."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_peak_memory_scales_linearly(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, (n, seed) in SETS.items():
+        spec = {"kind": "bernoulli", "window": [1, n], "seed": seed, "p": "1/2"}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", "--spec", json.dumps(spec), "--out", name]) == 0
+    over = {}
+    for cmd, argv in COMMANDS.items():
+        small = _traced_peak(argv("x1e5.set", SMALL) + ["--out", "r.json"])
+        large = _traced_peak(argv("x4e5.set", LARGE) + ["--out", "r.json"])
+        if large > RATIO_BOUND * small:
+            over[cmd] = f"{small / 2**20:.2f} -> {large / 2**20:.2f} MiB ({large / small:.2f}x)"
+    assert not over, over
