@@ -248,9 +248,8 @@ def _cmd_analyze(args, report: Report) -> int:
 def _cmd_delta(args, report: Report) -> int:
     a = _read_input(report, "set", args.set)
     res = (eps_delta_upper if args.upper else eps_delta_banach)(a, args.eps, args.n, args.trange)
-    report.parameters.update(
-        {"eps": args.eps, "n": args.n, "trange": args.trange, "estimator": res.kind}
-    )
+    estimator = "upper" if args.upper else "banach"
+    report.parameters.update({"eps": args.eps, "n": args.n, "trange": args.trange, "estimator": estimator})
     report.results["members"] = res.members
     report.results["count"] = res.members.count
     report.certificates["per_t"] = res.per_t
@@ -306,7 +305,7 @@ def _cmd_cover(args, report: Report) -> int:
         )
         report.parameters["h"] = args.h
         report.results["quotient"] = {
-            "full_range": res.full_range,
+            "full_range": args.h == 0,
             "offset": res.offset,
             "base_shifts": res.base_shifts,
             "cover_ok": res.cover_ok,

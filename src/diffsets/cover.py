@@ -419,7 +419,6 @@ class QuotientCoverResult:
     every x - f, and verify_cover_certificate recounts each witness.
     """
 
-    full_range: bool
     offset: int | None
     cert: CoverCertificate | None
     base_shifts: list[int] | None
@@ -447,7 +446,7 @@ def quotient_cover(
         est = upper_banach_est(a, n)
         if eps >= est.value ** 2:
             raise InfeasibleError(f"eps = {eps} not below squared density {est.value ** 2}")
-        return QuotientCoverResult(True, est.at, None, None, None, None)
+        return QuotientCoverResult(est.at, None, None, None, None)
 
     base = candidate_order(base_candidates)
     span = abs(h) * (max(base) - min(base)) if base else 0
@@ -461,4 +460,4 @@ def quotient_cover(
 
     hull = Window(min(base), max(base))
     q, density = full_cover_density(res.base, h, hull, eps, base_shifts, density_n)
-    return QuotientCoverResult(False, res.offset, res.cert, base_shifts, restrict(q, hull), density)
+    return QuotientCoverResult(res.offset, res.cert, base_shifts, restrict(q, hull), density)

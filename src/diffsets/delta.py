@@ -65,7 +65,6 @@ class EpsDeltaResult:
 
     members: IntSet
     per_t: dict[int, Fraction]
-    kind: str
 
 
 def shift_intersection(a: IntSet, t: int) -> IntSet:
@@ -116,7 +115,7 @@ def _sweep(a: IntSet, eps: Fraction, n: int, trange: Window, upper: bool) -> Eps
         raise InputError("eps must be >= 0")
     per_t = shift_densities(a, range(trange.lo, trange.hi + 1), n, upper)
     members = make_set([t for t, v in per_t.items() if v > eps], trange)
-    return EpsDeltaResult(members, per_t, "upper" if upper else "banach")
+    return EpsDeltaResult(members, per_t)
 
 
 def eps_delta_banach(a: IntSet, eps: Fraction, n: int, trange: Window) -> EpsDeltaResult:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import InputError
 from .intset import (MAX_WINDOW_LENGTH, IntSet, Window, bit_bytes, bit_vector, check_anchored,
-                     combine_shifts, complement_in, intersect, restrict, self_overlap)
+                     complement_in, empty_set, intersect, restrict, self_overlap)
 
 __all__ = [
     "DensityEstimate",
@@ -342,14 +342,12 @@ def _doublings(a: IntSet) -> Iterator[tuple[int, IntSet]]:
         runs, size = self_overlap(runs, size), 2 * size
 
 
-def _least_start(a: IntSet, length: int) -> int | None:
-    """Least x with x .. x+length-1 all in A, or None (length at most its window length)."""
+def _run_starts(a: IntSet, length: int) -> IntSet:
+    """The x with x .. x+length-1 all in A, empty when none (length at most its window length)."""
     for size, runs in _doublings(a):
         if 2 * size > length:
-            if length > size:
-                runs = self_overlap(runs, length - size)
-            return runs.min() if runs else None
-    return None
+            return self_overlap(runs, length - size) if length > size else runs
+    return empty_set(a.window)
 
 
 def thick_witness(a: IntSet, length: int) -> int | None:
@@ -358,7 +356,8 @@ def thick_witness(a: IntSet, length: int) -> int | None:
         raise InputError("interval length must be >= 1")
     if length > a.window.length:
         return None
-    return _least_start(a, length)
+    starts = _run_starts(a, length)
+    return starts.min() if starts else None
 
 
 def longest_run(a: IntSet) -> tuple[int, int] | None:
@@ -401,15 +400,16 @@ def syndetic_gap(a: IntSet) -> int:
 def piecewise_syndetic_witness(a: IntSet, g: int, length: int) -> Window | None:
     """Least length-``length`` interval inside the window where A has gaps <= g.
 
-    Implemented through the equivalent formulation: an interval of that length
-    contained in A + [0, g-1], searched inside A's own window.
+    That is the least interval inside A + [0, g-1], searched inside A's own
+    window.  A point v of the window is outside A + [0, g-1] exactly when
+    v - g + 1 .. v are all non-members, and nothing below the window is a
+    member; so the covered points are the window minus the ends of the runs of
+    g non-members on [lo - g + 1, hi], found in O(log g) doublings, and the
+    witness is their thick_witness.  A gap past the window length covers no more.
     """
     if g < 1:
         raise InputError("gap bound must be >= 1")
-    if length < 1:
-        raise InputError("interval length must be >= 1")
-    if length > a.window.length:
-        return None
-    spread = range(min(g, a.window.length))  # a shift past the window length adds nothing
-    x = _least_start(combine_shifts(a, spread, a.window, union=True), length)
+    g = min(g, a.window.length)
+    holes = _run_starts(complement_in(a, Window(a.window.lo - g + 1, a.window.hi)), g)
+    x = thick_witness(complement_in(holes.shift(g - 1), a.window), length)
     return None if x is None else Window(x, x + length - 1)

@@ -6,6 +6,7 @@ package.  Expected values frozen into the test files were produced by these
 functions and checked by hand where a hand check was feasible.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -71,6 +72,22 @@ def longest_run(members):
         if length > best_len:
             best_start, best_len = x, length
     return best_start, best_len
+
+
+def piecewise_syndetic_witness(members, lo: int, hi: int, g: int, length: int):
+    """(x, x + length - 1) for the least x in [lo, hi - length + 1] such that every v
+    in that interval has a member in [v - g + 1, v], or None.  With g = 1 that is
+    the least interval of members."""
+    ordered = sorted(members)
+
+    def covered(v):
+        below = bisect_right(ordered, v)  # members <= v
+        return below > 0 and v - ordered[below - 1] < g
+
+    for x in range(lo, hi - length + 2):
+        if all(covered(v) for v in range(x, x + length)):
+            return x, x + length - 1
+    return None
 
 
 def difference(a, b):

@@ -445,7 +445,7 @@ def test_cover_density_input_errors():
 def test_quotient_cover_h0():
     a = residues({0, 1}, 5, 0, 999)
     res = quotient_cover(a, 0, range(-10, 11), Fraction(0), 200)
-    assert res.full_range and res.cert is None
+    assert res.cert is None and res.quotient_members is None
     with pytest.raises(InfeasibleError):
         quotient_cover(a, 0, range(-10, 11), Fraction(1, 2), 200)
 

@@ -444,7 +444,6 @@ def test_upper_sweep_frozen():
     evens = residues({0}, 2, 1, 10_000)
     res = eps_delta_upper(evens, Fraction(1, 4), 1000, Window(-50, 50))
     assert set(res.members.members()) == {t for t in range(-50, 51) if t % 2 == 0}
-    assert res.kind == "upper"
 
     nothing = eps_delta_upper(evens, Fraction(1), 1000, Window(-50, 50))
     assert not nothing.members

@@ -512,31 +512,22 @@ def test_syndetic_gap_frozen():
     assert syndetic_gap(full) == 1
 
 
-@given(small_sets(), st.integers(1, 6), st.integers(1, 10))
-def test_piecewise_syndetic_witness_sound(a, g, length):
-    got = piecewise_syndetic_witness(a, g, length)
-    mem = set(a.members())
-    if got is None:
-        return
-    assert got.length == length
-    assert a.window.lo <= got.lo and got.hi <= a.window.hi
-    # every point of the interval is within g-1 of a member to its left,
-    # i.e. A + [0, g-1] covers it
-    for v in range(got.lo, got.hi + 1):
-        assert any(v - d in mem for d in range(g))
+@st.composite
+def gap_cases(draw):
+    """(A, g, length) with A's window near 0 or at +-2^70, g from 1 to two past the
+    window length or 10^13, and length from 1 to two past the window length."""
+    lo = draw(st.one_of(st.integers(-30, 30), st.sampled_from([-(2**70), 2**70])))
+    a = draw(small_sets(lo_min=lo, lo_max=lo))
+    g = draw(st.one_of(st.integers(1, a.window.length + 2), st.just(10**13)))
+    return a, g, draw(st.integers(1, a.window.length + 2))
 
 
-@given(small_sets(), st.integers(1, 6), st.integers(1, 10))
-def test_piecewise_syndetic_witness_complete(a, g, length):
-    # when the spread set contains an interval somewhere, a witness exists
-    mem = set(a.members())
-    spread = {x + d for x in mem for d in range(g)}
-    has = any(
-        all(v in spread for v in range(x, x + length))
-        for x in range(a.window.lo, a.window.hi - length + 2)
-    )
-    got = piecewise_syndetic_witness(a, g, length)
-    assert (got is not None) == has
+@settings(max_examples=300)
+@given(gap_cases())
+def test_piecewise_syndetic_witness_is_least(case):
+    a, g, length = case
+    want = brute.piecewise_syndetic_witness(set(a.members()), a.window.lo, a.window.hi, g, length)
+    assert piecewise_syndetic_witness(a, g, length) == (None if want is None else Window(*want))
 
 
 @given(small_sets(), st.integers(1, 10))
@@ -555,6 +546,10 @@ def test_piecewise_syndetic_frozen():
     # an interval plus far-away dust: witness sits on the interval
     a = make_set(list(range(10, 20)) + [40, 55], Window(0, 60))
     assert piecewise_syndetic_witness(a, 1, 10) == Window(10, 19)
+    # a lone member at lo covers the whole window once g reaches its length
+    lone = make_set([0], Window(0, 9))
+    assert piecewise_syndetic_witness(lone, 10**13, 10) == Window(0, 9)
+    assert piecewise_syndetic_witness(lone, 9, 10) is None
     for length in (0, -5):  # an empty interval is refused, as in thick_witness
         with pytest.raises(InputError, match="interval length must be >= 1"):
             piecewise_syndetic_witness(evens, 2, length)

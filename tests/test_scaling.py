@@ -1,17 +1,22 @@
-"""Memory scales linearly: a window four times longer costs at most 4.5 times the peak.
+"""Work scales as documented, by gates that do not swing with the host's load.
 
-Each command runs through ``cli.main`` on Bernoulli 1/2 sets of 10^5 and
-4·10^5 points, once to warm up and once under ``tracemalloc``; the gate
-bounds the ratio of the two traced peaks.  ``embed`` and ``pipeline`` keep
-their second set Y at 10^5, so each pair differs in the size of X alone.
-Peaks, unlike wall times, do not swing with the host's load.
+Memory scales linearly: a window four times longer costs at most 4.5 times
+the peak.  Each command runs through ``cli.main`` on Bernoulli 1/2 sets of
+10^5 and 4·10^5 points, once to warm up and once under ``tracemalloc``; the
+gate bounds the ratio of the two traced peaks.  ``embed`` and ``pipeline``
+keep their second set Y at 10^5, so each pair differs in the size of X alone.
+
+The piecewise syndetic witness takes O(log g) big-int steps: its count of
+shifted big ints grows by at most 2 per doubling of the gap bound g.
 """
 
 import contextlib
 import io
 import json
+import random
 import tracemalloc
 
+from diffsets import IntSet, Window, density, intset, piecewise_syndetic_witness
 from diffsets.cli import main
 
 SMALL, LARGE = 10**5, 4 * 10**5
@@ -53,3 +58,28 @@ def test_peak_memory_scales_linearly(tmp_path, monkeypatch):
         if large > RATIO_BOUND * small:
             over[cmd] = f"{small / 2**20:.2f} -> {large / 2**20:.2f} MiB ({large / small:.2f}x)"
     assert not over, over
+
+
+def test_piecewise_witness_steps_grow_with_log_g(monkeypatch):
+    """From g = 2^4 to 2^16 on a Bernoulli 1/2 window of 10^5, the calls to
+    intset._aligned and density.self_overlap (one big-int shift each) grow by at
+    most 2 per doubling of g: 12 -> 24 measured, where a union of g shifted
+    copies of the window takes 22 -> 65542."""
+    a = IntSet(Window(1, 10**5), random.Random(2024).getrandbits(10**5))
+    steps = 0
+
+    def counting(f):
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(intset, "_aligned", counting(intset._aligned))
+    monkeypatch.setattr(density, "self_overlap", counting(density.self_overlap))
+    counts = []
+    for g in (2**4, 2**16):
+        steps = 0
+        piecewise_syndetic_witness(a, g, 64)
+        counts.append(steps)
+    assert counts[1] - counts[0] <= 2 * 12, counts
