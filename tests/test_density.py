@@ -512,6 +512,33 @@ def test_syndetic_gap_frozen():
     assert syndetic_gap(full) == 1
 
 
+@given(small_sets(), st.integers(1, 6), st.integers(1, 10))
+def test_piecewise_syndetic_witness_sound(a, g, length):
+    got = piecewise_syndetic_witness(a, g, length)
+    mem = set(a.members())
+    if got is None:
+        return
+    assert got.length == length
+    assert a.window.lo <= got.lo and got.hi <= a.window.hi
+    # every point of the interval is within g-1 of a member to its left,
+    # i.e. A + [0, g-1] covers it
+    for v in range(got.lo, got.hi + 1):
+        assert any(v - d in mem for d in range(g))
+
+
+@given(small_sets(), st.integers(1, 6), st.integers(1, 10))
+def test_piecewise_syndetic_witness_complete(a, g, length):
+    # when the spread set contains an interval somewhere, a witness exists
+    mem = set(a.members())
+    spread = {x + d for x in mem for d in range(g)}
+    has = any(
+        all(v in spread for v in range(x, x + length))
+        for x in range(a.window.lo, a.window.hi - length + 2)
+    )
+    got = piecewise_syndetic_witness(a, g, length)
+    assert (got is not None) == has
+
+
 @st.composite
 def gap_cases(draw):
     """(A, g, length) with A's window near 0 or at +-2^70, g from 1 to two past the
