@@ -753,34 +753,34 @@ _SUBCOMMANDS = (  # name, help, flags
     ("bohr", "rational Bohr sets: generate, contain, search", _bohr_flags),
     ("selftest", "randomized invariant suite", _selftest_flags),
 )
+_NAMES = [name for name, _, _ in _SUBCOMMANDS]
+_CHOICES = "{" + ",".join(_NAMES) + "}"
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser: every subcommand's flags, or only command's.
+    """The command line parser: every subcommand, or command's alone.
 
-    One call reads one subcommand, so main declares the flags of that one
-    alone.  The others are still listed, for -h and for argparse's message
-    on an invalid choice, but take no flags at all, not even -h.
+    main reads one subcommand per call, so when the first word names one it
+    builds that subparser alone.  The usage line still lists every choice.
     """
     parser = argparse.ArgumentParser(
         prog="diffsets",
         description="finite-window difference set and density workbench",
     )
     parser.add_argument("--version", action="version", version=f"diffsets {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    # the metavar spells the full choice list; left unset it also names the argument in
+    # the refusals of the full parser ("... are required: cmd"), which only it can give
+    named = {"metavar": _CHOICES} if command else {}
+    sub = parser.add_subparsers(dest="cmd", required=True, **named)
     for name, summary, flags in _SUBCOMMANDS:
-        wanted = command in (None, name)
-        p = sub.add_parser(name, help=summary, add_help=wanted)
-        if wanted:
-            flags(p)
+        if command in (None, name):
+            flags(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # -h and --version take no value, so the first word that is not a flag
-    # is the one argparse reads as the subcommand
-    command = next((word for word in argv if not word.startswith("-")), None)
+    command = argv[0] if argv and argv[0] in _NAMES else None
     try:
         args = build_parser(command).parse_args(argv)  # the flag parsers raise InputError
         report = Report(command=args.cmd, version=__version__)

@@ -564,7 +564,9 @@ def _list_blocks(a: IntSet) -> Iterator[bytes]:
 
 def write_set_file(a: IntSet, path: str | Path, fmt: str = "bits") -> None:
     if fmt == "bits":
-        blocks = [f"lo={a.window.lo}\n".encode("ascii"), (bit_vector(a) + ord("0")).tobytes(), b"\n"]
+        row = bit_vector(a)
+        row += ord("0")  # in place: the 0/1 row becomes its ASCII digits
+        blocks = [f"lo={a.window.lo}\n".encode("ascii"), row, b"\n"]
     elif fmt == "list":
         if not a.count:
             raise InputError(

@@ -238,6 +238,33 @@ def block_walk(members, big: int, n: int, gamma: Fraction):
     return visits, len(region), fraction_floor(gamma, n)
 
 
+def splitmix64(seed: int, i: int) -> int:
+    """Value i of the counter-mode SplitMix64 stream of seed: the 64-bit finalizer
+    (Steele, Lea, Flood, OOPSLA 2014) of seed + (i + 1) * 0x9E3779B97F4A7C15."""
+    mask = (1 << 64) - 1
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def bernoulli_members(lo: int, hi: int, p: Fraction, seed: int):
+    """Window positions lo + i whose draw splitmix64(seed, i) is at most
+    (p.numerator * 2^64 - 1) // p.denominator: none at p = 0, all at p = 1."""
+    threshold = (p.numerator * 2**64 - 1) // p.denominator
+    return {lo + i for i in range(hi - lo + 1) if splitmix64(seed, i) <= threshold}
+
+
+def residue_members(lo: int, hi: int, modulus: int, classes):
+    classes = set(classes)
+    return {x for x in range(lo, hi + 1) if x % modulus in classes}
+
+
+def ap_union_members(lo: int, hi: int, aps):
+    """Window points on some two-sided progression a + dZ, for [a, d] in aps."""
+    return {x for x in range(lo, hi + 1) if any((x - a) % d == 0 for a, d in aps)}
+
+
 def list_file(members) -> str:
     """The list format of a set: its members in increasing order, one per line."""
     return "".join(f"{x}\n" for x in sorted(members))

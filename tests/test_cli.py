@@ -1029,13 +1029,15 @@ def test_repeated_append_flag_starts_empty_on_every_call(workdir, capsys):
 
 @pytest.mark.parametrize("cmd", sorted(BASE_ARGV))
 def test_parser_for_one_subcommand_declares_its_flags_alone(cmd):
+    """The parser for one subcommand holds that subparser alone, with exactly the
+    flags the full parser gives it, and the full parser's usage line."""
     full = _subcommands()
-    sub = next(a for a in build_parser(cmd)._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(full)
-    for name, p in sub.choices.items():
-        want = [a.option_strings for a in full[name]._actions] if name == cmd else []
-        assert [a.option_strings for a in p._actions] == want, name
+    parser = build_parser(cmd)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [cmd]
+    assert ([a.option_strings for a in sub.choices[cmd]._actions]
+            == [a.option_strings for a in full[cmd]._actions])
+    assert parser.format_usage() == build_parser().format_usage()
 
 
 # argvs whose subcommand is missing, unknown, or not the first word

@@ -1,5 +1,6 @@
 """Generators and the deterministic PRNG, with frozen golden vectors."""
 
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -23,7 +24,15 @@ from diffsets import (
     thick_witness,
 )
 from diffsets import intset
-from diffsets.gen import ap_union_set, blocks_set, chain_in_thick, residue_set, thick_triple, thick_triple_bounds
+from diffsets.gen import (
+    _DRAW_CHUNK,
+    ap_union_set,
+    blocks_set,
+    chain_in_thick,
+    residue_set,
+    thick_triple,
+    thick_triple_bounds,
+)
 from diffsets.prng import Stream, mix64, stream_block, stream_value
 
 
@@ -115,6 +124,33 @@ def test_bernoulli_edges():
         bernoulli_set(Window(0, 9), Fraction(3, 2), 1)
 
 
+BLOCK = 2**15
+
+
+@pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+def test_bernoulli_blocks_draw_as_the_whole_window(length):
+    """Blocks of draws, at and across their edges, keep what one draw of the whole
+    window keeps."""
+    assert _DRAW_CHUNK == BLOCK
+    p, seed, w = Fraction(3, 10), 2024, Window(0, length - 1)
+    threshold = np.uint64((p.numerator * 2**64 - 1) // p.denominator)
+    whole = intset.from_bit_vector(stream_block(seed, 0, length) <= threshold, w)
+    assert bernoulli_set(w, p, seed).bits == whole.bits
+
+
+def _digest(s: IntSet) -> str:
+    return hashlib.sha256(s.bits.to_bytes((s.window.length + 7) // 8, "little")).hexdigest()
+
+
+def test_large_sets_frozen():
+    """Digests of a million-position Bernoulli set and a two-million-position residue
+    set, taken from the whole-window draw and the int64 residues they replace."""
+    assert _digest(bernoulli_set(Window(1, 10**6), Fraction(3, 10), 7)) == (
+        "39973193b9c42b5df99e496eefd679063c9e9a7fce219fd27e833cd27c016090")
+    assert _digest(residue_set(Window(-(10**6), 10**6), 7, [0, 2, 3])) == (
+        "0919a18033de2f408b03b96522cad586aea643c3b02bc3cc8db878f1a423befc")
+
+
 @given(st.integers(0, 2**32), st.integers(1, 400))
 def test_bernoulli_reproducible(seed, length):
     w = Window(0, length - 1)
@@ -145,6 +181,22 @@ def test_residues_match_comprehension(lo, length, modulus, data):
     w = Window(lo, lo + length - 1)
     got = residue_set(w, modulus, classes)
     assert set(got.members()) == {x for x in range(w.lo, w.hi + 1) if x % modulus in set(classes)}
+
+
+@pytest.mark.parametrize("lo", [-13, 0, 8, 10**24 + 5])
+@pytest.mark.parametrize("modulus", [1, 10, 11, 37])  # the window holds 10 positions
+def test_residue_period_against_window_length(lo, modulus):
+    w = Window(lo, lo + 9)
+    classes = sorted({0, modulus // 2, modulus - 1})
+    want = {x for x in range(w.lo, w.hi + 1) if x % modulus in classes}
+    assert set(residue_set(w, modulus, classes).members()) == want
+
+
+def test_residue_modulus_at_the_cap():
+    cap = intset.MAX_WINDOW_LENGTH
+    w = Window(3 * cap - 10, 3 * cap + 9)  # the period wraps inside the window
+    got = residue_set(w, cap, [0, 4, cap - 1])
+    assert sorted(got.members()) == [3 * cap - 1, 3 * cap, 3 * cap + 4]
 
 
 def test_ap_union_frozen():

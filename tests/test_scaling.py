@@ -6,6 +6,10 @@ the peak.  Each command runs through ``cli.main`` on Bernoulli 1/2 sets of
 gate bounds the ratio of the two traced peaks.  ``embed`` and ``pipeline``
 keep their second set Y at 10^5, so each pair differs in the size of X alone.
 
+Making a set holds no full-length temporary wider than a few bytes a position:
+``bernoulli_set``, ``residue_set`` and ``gen`` in bits and list format peak under
+3 traced bytes a position on 10^6 positions.
+
 The piecewise syndetic witness takes O(log g) big-int steps: its count of
 shifted big ints grows by at most 2 per doubling of the gap bound g.
 """
@@ -15,9 +19,11 @@ import io
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 
-from diffsets import IntSet, Window, density, intset, piecewise_syndetic_witness
+from diffsets import IntSet, Window, bernoulli_set, density, intset, piecewise_syndetic_witness
 from diffsets.cli import main
+from diffsets.gen import residue_set
 
 SMALL, LARGE = 10**5, 4 * 10**5
 RATIO_BOUND = 4.5
@@ -33,16 +39,22 @@ COMMANDS = {
 }
 
 
-def _traced_peak(argv):
-    """Peak traced bytes of main(argv), run once before to warm up."""
+def _traced_peak(run):
+    """Peak traced bytes of run(), called once before to warm up."""
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
+        run()
         tracemalloc.start()
         try:
-            assert main(argv) == 0
+            run()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+
+def _main(argv):
+    def run():
+        assert main(argv) == 0
+    return run
 
 
 def test_peak_memory_scales_linearly(tmp_path, monkeypatch):
@@ -53,11 +65,28 @@ def test_peak_memory_scales_linearly(tmp_path, monkeypatch):
             assert main(["gen", "--spec", json.dumps(spec), "--out", name]) == 0
     over = {}
     for cmd, argv in COMMANDS.items():
-        small = _traced_peak(argv("x1e5.set", SMALL) + ["--out", "r.json"])
-        large = _traced_peak(argv("x4e5.set", LARGE) + ["--out", "r.json"])
+        small = _traced_peak(_main(argv("x1e5.set", SMALL) + ["--out", "r.json"]))
+        large = _traced_peak(_main(argv("x4e5.set", LARGE) + ["--out", "r.json"]))
         if large > RATIO_BOUND * small:
             over[cmd] = f"{small / 2**20:.2f} -> {large / 2**20:.2f} MiB ({large / small:.2f}x)"
     assert not over, over
+
+
+def test_making_a_set_peaks_under_three_bytes_a_position(tmp_path, monkeypatch):
+    """Measured 2.1-2.5 bytes a position; a whole-window uint64 draw or int64 residue
+    array alone takes 8."""
+    monkeypatch.chdir(tmp_path)
+    n = 10**6
+    w = Window(1, n)
+    spec = json.dumps({"kind": "bernoulli", "window": [1, n], "seed": 5, "p": "1/2"})
+    runs = {
+        "bernoulli_set": lambda: bernoulli_set(w, Fraction(1, 2), 5),
+        "residue_set": lambda: residue_set(w, 7, [0, 2, 3]),
+        "gen bits": _main(["gen", "--spec", spec, "--out", "g.set", "--fmt", "bits"]),
+        "gen list": _main(["gen", "--spec", spec, "--out", "g.set", "--fmt", "list"]),
+    }
+    per_position = {name: _traced_peak(run) / n for name, run in runs.items()}
+    assert max(per_position.values()) < 3, per_position
 
 
 def test_piecewise_witness_steps_grow_with_log_g(monkeypatch):
