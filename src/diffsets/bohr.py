@@ -24,7 +24,7 @@ import numpy as np
 from .density import longest_run
 from .errors import InputError, VerificationError
 from .intset import (MAX_WINDOW_LENGTH, IntSet, Window, bit_vector, complement_in, from_bit_vector,
-                     minus, restrict)
+                     minus, periodic_vector, restrict)
 
 __all__ = [
     "BohrSpec",
@@ -87,9 +87,7 @@ def bohr_generate(spec: BohrSpec, window: Window) -> IntSet:
     start = window.lo - spec.shift  # a Python int: windows and shifts may sit beyond int64
     keep = np.ones(window.length, dtype=bool)
     for r in spec.freqs:
-        table = _residue_table(r, spec.eps)
-        first = start % r.denominator
-        keep &= table[np.arange(first, first + window.length, dtype=np.int64) % r.denominator]
+        keep &= periodic_vector(_residue_table(r, spec.eps), start, window.length)
     return from_bit_vector(keep, window)
 
 
@@ -126,15 +124,18 @@ def suggest_freqs(d: IntSet, k_max: int, q_max: int = 32) -> list[Fraction]:
         raise InputError("k_max must be >= 1")
     if q_max < 2:
         raise InputError("q_max must be >= 2")
-    offsets = np.flatnonzero(bit_vector(d).view(bool))  # from d.window.lo, which may sit beyond int64
+    vec = bit_vector(d)  # from d.window.lo, which may sit beyond int64
     scored: list[tuple[float, int, int]] = []
     residues: dict[int, np.ndarray] = {}  # q -> residue counts mod q
     for q in range(q_max, 1, -1):
-        if 2 * q > q_max:
-            residues[q] = np.bincount((offsets + d.window.lo % q) % q, minlength=q)
+        if 2 * q > q_max:  # rows of q offsets summed by column, the tail added, rolled to lo
+            rows = len(vec) // q  # float64 counts: exact, and a BLAS product sums fastest
+            by_offset = np.ones(rows) @ vec[: rows * q].reshape(rows, q)
+            by_offset[: len(vec) - rows * q] += vec[rows * q :]
+            residues[q] = np.roll(by_offset, d.window.lo % q)
         else:  # fold the counts mod 2q: residues r and r + q agree mod q
             residues[q] = residues[2 * q].reshape(2, q).sum(axis=0)
-        counts = residues[q].astype(np.float64)
+        counts = residues[q]
         angles = 2.0 * np.pi * np.arange(q) / q
         for p in range(1, q // 2 + 1):
             if gcd(p, q) != 1:

@@ -14,6 +14,8 @@ a numpy 0/1 vector, crossing only by ``bit_vector`` and ``from_bit_vector``
 
 from __future__ import annotations
 
+import locale
+import os
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow
 from pathlib import Path
@@ -32,6 +34,7 @@ __all__ = [
     "bit_bytes",
     "bit_vector",
     "from_bit_vector",
+    "periodic_vector",
     "convolve",
     "make_set",
     "full_set",
@@ -204,6 +207,26 @@ def from_bit_vector(arr, window: Window) -> IntSet:
     return IntSet(window, int.from_bytes(np.packbits(arr != 0, bitorder="little").tobytes(), "little"))
 
 
+def periodic_vector(table: np.ndarray, start: int, length: int) -> np.ndarray:
+    """Entry i is table[(start + i) % len(table)], for i < length.
+
+    One period, rolled to start (a Python int: it may sit beyond int64), is
+    doubled in place until it fills the length, with no per-position index
+    arithmetic.  np.tile and a copy of np.broadcast_to copy the period once
+    per repeat: at 10^5 positions mod 6 they took 45-62 and 100-137 us
+    against 11-12 us here.
+    """
+    period = np.roll(table, -(start % len(table)))[:length]
+    out = np.empty(length, dtype=table.dtype)
+    out[: len(period)] = period
+    filled = len(period)
+    while filled < length:
+        part = out[filled : 2 * filled]
+        part[:] = out[: len(part)]
+        filled += len(part)
+    return out
+
+
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Overflow])
 _LANE_BUDGET = 1 << 18  # input lanes per decimal product: bounds every product's memory ...
 _LANE_CAP = 1 << 21  # ... unless both vectors are long, when it grows with the output up to this
@@ -278,20 +301,15 @@ def convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_set(members: Iterable[int] | np.ndarray, window: Window) -> IntSet:
-    """Build a set from members (ints, or an int64 array); a member outside the window is an error."""
-    array = isinstance(members, np.ndarray)  # the list reader's: no Python int per member
-    xs = members if array else list(members)
-    if len(xs):
-        least, most = (int(xs.min()), int(xs.max())) if array else (min(xs), max(xs))
-        if least < window.lo or most > window.hi:
-            bad = next(int(x) for x in xs if int(x) not in window)
-            raise InputError(f"member {bad} outside window {window}")
+def make_set(members: Iterable[int], window: Window) -> IntSet:
+    """Build a set from members; a member outside the window is an error."""
+    xs = list(members)
+    if xs and (min(xs) < window.lo or max(xs) > window.hi):
+        bad = next(int(x) for x in xs if int(x) not in window)
+        raise InputError(f"member {bad} outside window {window}")
     arr = np.zeros(window.length, dtype=bool)
-    if array:  # inside the window, so the offsets fit int64
-        arr[xs - window.lo] = True
-    else:  # Python ints may sit beyond int64; their offsets do not
-        arr[np.fromiter((x - window.lo for x in xs), dtype=np.int64, count=len(xs))] = True
+    # Python ints may sit beyond int64; their offsets do not
+    arr[np.fromiter((x - window.lo for x in xs), dtype=np.int64, count=len(xs))] = True
     return from_bit_vector(arr, window)
 
 
@@ -390,101 +408,159 @@ def difference_set(a: IntSet, b: IntSet) -> IntSet:
 # "bits": first line "lo=<integer>", second line a string of '0'/'1' where
 #         character i is membership of lo + i.  Lossless (keeps the window).
 #
-# numpy reads and writes list files over byte columns, a bounded chunk at a
-# time.  The reader's fast path takes a file whose every non-blank line is
-# [ \t]*[+-]?[0-9]{1,18}[ \t]* (18 digits always fit int64) and hands any
-# other file to the per-line int() reader, which decides what is accepted and
-# what each error says.
+# The reader opens a file once, in binary.  A file whose first bytes past
+# whitespace are "lo=" is read whole, as a bits file.  Any other file streams
+# through a numpy scanner as a list file, a bounded chunk at a time, each chunk
+# cut after its last line end (\n or \r, as universal newlines end lines).  The
+# scanner's fast grammar takes a file whose every non-blank line is
+# [ \t]*[+-]?[0-9]{1,18}[ \t]* (18 digits always fit int64); it keeps each
+# chunk's members and their running [min, max], so a list file costs memory in
+# its chunk and its members, not in its text.  A file the fast grammar refuses
+# is read again from its start as one bytes object, decoded as read_text
+# decodes, and parsed one int() per line, which decides what is accepted and
+# what each error says.  The writer formats a bounded block at a time too.
 
 _DIGITS = 18
 _POW10 = 10 ** np.arange(_DIGITS, dtype=np.int64)
-_TEXT_CHUNK = 1 << 18  # characters of a list file scanned at once, cut after a newline
+# Bytes of a list file scanned at once, cut after a line end.  Reading a
+# Bernoulli 1/2 list file of 4*10^5 positions (1.3 MB) at 2^14, 2^15, 2^16, 2^17
+# and 2^18 bytes took 11.3, 8.9, 7.9, 8.6 and 9.7 ms (median of 60), with a
+# tracemalloc peak of 1.18, 1.19, 1.51, 2.23 and 3.68 MiB; one of 10^7 positions
+# (39 MB, 29 MiB peak at every size) took 0.33, 0.26, 0.22, 0.21 and 0.20 s
+# (2-vCPU x86 box).  Smaller chunks pay numpy's per-call cost more often; larger
+# ones raise the peak of a typical file for little gain at the cap.
+_TEXT_CHUNK = 1 << 16
 _LIST_BLOCK = 1 << 16  # window positions formatted at once by the list writer
-
-_OTHER, _DIGIT, _SIGN, _BLANK, _NEWLINE = range(5)  # ordered: cls <= _SIGN marks numbers
-_CLASS = np.full(256, _OTHER, dtype=np.uint8)  # byte -> class; never written after import
-_CLASS[ord("0") : ord("9") + 1] = _DIGIT
-_CLASS[[ord("+"), ord("-")]] = _SIGN
-_CLASS[[ord(" "), ord("\t")]] = _BLANK
-_CLASS[ord("\n")] = _NEWLINE  # read_text has turned "\r\n" and "\r" into "\n"
+_NARROW = 9  # digits of a number that int32 always holds
+_LF, _CR, _TAB, _SPACE, _PLUS, _MINUS, _ZERO = b"\n\r\t +-0"
 
 
 def _scan_lines(raw: np.ndarray) -> np.ndarray | None:
-    """The integers of whole list-file lines ``raw`` (uint8), or None off the fast grammar."""
-    cls = np.take(_CLASS, raw)
-    if not cls.all():  # a byte of class _OTHER
+    """The integers of whole list-file lines ``raw`` (uint8), or None off the fast grammar.
+
+    They come in no particular order, as int32 when no number has more than
+    9 digits and as int64 otherwise.  Digits and line ends are found by byte
+    comparisons; signs and blanks are looked at only where they occur.
+    """
+    d = raw - _ZERO  # a digit's value; every other byte wraps to 10 or more
+    num = d < 10  # the bytes of the numbers, once the signs join below
+    end = raw == _LF
+    end |= raw == _CR
+    signs = blanks = 0
+    others = len(raw) - np.count_nonzero(num) - np.count_nonzero(end)
+    if others:  # signs or blanks, or worse
+        rest = np.flatnonzero(~(num | end))
+        b = raw[rest]
+        sign = (b == _PLUS) | (b == _MINUS)
+        if not (sign | (b == _SPACE) | (b == _TAB)).all():
+            return None
+        num[rest[sign]] = True
+        signs = np.count_nonzero(sign)
+        blanks = others - signs
+    # a number is a run of bytes between two line ends or blanks (or the ends of raw)
+    cuts = np.concatenate(([-1], np.flatnonzero(~num if others else end), [len(raw)]))
+    width = np.diff(cuts) - 1
+    runs = width > 0
+    ends, ndig = cuts[1:][runs], width[runs]
+    if not len(ends):
+        return np.zeros(0, dtype=np.int32)
+    if signs:
+        starts = ends - ndig
+        signed = d[starts] >= 10  # the number starts with its sign
+        if np.count_nonzero(signed) != signs:  # a sign inside or after a number
+            return None
+        ndig -= signed
+    shortest, top = int(ndig.min()), int(ndig.max())
+    if shortest < 1 or top > _DIGITS:
         return None
-    num = cls <= _SIGN  # bytes of the numbers
-    bounds = np.flatnonzero(num[1:] != num[:-1]) + 1  # where a number starts or ends
-    if num[0]:
-        bounds = np.insert(bounds, 0, 0)
-    if num[-1]:
-        bounds = np.append(bounds, len(raw))
-    starts, ends = bounds[::2], bounds[1::2]
-    if not len(starts):
-        return np.zeros(0, dtype=np.int64)
-    signed = cls[starts] == _SIGN
-    ndig = ends - starts - signed
-    between = ends[:-1]  # from each number's end to the next number's end
-    # a newline between each two numbers: most often the byte right after the first
-    lines = (cls[between] == _NEWLINE).all() or np.logical_or.reduceat(
-        cls[: ends[-1]] == _NEWLINE, between).all()
-    if (
-        not lines
-        or np.count_nonzero(cls == _SIGN) != np.count_nonzero(signed)  # a sign inside a number
-        or ndig.min() < 1
-        or ndig.max() > _DIGITS
-    ):
-        return None
-    vals = np.zeros(len(starts), dtype=np.int64)
-    last, shortest = ends - 1, int(ndig.min())
-    for j in range(int(ndig.max())):  # digit j from the right of every number
-        digit = np.take(raw, last - j, mode="clip")  # an index below 0 clips; zeroed below
-        digit -= ord("0")
+    if blanks:  # a line end between each two numbers: most often the byte right after the first
+        between = ends[:-1]  # from each number's end to the next number's end
+        if not (end[between].all() or np.logical_or.reduceat(end[: ends[-1]], between).all()):
+            return None
+    wide = np.int64 if top > _NARROW else np.int32
+    vals = np.zeros(len(ends), dtype=wide)
+    digit, term = np.empty(len(ends), dtype=np.uint8), np.empty(len(ends), dtype=wide)
+    at = ends - 1  # each number's digit j from the right, j = 0, 1, ...
+    for j in range(top):
+        np.take(d, at, out=digit, mode="clip")  # an index below 0 clips; zeroed below
+        np.multiply(digit, wide(10**j), out=term)
         if j >= shortest:  # some numbers have no digit j
-            digit[ndig <= j] = 0
-        vals += digit * _POW10[j]
-    np.negative(vals, out=vals, where=raw[starts] == ord("-"))
+            term *= ndig > j
+        vals += term
+        at -= 1
+    if signs:
+        np.negative(vals, out=vals, where=raw[starts] == _MINUS)
     return vals
 
 
-def _scan_list(text: str) -> np.ndarray | None:
-    """A list file's members in file order as int64, or None unless the fast path takes it all."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    parts, start = [], 0
-    while start < len(data):
-        end = len(data)
-        if start + _TEXT_CHUNK < end:
-            cut = data.rfind(b"\n", start, start + _TEXT_CHUNK)
-            if cut < 0:  # a line longer than a chunk
-                cut = data.find(b"\n", start + _TEXT_CHUNK)
-            if cut >= 0:
-                end = cut + 1
-        vals = _scan_lines(raw[start:end])
+def _stream_list(f) -> tuple[list[np.ndarray] | None, int, int] | None:
+    """(members in parts, min, max) of the list file open in f, or None unless the fast
+    grammar takes all of it and it holds a number.
+
+    Once [min, max] spans more than the window cap the parts are dropped (None)
+    and the scan goes on for min and max alone, which the refusal names.
+    """
+    parts, lo, hi = [], None, None
+    tail = []  # the bytes read after the last line end
+    while True:
+        block = f.read(_TEXT_CHUNK)
+        if block:
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+            if not cut:  # a line longer than a chunk goes on
+                tail.append(block)
+                continue
+            view = memoryview(block)
+            lines = b"".join([*tail, view[:cut]]) if tail else view[:cut]
+            tail = [view[cut:]]
+        else:
+            lines = b"".join(tail)
+        vals = _scan_lines(np.frombuffer(lines, dtype=np.uint8))
         if vals is None:
             return None
-        parts.append(vals)
-        start = end
-    members = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return members if len(members) else None  # no number at all: the per-line reader refuses it
+        if len(vals):
+            least, most = int(vals.min()), int(vals.max())
+            lo, hi = (least, most) if lo is None else (min(lo, least), max(hi, most))
+            if parts is not None:
+                parts.append(vals)
+                if hi - lo >= MAX_WINDOW_LENGTH:  # refused at the end: keep no members
+                    parts = None
+        if not block:
+            return None if lo is None else (parts, lo, hi)
+
+
+def _read_open(f) -> tuple[list[np.ndarray] | None, int, int] | bytes:
+    """``_stream_list``'s result for a list file the fast grammar takes, else all of f's bytes."""
+    if not f.peek().lstrip().startswith(b"lo="):  # a bits file is read whole at once
+        listed = _stream_list(f)
+        if listed is not None:
+            return listed
+        f.seek(0)
+    # Reading the file's size at once fills one buffer: a bare read() after peek()
+    # joins the peeked bytes to the rest, a second copy (9 ms more at 10^7 bytes).
+    # The second read() finds what the size missed, if the file grew or is a pipe.
+    data = f.read(os.fstat(f.fileno()).st_size)
+    return data + f.read()
 
 
 def read_set_file(path: str | Path) -> IntSet:
     """Parse a set file, autodetecting the format by its first line."""
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as f:
+            data = _read_open(f)
     except OSError as e:
         raise InputError(f"cannot read set file {path}: {e}") from e
+    if isinstance(data, tuple):
+        parts, lo, hi = data
+        w = check_window_length(Window(lo, hi), str(path))
+        keep = np.zeros(w.length, dtype=bool)
+        while parts:  # each part freed once scattered
+            keep[parts.pop() - lo] = True  # offsets in the window fit the part's dtype
+        return from_bit_vector(keep, w)
+    try:
+        text = data.decode(locale.getpreferredencoding(False))  # as read_text decodes
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not a set file (not text: {e.reason} at byte {e.start})") from None
-    members = _scan_list(text)
-    if members is not None:
-        del text  # free the file's text before make_set allocates its arrays
-        window = Window(int(members.min()), int(members.max()))
-        return make_set(members, check_window_length(window, str(path)))
+    del data
     # every file the fast path does not take, one line at a time
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -1,8 +1,9 @@
 """Exact Bohr-set membership, containment reports, and the witness search."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +167,32 @@ def test_suggest_freqs_are_reduced_and_bounded(data):
     for r in out:
         assert r.numerator <= r.denominator // 2
         assert r.denominator <= q_max
+
+
+def _reference_freqs(d, k, q_max):
+    """suggest_freqs by its definition: residue counts of the members by Python %, then the
+    same float sums per reduced p/q."""
+    scored = []
+    for q in range(2, q_max + 1):
+        counts = np.zeros(q)
+        for x in d:
+            counts[x % q] += 1
+        angles = 2.0 * np.pi * np.arange(q) / q
+        for p in range(1, q // 2 + 1):
+            if gcd(p, q) == 1:
+                re = float(np.dot(counts, np.cos(p * angles)))
+                im = float(np.dot(counts, np.sin(p * angles)))
+                scored.append((-np.hypot(re, im), q, p))
+    return [Fraction(p, q) for _, q, p in sorted(scored)[:k]]
+
+
+@given(st.sampled_from([0, -37, 10**20 + 3]), st.integers(1, 90), st.data())
+def test_suggest_freqs_match_their_definition(lo, length, data):
+    """Windows shorter and longer than q, beyond int64 too: the same floats, so the same
+    ranking, to the last tie."""
+    d = IntSet(Window(lo, lo + length - 1), data.draw(st.integers(0, (1 << length) - 1)))
+    q_max = data.draw(st.integers(2, 40))
+    assert suggest_freqs(d, 200, q_max=q_max) == _reference_freqs(d, 200, q_max)
 
 
 def test_suggest_freqs_guards():
