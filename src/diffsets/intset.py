@@ -408,15 +408,15 @@ def difference_set(a: IntSet, b: IntSet) -> IntSet:
 # "bits": first line "lo=<integer>", second line a string of '0'/'1' where
 #         character i is membership of lo + i.  Lossless (keeps the window).
 #
-# The reader opens a file once, in binary.  A file whose first bytes past
-# whitespace are "lo=" is read whole, as a bits file.  Any other file streams
-# through a numpy scanner as a list file, a bounded chunk at a time, each chunk
-# cut after its last line end (\n or \r, as universal newlines end lines).  The
-# scanner's fast grammar takes a file whose every non-blank line is
+# The reader opens a file once, in binary, and reads it front to back once.  A
+# file whose first bytes past whitespace are "lo=" is read whole, as a bits
+# file.  Any other file streams through a numpy scanner as a list file, a
+# bounded chunk at a time, each chunk cut after its last line end (\n or \r,
+# as universal newlines end lines).  The scanner's fast grammar takes lines
 # [ \t]*[+-]?[0-9]{1,18}[ \t]* (18 digits always fit int64); it keeps each
 # chunk's members and their running [min, max], so a list file costs memory in
-# its chunk and its members, not in its text.  A file the fast grammar refuses
-# is read again from its start as one bytes object, decoded as read_text
+# its chunk and its members, not in its text.  From the first chunk it refuses
+# to the end, the file is read as one bytes object, decoded as read_text
 # decodes, and parsed one int() per line, which decides what is accepted and
 # what each error says.  The writer formats a bounded block at a time too.
 
@@ -493,14 +493,15 @@ def _scan_lines(raw: np.ndarray) -> np.ndarray | None:
     return vals
 
 
-def _stream_list(f) -> tuple[list[np.ndarray] | None, int, int] | None:
-    """(members in parts, min, max) of the list file open in f, or None unless the fast
-    grammar takes all of it and it holds a number.
+def _stream_list(f) -> tuple[list[np.ndarray] | None, int | None, int | None, bytes, int]:
+    """(members in parts, min, max, rest, at) of the list file open in f: ``rest`` holds
+    the bytes from the first chunk the fast grammar refuses to the end (b"" if none), at
+    offset ``at``; min and max are None while no number is taken.
 
     Once [min, max] spans more than the window cap the parts are dropped (None)
     and the scan goes on for min and max alone, which the refusal names.
     """
-    parts, lo, hi = [], None, None
+    parts, lo, hi, at = [], None, None, 0  # at: the file offset of the next chunk
     tail = []  # the bytes read after the last line end
     while True:
         block = f.read(_TEXT_CHUNK)
@@ -513,10 +514,11 @@ def _stream_list(f) -> tuple[list[np.ndarray] | None, int, int] | None:
             lines = b"".join([*tail, view[:cut]]) if tail else view[:cut]
             tail = [view[cut:]]
         else:
-            lines = b"".join(tail)
+            lines, tail = b"".join(tail), []
         vals = _scan_lines(np.frombuffer(lines, dtype=np.uint8))
         if vals is None:
-            return None
+            return parts, lo, hi, b"".join([lines, *tail, f.read()]), at
+        at += len(lines)
         if len(vals):
             least, most = int(vals.min()), int(vals.max())
             lo, hi = (least, most) if lo is None else (min(lo, least), max(hi, most))
@@ -525,48 +527,39 @@ def _stream_list(f) -> tuple[list[np.ndarray] | None, int, int] | None:
                 if hi - lo >= MAX_WINDOW_LENGTH:  # refused at the end: keep no members
                     parts = None
         if not block:
-            return None if lo is None else (parts, lo, hi)
-
-
-def _read_open(f) -> tuple[list[np.ndarray] | None, int, int] | bytes:
-    """``_stream_list``'s result for a list file the fast grammar takes, else all of f's bytes."""
-    if not f.peek().lstrip().startswith(b"lo="):  # a bits file is read whole at once
-        listed = _stream_list(f)
-        if listed is not None:
-            return listed
-        f.seek(0)
-    # Reading the file's size at once fills one buffer: a bare read() after peek()
-    # joins the peeked bytes to the rest, a second copy (9 ms more at 10^7 bytes).
-    # The second read() finds what the size missed, if the file grew or is a pipe.
-    data = f.read(os.fstat(f.fileno()).st_size)
-    return data + f.read()
+            return parts, lo, hi, b"", at
 
 
 def read_set_file(path: str | Path) -> IntSet:
-    """Parse a set file, autodetecting the format by its first line."""
+    """Parse a set file, autodetecting the format by its first line; read once, front to back.
+
+    The lines the fast grammar took before ``rest`` are ASCII and end at a \\n or \\r, so in
+    the locale's ASCII-compatible encoding the rest decodes as a whole-file decode does from
+    there, a decode error sitting ``at`` bytes further into the file; a \\r\\n split at the
+    cut leaves one blank line, which is skipped; and while no number is taken those lines
+    were blank, so the rest's first line is the file's, which decides a bits file.
+    """
     try:
         with open(path, "rb") as f:
-            data = _read_open(f)
+            if f.peek().lstrip().startswith(b"lo="):  # a bits file is read whole at once
+                parts, lo, hi, at = [], None, None, 0
+                # read(size) fills one buffer, where a bare read() after peek() copies once
+                # more; the second read() finds what the size missed (a pipe's bytes)
+                rest = f.read(os.fstat(f.fileno()).st_size) + f.read()
+            else:
+                parts, lo, hi, rest, at = _stream_list(f)
     except OSError as e:
         raise InputError(f"cannot read set file {path}: {e}") from e
-    if isinstance(data, tuple):
-        parts, lo, hi = data
-        w = check_window_length(Window(lo, hi), str(path))
-        keep = np.zeros(w.length, dtype=bool)
-        while parts:  # each part freed once scattered
-            keep[parts.pop() - lo] = True  # offsets in the window fit the part's dtype
-        return from_bit_vector(keep, w)
     try:
-        text = data.decode(locale.getpreferredencoding(False))  # as read_text decodes
+        text = rest.decode(locale.getpreferredencoding(False))  # as read_text decodes
     except UnicodeDecodeError as e:
-        raise InputError(f"{path}: not a set file (not text: {e.reason} at byte {e.start})") from None
-    del data
-    # every file the fast path does not take, one line at a time
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+        raise InputError(f"{path}: not a set file (not text: {e.reason} at byte {at + e.start})") from None
+    del rest
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]  # those the scanner left
+    if lo is None and not lines:
         raise InputError(f"{path}: a list file with no number is refused; write the empty set "
                          "in bits format")
-    if lines[0].startswith("lo="):
+    if lo is None and lines[0].startswith("lo="):
         try:
             lo = int(lines[0][3:])
         except ValueError as e:
@@ -586,9 +579,16 @@ def read_set_file(path: str | Path) -> IntSet:
         members = [int(ln) for ln in lines]
     except ValueError as e:
         raise InputError(f"{path}: not a set file") from e
-    del text, lines  # free the file's lines before make_set allocates its arrays
-    window = Window(min(members), max(members))
-    return make_set(members, check_window_length(window, str(path)))
+    del text, lines  # free the file's lines before the window is allocated
+    if members:
+        least, most = min(members), max(members)
+        lo, hi = (least, most) if lo is None else (min(lo, least), max(hi, most))
+    w = check_window_length(Window(lo, hi), str(path))
+    keep = np.zeros(w.length, dtype=bool)
+    while parts:  # each part freed once scattered
+        keep[parts.pop() - lo] = True  # offsets in the window fit the part's dtype
+    keep[np.fromiter((x - lo for x in members), np.int64, len(members))] = True  # offsets fit int64
+    return from_bit_vector(keep, w)
 
 
 # Where the digit count or the sign changes along ascending int64s: the least

@@ -604,10 +604,10 @@ def test_exit_2_on_oversize_window(workdir, capsys, monkeypatch):
     assert (code, out) == (2, "") and "row.set" in err and "over the cap" in err
     (workdir / "row.set").write_text("lo=1\n" + "01" * 1000 + "\n")  # exactly at the cap
     assert run(["analyze", "--set", "row.set", "--n", "10"], capsys)[0] == 0
-    # a list span is measured from its least and greatest members, before make_set runs
+    # a list span is measured from its least and greatest members, before the set is built
     (workdir / "span.set").write_text("1\n\n2001\n")
     with monkeypatch.context() as m:
-        m.setattr("diffsets.intset.make_set", lambda *a: pytest.fail("allocated past the cap"))
+        m.setattr("diffsets.intset.from_bit_vector", lambda *a: pytest.fail("allocated past the cap"))
         code, out, err = run(["analyze", "--set", "span.set"], capsys)
     assert (code, out) == (2, "") and "span.set" in err and "over the cap" in err
     (workdir / "span.set").write_text("1\n\n2000\n")  # exactly at the cap

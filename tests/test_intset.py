@@ -1,5 +1,7 @@
 import contextlib
 import json
+import os
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -534,6 +536,11 @@ LIST_CASES = [
     (b"0\n10000000\n" + b"5\n" * 40, 8),  # past the cap in the first of many chunks
     (b"0\n10000000\n" + b"5\n" * 40 + b"1_2\n", 8),  # ... then refused, int() takes it
     (b"0\n10000000\n" + b"5\n" * 40 + b"x\n", 8),  # ... then refused for good
+    # the first refused chunk follows accepted ones
+    (b"1\n2\n3\n4\n1234567890123456789\n", 4),  # 19 digits, far past the cap
+    (b"999999999999999999\n" * 3 + b"1000000000000000001\n", 20),  # 19 digits, in the cap
+    ("1\n2\n3\n4\n\u0661\n".encode(), 4),  # a non-ASCII digit
+    ("123\r\n\u0661\n".encode(), 4),  # ... after a CRLF pair split at the cut
 ]
 
 
@@ -563,10 +570,19 @@ def test_list_reader_matches_reference_on_any_text(tmp_path_factory, text, chunk
 def test_cr_and_crlf_list_files_stay_on_the_fast_path(tmp_path, monkeypatch, raw, chunk):
     path = tmp_path / "a.set"
     path.write_bytes(raw)
-    monkeypatch.setattr(intset, "make_set", lambda *a: pytest.fail("read one int() per line"))
+    rests = []
+
+    def spy(f):
+        listed = stream_list(f)
+        rests.append(listed[3])
+        return listed
+
+    stream_list = intset._stream_list
+    monkeypatch.setattr(intset, "_stream_list", spy)
     monkeypatch.setattr(intset, "_TEXT_CHUNK", chunk or intset._TEXT_CHUNK)
     got, want = _read_both(path)
     assert got == want and isinstance(got, tuple)
+    assert rests == [b""]  # the fast grammar took every line
 
 
 def test_read_bits_with_crlf_line_ends(tmp_path, monkeypatch):
@@ -577,13 +593,18 @@ def test_read_bits_with_crlf_line_ends(tmp_path, monkeypatch):
     assert back.window == Window(-2, 2) and list(back) == [-1, 0, 2]
 
 
-@pytest.mark.parametrize("fmt", ["bits", "list"])
+@pytest.mark.parametrize("fmt", ["bits", "list", "bits after blanks", "list then 1_5"])
 def test_reader_opens_once_and_reads_each_byte_once(tmp_path, monkeypatch, fmt):
-    """Over many chunks, a bits file and a list file the fast grammar takes are each
-    opened once and read front to back, never sought."""
+    """Over many chunks, each set file is opened once and read front to back, never
+    sought: a bits file, also behind more blank lines than peek() sees, and a list file
+    the fast grammar takes, also one whose last line only int() takes."""
     a = make_set(range(-300, 900, 3), Window(-300, 900))
     path = tmp_path / "a.set"
-    write_set_file(a, path, fmt)
+    write_set_file(a, path, fmt.split()[0])
+    if fmt == "bits after blanks":
+        path.write_bytes(b"\n" * 9000 + path.read_bytes())
+    elif fmt == "list then 1_5":
+        path.write_bytes(path.read_bytes() + b"1_5\n")  # 15 is a member already
     opened, sizes = [], []
 
     class Counting:
@@ -616,6 +637,47 @@ def test_reader_opens_once_and_reads_each_byte_once(tmp_path, monkeypatch, fmt):
     back = read_set_file(path)
     assert opened == ["rb"] and sum(sizes) == path.stat().st_size
     assert list(back) == list(a)
+
+
+PIPED = [
+    b"1_000\n2\n",  # refused at its first line, int() takes it
+    "".join(f"{i}\n" for i in range(0, 90000, 3)).encode() + b"1_5\n",  # after many chunks
+    b"\n" * 9000 + b"lo=-2\n01101\n",  # a bits file behind more blank lines than peek() sees
+]
+
+
+@pytest.mark.parametrize("raw", PIPED, ids=["text", "late", "bits"])
+def test_set_files_read_through_a_pipe_as_from_a_file(tmp_path, raw):
+    """Every set file is read once, front to back, so a named pipe that another thread
+    writes into needs no seek."""
+    path, pipe = tmp_path / "a.set", tmp_path / "pipe.set"
+    path.write_bytes(raw)
+    os.mkfifo(pipe)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as f:
+            f.write(raw)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = read_set_file(pipe)
+    finally:
+        writer.join(timeout=10)
+    want = read_set_file(path)
+    assert got.window == want.window and got.bits == want.bits and got.count > 0
+
+
+@pytest.mark.parametrize("lines, chunk", [(4, 4), (40000, None)])
+def test_a_decode_error_after_accepted_chunks_names_its_file_offset(tmp_path, monkeypatch,
+                                                                   lines, chunk):
+    path = tmp_path / "a.set"
+    path.write_bytes(b"1\n" * lines + b"5\xff\n")
+    monkeypatch.setattr(intset, "_TEXT_CHUNK", chunk or intset._TEXT_CHUNK)
+    with pytest.raises(InputError) as refused:
+        read_set_file(path)
+    at = 2 * lines + 1
+    assert str(refused.value) == f"{path}: not a set file (not text: invalid start byte at byte {at})"
 
 
 def test_cap_refusal_holds_no_members(tmp_path):

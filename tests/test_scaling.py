@@ -4,11 +4,13 @@ Memory scales linearly: a window four times longer costs at most 4.5 times
 the peak.  Each command runs through ``cli.main`` on Bernoulli 1/2 sets of
 10^5 and 4·10^5 points, once to warm up and once under ``tracemalloc``; the
 gate bounds the ratio of the two traced peaks.  ``embed`` and ``pipeline``
-keep their second set Y at 10^5, so each pair differs in the size of X alone.
+keep their second set Y at 10^5, so each pair differs in the size of X alone;
+``delta`` and ``cover`` estimate on n = N/10 over 201 shifts or 101 candidates.
 
 Reading a list file holds its members and a chunk, not its text: on a
 Bernoulli 1/2 list file of 4·10^5 positions ``read_set_file`` peaks under 2.5
-traced bytes a file byte, and at most 4.5 times its peak at 10^5.
+traced bytes a file byte, also with a last line only int() takes, and at most
+4.5 times its peak at 10^5.
 
 Making a set holds no full-length temporary wider than a few bytes a position:
 ``bernoulli_set``, ``residue_set`` and ``gen`` in bits and list format peak under
@@ -40,6 +42,14 @@ COMMANDS = {
     "pipeline": lambda x, n: ["pipeline", "--a", x, "--b", "y.set", "--N", str(n),
                               "--nu", str(n // 10), "--n", "8"],
     "analyze": lambda x, n: ["analyze", "--set", x, "--n", "100", "--n", "1000"],
+    "delta": lambda x, n: ["delta", "--set", x, "--eps", "1/10", "--n", str(n // 10),
+                           "--trange=-100..100"],
+    "delta --upper": lambda x, n: ["delta", "--set", x, "--eps", "1/10", "--n", str(n // 10),
+                                   "--trange=-100..100", "--upper"],
+    "cover": lambda x, n: ["cover", "--set", x, "--eps", "1/20", "--x=-50..50",
+                           "--n", str(n // 10)],
+    "bohr --freqs": lambda x, n: ["bohr", "--d", x, "--freqs", "1/5,2/7"],
+    "bohr --search": lambda x, n: ["bohr", "--d", x, "--search"],
 }
 
 
@@ -78,7 +88,9 @@ def test_peak_memory_scales_linearly(tmp_path, monkeypatch):
 
 def test_reading_a_list_file_peaks_in_its_members(tmp_path, monkeypatch):
     """Measured 1.1-1.2 bytes a file byte at 4·10^5; a reader that holds the file's text,
-    an ASCII copy of it and the int64 members with their concatenation took 4.8."""
+    an ASCII copy of it and the int64 members with their concatenation took 4.8.  A last
+    line of 1_000, which the scanner refuses, leaves the peak there; a reader that reads
+    such a file again as text took 15.7."""
     monkeypatch.chdir(tmp_path)
     peaks = {}
     for n, seed in ((SMALL, 21), (LARGE, 22)):
@@ -87,8 +99,11 @@ def test_reading_a_list_file_peaks_in_its_members(tmp_path, monkeypatch):
             assert main(["gen", "--spec", json.dumps(spec), "--out", f"{n}.set",
                          "--fmt", "list"]) == 0
         peaks[n] = _traced_peak(lambda: intset.read_set_file(f"{n}.set"))
-    per_byte = peaks[LARGE] / (tmp_path / f"{LARGE}.set").stat().st_size
-    assert per_byte < 2.5, per_byte
+    large = tmp_path / f"{LARGE}.set"
+    per_byte = {"fast": peaks[LARGE] / large.stat().st_size}
+    large.write_bytes(large.read_bytes() + b"1_000\n")
+    per_byte["1_000"] = _traced_peak(lambda: intset.read_set_file(large)) / large.stat().st_size
+    assert max(per_byte.values()) < 2.5, per_byte
     assert peaks[LARGE] <= RATIO_BOUND * peaks[SMALL], peaks
 
 
