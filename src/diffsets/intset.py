@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import locale
 import os
+import re
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow
 from pathlib import Path
@@ -417,8 +418,9 @@ def difference_set(a: IntSet, b: IntSet) -> IntSet:
 # chunk's members and their running [min, max], so a list file costs memory in
 # its chunk and its members, not in its text.  From the first chunk it refuses
 # to the end, the file is read as one bytes object, decoded as read_text
-# decodes, and parsed one int() per line, which decides what is accepted and
-# what each error says.  The writer formats a bounded block at a time too.
+# decodes, and parsed one int() per line, a slice of lines at a time, which
+# decides what is accepted and what each error says.  The writer formats a
+# bounded block at a time too.
 
 _DIGITS = 18
 _POW10 = 10 ** np.arange(_DIGITS, dtype=np.int64)
@@ -493,6 +495,16 @@ def _scan_lines(raw: np.ndarray) -> np.ndarray | None:
     return vals
 
 
+def _widen(parts, lo, hi, part, least, most):
+    """(parts, lo, hi) with ``part``, whose members span [least, most], taken."""
+    lo, hi = (least, most) if lo is None else (min(lo, least), max(hi, most))
+    if parts is not None:
+        parts.append(part)
+        if hi - lo >= MAX_WINDOW_LENGTH:  # refused at the end: keep no members
+            parts = None
+    return parts, lo, hi
+
+
 def _stream_list(f) -> tuple[list[np.ndarray] | None, int | None, int | None, bytes, int]:
     """(members in parts, min, max, rest, at) of the list file open in f: ``rest`` holds
     the bytes from the first chunk the fast grammar refuses to the end (b"" if none), at
@@ -520,12 +532,7 @@ def _stream_list(f) -> tuple[list[np.ndarray] | None, int | None, int | None, by
             return parts, lo, hi, b"".join([lines, *tail, f.read()]), at
         at += len(lines)
         if len(vals):
-            least, most = int(vals.min()), int(vals.max())
-            lo, hi = (least, most) if lo is None else (min(lo, least), max(hi, most))
-            if parts is not None:
-                parts.append(vals)
-                if hi - lo >= MAX_WINDOW_LENGTH:  # refused at the end: keep no members
-                    parts = None
+            parts, lo, hi = _widen(parts, lo, hi, vals, int(vals.min()), int(vals.max()))
         if not block:
             return parts, lo, hi, b"", at
 
@@ -555,11 +562,11 @@ def read_set_file(path: str | Path) -> IntSet:
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not a set file (not text: {e.reason} at byte {at + e.start})") from None
     del rest
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]  # those the scanner left
-    if lo is None and not lines:
+    if lo is None and re.fullmatch(r"\s*", text):  # \s is what strip() strips
         raise InputError(f"{path}: a list file with no number is refused; write the empty set "
                          "in bits format")
-    if lo is None and lines[0].startswith("lo="):
+    if lo is None and re.match(r"\s*lo=", text):  # no match object outlives the text
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         try:
             lo = int(lines[0][3:])
         except ValueError as e:
@@ -575,19 +582,23 @@ def read_set_file(path: str | Path) -> IntSet:
         if vec.max() > 1:
             raise InputError(bad_row)
         return from_bit_vector(vec, w)
-    try:
-        members = [int(ln) for ln in lines]
-    except ValueError as e:
-        raise InputError(f"{path}: not a set file") from e
-    del text, lines  # free the file's lines before the window is allocated
-    if members:
-        least, most = min(members), max(members)
-        lo, hi = (least, most) if lo is None else (min(lo, least), max(hi, most))
+    start = 0
+    while start < len(text):  # the lines the scanner left, a slice at a time, each cut after a \n
+        cut = text.find("\n", start + _TEXT_CHUNK) + 1 or len(text)
+        try:
+            members = [int(ln) for line in text[start:cut].splitlines() if (ln := line.strip())]
+        except ValueError as e:
+            raise InputError(f"{path}: not a set file") from e
+        start = cut
+        if members:  # int64 for at most 18 digits, as the scanner's: offsets in the window fit
+            least, most = min(members), max(members)
+            part = np.array(members, np.int64 if max(-least, most) < 10**_DIGITS else object)
+            parts, lo, hi = _widen(parts, lo, hi, part, least, most)
+    del text  # free the file's text before the window is allocated
     w = check_window_length(Window(lo, hi), str(path))
     keep = np.zeros(w.length, dtype=bool)
-    while parts:  # each part freed once scattered
-        keep[parts.pop() - lo] = True  # offsets in the window fit the part's dtype
-    keep[np.fromiter((x - lo for x in members), np.int64, len(members))] = True  # offsets fit int64
+    while parts:  # each part freed once scattered; offsets in the window fit its dtype
+        keep[(parts.pop() - lo).astype(np.intp, copy=False)] = True
     return from_bit_vector(keep, w)
 
 

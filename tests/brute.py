@@ -265,6 +265,15 @@ def ap_union_members(lo: int, hi: int, aps):
     return {x for x in range(lo, hi + 1) if any((x - a) % d == 0 for a, d in aps)}
 
 
+def thick_triple_members(lo: int, hi: int, scale: int, blocks: int):
+    """(A, B, C) on [lo, hi]: A the blocks [g * 4^k, g * 4^k + scale * k] for k = 1..blocks,
+    g = 4 * scale * (blocks + 1), B = A + g * 4^(blocks + 1) and C = A - B."""
+    g = 4 * scale * (blocks + 1)
+    a = {g * 4**k + i for k in range(1, blocks + 1) for i in range(scale * k + 1)}
+    b = {x + g * 4 ** (blocks + 1) for x in a}
+    return tuple({x for x in s if lo <= x <= hi} for s in (a, b, difference(a, b)))
+
+
 def list_file(members) -> str:
     """The list format of a set: its members in increasing order, one per line."""
     return "".join(f"{x}\n" for x in sorted(members))

@@ -6,8 +6,9 @@ Each run is a fresh child process ``python -c 'diffsets.cli.main()' ARGV...``,
 started one at a time in a temporary directory, with ``RLIMIT_AS`` set on the
 child alone.  First ``gen`` writes a Bernoulli 1/2 set of 10^7 positions (the
 window cap) in bits and in list format, and Y of 10^6; then every other
-subcommand runs on X, and ``analyze`` once more on the list file with a last
-line of ``1_000``, which the reader's fast scanner refuses.  One line per run
+subcommand runs on X, and ``analyze`` twice more on the list file with a line
+of ``1_000``, which the reader's fast scanner refuses: appended, and prepended,
+which sends the whole file through the reader's per-line text path.  One line per run
 gives the wall time and the child's peak RSS (``ru_maxrss`` from ``os.wait4``).
 Exits 1 when a child exits nonzero or peaks above 256 MiB.  ``selftest`` takes
 no window and is not run.  This is an opt-in tool, not a test (pytest collects
@@ -41,6 +42,7 @@ RUNS = [
     ("analyze bits", ["analyze", "--set", "x.set"]),
     ("analyze list", ["analyze", "--set", "x.list"]),
     ("analyze list 1_000", ["analyze", "--set", "late.list"]),
+    ("analyze list 1_000 first", ["analyze", "--set", "early.list"]),
     ("delta", ["delta", "--set", "x.set", "--eps", "1/10", "--n", "100000", "--trange=-100..100"]),
     ("delta --upper", ["delta", "--set", "x.set", "--eps", "1/10", "--n", "100000",
                        "--trange=-100..100", "--upper"]),
@@ -51,6 +53,9 @@ RUNS = [
                   "--n", "8"]),
     ("bohr", ["bohr", "--d", "x.set", "--freqs", "1/5,2/7"]),
 ]
+
+# x.list with a line of 1_000 (before, after), made just before the run that reads it
+ONE_THOUSAND = {"late.list": (b"", b"1_000\n"), "early.list": (b"1_000\n", b"")}
 
 
 def _limit_address_space():
@@ -73,13 +78,15 @@ def main():
     failed = []
     with tempfile.TemporaryDirectory() as cwd:
         for name, argv in RUNS:
-            if name == "analyze list 1_000":
-                shutil.copyfile(Path(cwd, "x.list"), Path(cwd, "late.list"))
-                with open(Path(cwd, "late.list"), "ab") as f:
-                    f.write(b"1_000\n")
+            if argv[-1] in ONE_THOUSAND:
+                head, tail = ONE_THOUSAND[argv[-1]]
+                with open(Path(cwd, argv[-1]), "wb") as out, open(Path(cwd, "x.list"), "rb") as src:
+                    out.write(head)
+                    shutil.copyfileobj(src, out)
+                    out.write(tail)
             code, wall, rss = run(argv, cwd)
             ok = code == 0 and rss <= RSS_BOUND_MIB
-            print(f"{name:<20} exit {code}  {wall:6.2f} s  {rss:6.1f} MiB  {'ok' if ok else 'FAIL'}",
+            print(f"{name:<24} exit {code}  {wall:6.2f} s  {rss:6.1f} MiB  {'ok' if ok else 'FAIL'}",
                   flush=True)
             if not ok:
                 failed.append(name)

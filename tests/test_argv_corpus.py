@@ -18,23 +18,28 @@ import hashlib
 import io
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from diffsets.cli import main
+from report_check import CHECKS, check
 from test_cli_fuzz import _cwd, write_files
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "argv_corpus.json"
 WRITTEN = ("g.set", "r.csv")  # the files a run may write besides its report
+# exit-0 corpus reports rechecked, by command (a bohr search counted apart)
+CHECKED = {"analyze": 14, "bohr": 20, "bohr --search": 2, "delta": 14, "gen": 13}
 
 
 def _digest(data: str | bytes) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
-def outcome(d: Path, argv: list[str]) -> dict:
-    """{code, stderr, report, written} of main(argv) run in d, digested."""
+def outcome(d: Path, argv: list[str]) -> tuple[dict, dict | None]:
+    """({code, stderr, report, written} digested, the report parsed without its timing
+    block or None) of main(argv) run in d."""
     for name in WRITTEN + ("r.json",):
         (d / name).unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
@@ -52,11 +57,13 @@ def outcome(d: Path, argv: list[str]) -> dict:
     if isinstance(parsed, dict):
         parsed.pop("timing", None)
         report = json.dumps(parsed, sort_keys=True)
+    else:
+        parsed = None
     written = b"".join(name.encode() + b"\0" + (d / name).read_bytes()
                        for name in WRITTEN if (d / name).exists())
     return {"code": code, "stderr": _digest(err.getvalue().replace(where, "")),
             "report": _digest(report.replace(where, "")),
-            "written": _digest(written) if written else None}
+            "written": _digest(written) if written else None}, parsed
 
 
 def _entries():
@@ -71,11 +78,22 @@ def rundir(tmp_path_factory):
 
 
 def test_corpus_replays(rundir):
+    """Each entry's outcome is the frozen one, and each exit-0 report whose command has
+    a checker rechecks against the files of its run, before the next run deletes them."""
     entries = _entries()
     assert len(entries) >= 200
-    moved = [entry["argv"] for entry in entries
-             if outcome(rundir, entry["argv"]) != {k: v for k, v in entry.items() if k != "argv"}]
+    moved, wrong, checked = [], [], Counter()
+    for entry in entries:
+        argv = entry["argv"]
+        got, report = outcome(rundir, argv)
+        if got != {k: v for k, v in entry.items() if k != "argv"}:
+            moved.append(argv)
+        if got["code"] == 0 and report["command"] in CHECKS:
+            checked[report["command"] + " --search" * ("--search" in argv)] += 1
+            wrong += [(argv, line) for line in check(report, rundir)]
     assert not moved, moved
+    assert not wrong, wrong
+    assert checked == CHECKED
 
 
 def _refreeze() -> None:
@@ -84,7 +102,7 @@ def _refreeze() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         write_files(d)
-        entries = [{"argv": entry["argv"], **outcome(d, entry["argv"])} for entry in old]
+        entries = [{"argv": entry["argv"], **outcome(d, entry["argv"])[0]} for entry in old]
     moved = [new["argv"] for new, entry in zip(entries, old) if new != entry]
     for argv in moved:
         print("moved:", json.dumps(argv))
