@@ -21,8 +21,6 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-import pytest
-
 from diffsets.cli import main
 from report_check import CHECKS, check
 from test_cli_fuzz import _cwd, write_files
@@ -70,27 +68,32 @@ def _entries():
     return json.loads(CORPUS.read_text())
 
 
-@pytest.fixture(scope="module")
-def rundir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("corpus")
-    write_files(d)
-    return d
+def replay(d: Path) -> tuple[list, list, Counter]:
+    """(the argvs whose outcome moved, (key, argv, line) for each field a checker
+    contradicts, the exit-0 reports checked by key) of every corpus entry run in d.
 
-
-def test_corpus_replays(rundir):
-    """Each entry's outcome is the frozen one, and each exit-0 report whose command has
-    a checker rechecks against the files of its run, before the next run deletes them."""
-    entries = _entries()
-    assert len(entries) >= 200
+    The key is the command, a bohr search counted apart.  Each exit-0 report whose
+    command has a checker is checked right after its run, against the files of that
+    run, before the next run deletes them.  The ``corpus_replay`` fixture of
+    ``conftest.py`` runs this once a session for the tests that read it."""
     moved, wrong, checked = [], [], Counter()
-    for entry in entries:
+    for entry in _entries():
         argv = entry["argv"]
-        got, report = outcome(rundir, argv)
+        got, report = outcome(d, argv)
         if got != {k: v for k, v in entry.items() if k != "argv"}:
             moved.append(argv)
         if got["code"] == 0 and report["command"] in CHECKS:
-            checked[report["command"] + " --search" * ("--search" in argv)] += 1
-            wrong += [(argv, line) for line in check(report, rundir)]
+            key = report["command"] + " --search" * ("--search" in argv)
+            checked[key] += 1
+            wrong += [(key, argv, line) for line in check(report, d)]
+    return moved, wrong, checked
+
+
+def test_corpus_replays(corpus_replay):
+    """Each entry's outcome is the frozen one, and each exit-0 report whose command has
+    a checker rechecks."""
+    assert len(_entries()) >= 200
+    moved, wrong, checked = corpus_replay
     assert not moved, moved
     assert not wrong, wrong
     assert checked == CHECKED
