@@ -200,7 +200,7 @@ def _block_intervals(window: Window, scale: int):
         k += 1
 
 
-def blocks_set(window: Window, scale: int = 1) -> IntSet:
+def blocks_set(window: Window, scale: int) -> IntSet:
     """Super-increasing interval union: thick, with thick complement.
 
     Verified on generation: the largest block fully inside the window is
@@ -253,7 +253,7 @@ def _triple_window(scale: int, blocks: int) -> Window:
     return Window(lo, hi)
 
 
-def thick_triple(window: Window, scale: int = 4, blocks: int = 3):
+def thick_triple(window: Window, scale: int, blocks: int):
     """Three thick sets with thick complements and A - B ⊆ C, certified.
 
     A is a union of blocks [g*4^k, g*4^k + scale*k]; B = A + shift for a

@@ -28,7 +28,7 @@ from diffsets import (
     cs_family_inequality,
     delta_cover,
     dense_embed_est,
-    dense_shift_member,
+    dense_shift_set,
     difference_cover,
     difference_set,
     embed_witness,
@@ -59,6 +59,11 @@ SEED = 20260819
 # rebuilds both from scratch and compares
 _REPORTS: dict[int, dict] = {}
 _STORE: dict[str, object] = {}
+_REPORT_KEYS_DROPPED = ("ok", "problems")
+
+
+def _canonical(rep):
+    return to_jsonable({k: v for k, v in rep.items() if k not in _REPORT_KEYS_DROPPED})
 
 
 def _verdict(num, ok, detail, elapsed=None, budget=None):
@@ -97,7 +102,7 @@ def _crit1(store):
 def test_criterion_01():
     t0 = time.perf_counter()
     rep = _crit1(_STORE)
-    _REPORTS[1] = to_jsonable(rep)
+    _REPORTS[1] = _canonical(rep)
     _verdict(
         1,
         rep["violations"] == 0,
@@ -166,7 +171,7 @@ def _crit2(store):
 def test_criterion_02():
     t0 = time.perf_counter()
     rep = _crit2(_STORE)
-    _REPORTS[2] = to_jsonable(rep)
+    _REPORTS[2] = _canonical(rep)
     _verdict(
         2,
         rep["violations"] == 0,
@@ -221,7 +226,7 @@ def _crit3(store):
 def test_criterion_03():
     t0 = time.perf_counter()
     rep = _crit3(_STORE)
-    _REPORTS[3] = to_jsonable({k: v for k, v in rep.items() if k != "ok"})
+    _REPORTS[3] = _canonical(rep)
     _verdict(
         3,
         rep["ok"],
@@ -249,7 +254,7 @@ def _crit4(store):
 def test_criterion_04():
     t0 = time.perf_counter()
     rep = _crit4(_STORE)
-    _REPORTS[4] = to_jsonable(rep)
+    _REPORTS[4] = _canonical(rep)
     _verdict(
         4,
         rep["holds"] and rep["shifts_checked"] == 2001,
@@ -309,7 +314,7 @@ def _crit5(store):
 def test_criterion_05():
     t0 = time.perf_counter()
     rep = _crit5(_STORE)
-    _REPORTS[5] = to_jsonable({k: v for k, v in rep.items() if k != "problems"})
+    _REPORTS[5] = _canonical(rep)
     _verdict(
         5,
         not rep["problems"],
@@ -366,7 +371,7 @@ def _crit6(store):
 def test_criterion_06():
     t0 = time.perf_counter()
     rep = _crit6(_STORE)
-    _REPORTS[6] = to_jsonable({k: v for k, v in rep.items() if k != "problems"})
+    _REPORTS[6] = _canonical(rep)
     _verdict(
         6,
         not rep["problems"],
@@ -439,7 +444,7 @@ def _crit7(store):
 def test_criterion_07():
     t0 = time.perf_counter()
     rep = _crit7(_STORE)
-    _REPORTS[7] = to_jsonable({k: v for k, v in rep.items() if k != "problems"})
+    _REPORTS[7] = _canonical(rep)
     worst = max(len(r["shifts"]) for r in rep["bernoulli"])
     _verdict(
         7,
@@ -481,7 +486,7 @@ def _crit8(store):
 def test_criterion_08():
     t0 = time.perf_counter()
     rep = _crit8(_STORE)
-    _REPORTS[8] = to_jsonable({k: v for k, v in rep.items() if k != "problems"})
+    _REPORTS[8] = _canonical(rep)
     _verdict(
         8,
         not rep["problems"],
@@ -496,12 +501,7 @@ def test_criterion_08():
 
 
 def _member_set_wide(base, shifts, hull, eps):
-    wide = Window(hull.lo - max(shifts), hull.hi - min(shifts))
-    bits = 0
-    for i, t in enumerate(range(wide.lo, wide.hi + 1)):
-        if dense_shift_member(base, t, eps):
-            bits |= 1 << i
-    return IntSet(wide, bits)
+    return dense_shift_set(base, 1, Window(hull.lo - max(shifts), hull.hi - min(shifts)), eps)
 
 
 def _density_entry(s, shifts, hull, exact):
@@ -579,7 +579,7 @@ def _crit9(store):
 def test_criterion_09():
     t0 = time.perf_counter()
     rep = _crit9(_STORE)
-    _REPORTS[9] = to_jsonable({k: v for k, v in rep.items() if k != "problems"})
+    _REPORTS[9] = _canonical(rep)
     binding = {
         n: f"{e['estimate']} >= {e['threshold']}"
         for n, e in rep["covers"].items()
@@ -744,7 +744,7 @@ def _crit10(store):
 def test_criterion_10():
     t0 = time.perf_counter()
     rep = _crit10(_STORE)
-    _REPORTS[10] = to_jsonable(rep)
+    _REPORTS[10] = _canonical(rep)
     _verdict(
         10,
         rep["violations"] == 0,
@@ -788,7 +788,7 @@ def _crit11(store):
 def test_criterion_11():
     t0 = time.perf_counter()
     rep = _crit11(_STORE)
-    _REPORTS[11] = to_jsonable({k: v for k, v in rep.items() if k != "problems"})
+    _REPORTS[11] = _canonical(rep)
     _verdict(
         11,
         not rep["problems"],
@@ -807,12 +807,6 @@ _CRITERIA = {
     1: _crit1, 2: _crit2, 3: _crit3, 4: _crit4, 5: _crit5, 6: _crit6,
     7: _crit7, 8: _crit8, 9: _crit9, 10: _crit10, 11: _crit11,
 }
-
-_REPORT_KEYS_DROPPED = ("ok", "problems")
-
-
-def _canonical(rep):
-    return to_jsonable({k: v for k, v in rep.items() if k not in _REPORT_KEYS_DROPPED})
 
 
 def _first_run_reports():

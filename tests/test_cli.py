@@ -1,13 +1,15 @@
 """End-to-end CLI runs.
 
-Eleven golden files under golden/ pin full CLI output.  Five pin
-analyze, delta and cover (the last two also with --upper) on a {0,1} mod 5
-residue set.  embed_dense.json pins two `embed --dense` reports (a trace
-length up to 16 and one above it), so the order of the distinct traces is
-pinned, and extract.json pins one `extract` report, on small generated sets.
-Four more pin one branch each that nothing else reaches (BRANCH_GOLDENS):
-cover --h, pipeline --chain, the three-file thick_triple gen and analyze
---gap/--runlen.  Comparison drops the timing block and nothing else.  The
+Every golden report under golden/ is one GOLDENS entry: the set files made
+besides a.set, the {0,1} mod 5 residue set, and the run or runs whose full
+reports it pins.  They cover analyze, delta and cover (the last two also with
+--upper, cover also with --h) on a.set, analyze --gap/--runlen, two
+`embed --dense` reports (a trace length up to 16 and one above it, so the order
+of the distinct traces is pinned), `extract` and `pipeline --chain` on small
+generated sets, and the three-file thick_triple gen.  One replay runs each
+entry, compares each report with its timing block dropped and nothing else,
+and rechecks each report whose command is in report_check.CHECKS from its
+JSON and the files of that run.  A new golden is one GOLDENS entry.  The
 rest of the module walks every subcommand once and exercises each exit code
 path; its last tests pin that main, which declares only the named
 subcommand's flags, reads every command line as the full parser does.
@@ -30,6 +32,7 @@ from diffsets import (InfeasibleError, VerificationError, Window, cli, gen,
                       read_set_file, residue_set, spec_from_json)
 from diffsets.cli import build_parser, main
 from diffsets.intset import MAX_WINDOW_LENGTH
+from report_check import CHECKS, check
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,110 +85,75 @@ def test_gen_chain_in_thick_defaults_its_thick_set(workdir, capsys):
     assert all(y - x in thick for i, x in enumerate(chain) for y in chain[i + 1:])
 
 
-def test_analyze_matches_golden(workdir, capsys):
-    code, out, _ = run(["analyze", "--set", "a.set", "--n", "100"], capsys)
-    assert code == 0
-    assert canon(out) == canon((GOLDEN / "analyze.json").read_text())
-
-
-def test_delta_matches_golden(workdir, capsys):
-    code, out, _ = run(
-        ["delta", "--set", "a.set", "--eps", "1/4", "--n", "500", "--trange=-10..10"],
-        capsys,
-    )
-    assert code == 0
-    assert canon(out) == canon((GOLDEN / "delta.json").read_text())
-
-
-def test_cover_matches_golden(workdir, capsys):
-    code, out, _ = run(
-        ["cover", "--set", "a.set", "--eps", "0", "--x=-20..20", "--n", "500"], capsys
-    )
-    assert code == 0
-    assert canon(out) == canon((GOLDEN / "cover.json").read_text())
-
-
-def test_delta_upper_matches_golden(workdir, capsys):
-    code, out, _ = run(
-        [
-            "delta", "--set", "a.set", "--eps", "1/4", "--n", "500", "--trange=-10..10",
-            "--upper",
-        ],
-        capsys,
-    )
-    assert code == 0
-    assert canon(out) == canon((GOLDEN / "delta_upper.json").read_text())
-
-
-def test_cover_upper_matches_golden(workdir, capsys):
-    code, out, _ = run(
-        ["cover", "--set", "a.set", "--eps", "0", "--x=-20..20", "--n", "500", "--upper"],
-        capsys,
-    )
-    assert code == 0
-    assert canon(out) == canon((GOLDEN / "cover_upper.json").read_text())
-
-
 def _gen(spec, out, capsys):
     assert main(["gen", "--spec", spec, "--out", out]) == 0
     capsys.readouterr()
 
 
-# one trace length on the direct-code path (m <= 16), one on the doubling path
-EMBED_DENSE_RUNS = (
-    ["embed", "--x", "x.set", "--y", "y.set", "--m", "12", "--dense", "--n", "50"],
-    ["embed", "--x", "k.set", "--y", "y.set", "--m", "20", "--dense", "--n", "50"],
-)
+CHAIN_SETS = {f"c{seed}.set": f'{{"kind":"bernoulli","window":[1,2000],"seed":{seed},"p":"1/2"}}'
+              for seed in (5, 6, 7)}
 
-
-def test_embed_dense_matches_golden(workdir, capsys):
-    _gen('{"kind":"bernoulli","window":[1,120],"seed":5,"p":"1/2"}', "x.set", capsys)
-    _gen('{"kind":"blocks","window":[1,400]}', "k.set", capsys)
-    _gen('{"kind":"bernoulli","window":[1,300],"seed":11,"p":"1/2"}', "y.set", capsys)
-    golden = json.loads((GOLDEN / "embed_dense.json").read_text())
-    assert len(golden) == len(EMBED_DENSE_RUNS)
-    for argv, want in zip(EMBED_DENSE_RUNS, golden):
-        code, out, _ = run(argv, capsys)
-        assert code == 0
-        want.pop("timing", None)
-        assert canon(out) == want
-
-
-def test_extract_matches_golden(workdir, capsys):
-    _gen('{"kind":"bernoulli","window":[1,4000],"seed":7,"p":"1/2"}', "c.set", capsys)
-    code, out, _ = run(
-        ["extract", "--set", "c.set", "--n", "10", "--slack", "1/20", "--window", "4000"],
-        capsys,
-    )
-    assert code == 0
-    assert canon(out) == canon((GOLDEN / "extract.json").read_text())
-
-
-# one run per CLI branch that no other golden reaches: the quotient cover
-# (cover --h), the chained extraction (pipeline --chain), the three-file
-# thick_triple gen and the piecewise-syndetic witness (analyze --gap/--runlen)
-BRANCH_GOLDENS = {
-    "cover_quotient.json":
-        ["cover", "--set", "a.set", "--eps", "1/10", "--x=-20..20", "--n", "500", "--h", "3"],
-    "pipeline_chain.json":
-        ["pipeline", "--a", "c5.set", "--b", "c6.set", "--chain", "c7.set",
-         "--n", "3", "--slack", "1/20", "--N", "1000"],
-    "gen_thick_triple.json":
-        ["gen", "--spec", '{"kind":"thick_triple","window":[-914,962],"scale":1,"blocks":2}',
-         "--out", "t.set"],
+# golden file: (the set files made besides a.set, by gen spec; the run, or the runs whose
+# reports the file lists in order)
+GOLDENS = {
+    "analyze.json": ({}, ["analyze", "--set", "a.set", "--n", "100"]),
     "analyze_piecewise.json":
-        ["analyze", "--set", "a.set", "--n", "100", "--gap", "5", "--runlen", "50"],
+        ({}, ["analyze", "--set", "a.set", "--n", "100", "--gap", "5", "--runlen", "50"]),
+    "cover.json": ({}, ["cover", "--set", "a.set", "--eps", "0", "--x=-20..20", "--n", "500"]),
+    "cover_quotient.json":
+        ({}, ["cover", "--set", "a.set", "--eps", "1/10", "--x=-20..20", "--n", "500", "--h", "3"]),
+    "cover_upper.json":
+        ({}, ["cover", "--set", "a.set", "--eps", "0", "--x=-20..20", "--n", "500", "--upper"]),
+    "delta.json":
+        ({}, ["delta", "--set", "a.set", "--eps", "1/4", "--n", "500", "--trange=-10..10"]),
+    "delta_upper.json":
+        ({}, ["delta", "--set", "a.set", "--eps", "1/4", "--n", "500", "--trange=-10..10",
+              "--upper"]),
+    # one trace length on the direct-code path (m <= 16), one on the doubling path
+    "embed_dense.json": (
+        {"x.set": '{"kind":"bernoulli","window":[1,120],"seed":5,"p":"1/2"}',
+         "k.set": '{"kind":"blocks","window":[1,400]}',
+         "y.set": '{"kind":"bernoulli","window":[1,300],"seed":11,"p":"1/2"}'},
+        [["embed", "--x", "x.set", "--y", "y.set", "--m", "12", "--dense", "--n", "50"],
+         ["embed", "--x", "k.set", "--y", "y.set", "--m", "20", "--dense", "--n", "50"]]),
+    "extract.json": (
+        {"c.set": '{"kind":"bernoulli","window":[1,4000],"seed":7,"p":"1/2"}'},
+        ["extract", "--set", "c.set", "--n", "10", "--slack", "1/20", "--window", "4000"]),
+    "gen_thick_triple.json":
+        ({}, ["gen", "--spec", '{"kind":"thick_triple","window":[-914,962],"scale":1,"blocks":2}',
+              "--out", "t.set"]),
+    "pipeline_chain.json":
+        (CHAIN_SETS, ["pipeline", "--a", "c5.set", "--b", "c6.set", "--chain", "c7.set",
+                      "--n", "3", "--slack", "1/20", "--N", "1000"]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BRANCH_GOLDENS))
-def test_branch_matches_golden(workdir, capsys, name):
-    for seed in (5, 6, 7):
-        _gen(f'{{"kind":"bernoulli","window":[1,2000],"seed":{seed},"p":"1/2"}}',
-             f"c{seed}.set", capsys)
-    code, out, _ = run(BRANCH_GOLDENS[name], capsys)
-    assert code == 0
-    assert canon(out) == canon((GOLDEN / name).read_text())
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_golden_matches_and_rechecks(workdir, capsys, name):
+    """Each report, timing dropped, is the golden one; one whose command has a checker
+    also rechecks from its JSON and the files of this run."""
+    sets, runs = GOLDENS[name]
+    for out, spec in sets.items():
+        _gen(spec, out, capsys)
+    golden = json.loads((GOLDEN / name).read_text())
+    if isinstance(runs[0], str):  # one run, one report
+        runs, golden = [runs], [golden]
+    for argv, want in zip(runs, golden, strict=True):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        report = canon(out)
+        want.pop("timing", None)
+        assert report == want
+        if report["command"] in CHECKS:
+            assert check(report, workdir) == []
+
+
+def test_every_golden_report_has_an_entry():
+    """No golden report goes uncompared: the files under golden/ are the GOLDENS keys,
+    besides the argv corpus and the acceptance digests."""
+    reports = {p.name for p in GOLDEN.glob("*.json")} - {"argv_corpus.json",
+                                                         "acceptance_digests.json"}
+    assert reports == set(GOLDENS)
 
 
 def test_gen_thick_triple_writes_each_set(workdir, capsys):
@@ -196,13 +164,7 @@ def test_gen_thick_triple_writes_each_set(workdir, capsys):
 
 
 def test_report_out_flag_writes_file(workdir, capsys):
-    code, out, _ = run(
-        [
-            "delta", "--set", "a.set", "--eps", "1/4", "--n", "500",
-            "--trange=-10..10", "--out", "rep.json",
-        ],
-        capsys,
-    )
+    code, out, _ = run(GOLDENS["delta.json"][1] + ["--out", "rep.json"], capsys)
     assert code == 0
     assert out == ""
     assert canon((workdir / "rep.json").read_text()) == canon(
@@ -685,9 +647,8 @@ def test_slack_at_the_digit_cap_prints_and_past_it_exits_2(workdir, capsys, argv
     """A slack with a 3999-digit denominator reaches a report whose γ and chain floors
     have more digits; one with 4300 digits is refused naming --slack, not left to fail
     when γ is printed."""
-    for seed in (5, 6, 7):
-        _gen(f'{{"kind":"bernoulli","window":[1,2000],"seed":{seed},"p":"1/2"}}',
-             f"c{seed}.set", capsys)
+    for out, spec in CHAIN_SETS.items():
+        _gen(spec, out, capsys)
     code, out, err = run(argv + ["--slack", "1/" + "9" * 3999], capsys)
     assert code == 0, err
     denominators = re.findall(r'"-?[0-9]+/([0-9]+)"', out)
