@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 
@@ -20,3 +21,12 @@ def corpus_replay(tmp_path_factory):
     d = tmp_path_factory.mktemp("corpus")
     write_files(d)
     return replay(d)
+
+
+@pytest.fixture(scope="session")
+def golden_replay(tmp_path_factory):
+    """test_cli.replay_golden of a golden, run once (in a directory of its own) for
+    every test that reads it."""
+    from test_cli import replay_golden
+
+    return functools.cache(lambda name: replay_golden(name, tmp_path_factory.mktemp("golden")))

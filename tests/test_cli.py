@@ -7,9 +7,10 @@ reports it pins.  They cover analyze, delta and cover (the last two also with
 `embed --dense` reports (a trace length up to 16 and one above it, so the order
 of the distinct traces is pinned), `extract` and `pipeline --chain` on small
 generated sets, and the three-file thick_triple gen.  One replay runs each
-entry, compares each report with its timing block dropped and nothing else,
-and rechecks each report whose command is in report_check.CHECKS from its
-JSON and the files of that run.  A new golden is one GOLDENS entry.  The
+entry once a session and rechecks each report whose command is in
+report_check.CHECKS from its JSON and the files of that run; the golden tests
+compare each report with its timing block dropped and nothing else.  A new
+golden is one GOLDENS entry.  The
 rest of the module walks every subcommand once and exercises each exit code
 path; its last tests pin that main, which declares only the named
 subcommand's flags, reads every command line as the full parser does.
@@ -17,8 +18,10 @@ subcommand's flags, reads every command line as the full parser does.
 
 import argparse
 import ast
+import contextlib
 import errno
 import importlib
+import io
 import json
 import os
 import re
@@ -33,6 +36,7 @@ from diffsets import (InfeasibleError, VerificationError, Window, cli, gen,
 from diffsets.cli import build_parser, main
 from diffsets.intset import MAX_WINDOW_LENGTH
 from report_check import CHECKS, check
+from test_cli_fuzz import _cwd
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,24 +132,63 @@ GOLDENS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_golden_matches_and_rechecks(workdir, capsys, name):
-    """Each report, timing dropped, is the golden one; one whose command has a checker
-    also rechecks from its JSON and the files of this run."""
+def replay_golden(name, d):
+    """[(report with its timing dropped, its golden, the lines its checker names or None
+    when its command has no checker)] of GOLDENS[name]'s runs in d, after a.set and the
+    entry's set files are made there; each report is checked right after its run.  The
+    ``golden_replay`` fixture of ``conftest.py`` runs this once a session for each golden."""
     sets, runs = GOLDENS[name]
-    for out, spec in sets.items():
-        _gen(spec, out, capsys)
     golden = json.loads((GOLDEN / name).read_text())
     if isinstance(runs[0], str):  # one run, one report
         runs, golden = [runs], [golden]
-    for argv, want in zip(runs, golden, strict=True):
-        code, out, _ = run(argv, capsys)
-        assert code == 0
-        report = canon(out)
-        want.pop("timing", None)
+    made = [["gen", "--spec", spec, "--out", out]
+            for out, spec in {"a.set": RESIDUE_SPEC, **sets}.items()]
+    replayed = []
+    with _cwd(d):
+        for argv in made:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        for argv, want in zip(runs, golden, strict=True):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0, argv
+            report = canon(out.getvalue())
+            want.pop("timing", None)
+            wrong = check(report, d) if report["command"] in CHECKS else None
+            replayed.append((report, want, wrong))
+    return replayed
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_golden_matches_and_rechecks(golden_replay, name):
+    """Each report, timing dropped, is the golden one; one whose command has a checker
+    also rechecks from its JSON and the files of its run."""
+    for report, want, wrong in golden_replay(name):
         assert report == want
-        if report["command"] in CHECKS:
-            assert check(report, workdir) == []
+        assert wrong in (None, [])
+
+
+def _matches(replayed):
+    assert [report for report, _, _ in replayed] == [want for _, want, _ in replayed]
+
+
+# The goldens whose command has a checker keep the ids of their compare tests, each reading
+# its share of the same replay; tests/test_report_check.py keeps their recheck ids.
+def test_analyze_matches_golden(golden_replay):
+    _matches(golden_replay("analyze.json"))
+
+
+def test_delta_matches_golden(golden_replay):
+    _matches(golden_replay("delta.json"))
+
+
+def test_delta_upper_matches_golden(golden_replay):
+    _matches(golden_replay("delta_upper.json"))
+
+
+@pytest.mark.parametrize("name", ["analyze_piecewise.json", "gen_thick_triple.json"])
+def test_branch_matches_golden(golden_replay, name):
+    _matches(golden_replay(name))
 
 
 def test_every_golden_report_has_an_entry():

@@ -1,9 +1,10 @@
 """Reports re-checked from their JSON and the files they name alone (report_check).
 
 Reports are rechecked inside the two replays that make them:
-``test_argv_corpus.test_corpus_replays`` rechecks every exit-0 corpus report
-whose command has a checker, and ``test_cli.test_golden_matches_and_rechecks``
-every golden report whose command has one, right after its run.  Here: ``gen``
+``test_argv_corpus.replay`` rechecks every exit-0 corpus report whose command
+has a checker, and ``test_cli.replay_golden`` every golden report whose
+command has one, right after its run; ``test_goldens_recheck`` reads the
+golden share.  Here: ``gen``
 specs of 3 * 2^15 + 17 positions, negative windows and a window beyond 2^63,
 each in bits and list format; one edit per row that the checker must name, and
 no other field; and the entry point, run as a script.
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from diffsets.cli import main
-from report_check import check
+from report_check import CHECKS, check
 from test_cli import GOLDENS, RESIDUE_SPEC
 from test_cli_fuzz import _cwd
 
@@ -56,6 +57,19 @@ def _run(d, *argvs):
 def test_spans_of_several_blocks_recheck(tmp_path, spec, fmt):
     report = _run(tmp_path, ["gen", "--spec", json.dumps(spec), "--out", "g.set", "--fmt", fmt])
     assert check(report, tmp_path) == []
+
+
+# every golden whose command has a checker
+CHECKED_GOLDENS = sorted(name for name, (_, runs) in GOLDENS.items()
+                         if (runs if isinstance(runs[0], str) else runs[0])[0] in CHECKS)
+
+
+@pytest.mark.parametrize("name", CHECKED_GOLDENS)
+def test_goldens_recheck(golden_replay, name):
+    """Each report of the golden replay rechecks from its JSON and the files of its run."""
+    for report, _, wrong in golden_replay(name):
+        assert report["command"] in CHECKS
+        assert wrong == []
 
 
 def _flip_last_position(d):
